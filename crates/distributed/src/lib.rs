@@ -76,12 +76,12 @@ pub fn parallel_round(
     let shards: Vec<Vec<usize>> = (0..workers)
         .map(|w| users.iter().copied().skip(w).step_by(workers).collect())
         .collect();
-    let mut replicas: Vec<Fvae> = crossbeam::thread::scope(|scope| {
+    let mut replicas: Vec<Fvae> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
             .map(|shard| {
                 let mut replica = model.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     if !shard.is_empty() {
                         replica.train_epochs(ds, shard, local_epochs, |_, _| {});
                     }
@@ -90,8 +90,7 @@ pub fn parallel_round(
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
-    })
-    .expect("thread scope");
+    });
     let mut merged = replicas.remove(0);
     merged.average_with(&replicas);
     merged

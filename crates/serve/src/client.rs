@@ -7,10 +7,11 @@
 
 use std::fmt;
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, FieldRow, Message, ProtoError, RecvError};
+use crate::net::Framed;
+use crate::protocol::{FieldRow, Message, ProtoError, RecvError};
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -126,18 +127,14 @@ pub struct ServerInfo {
 
 /// A connected serve client.
 pub struct Client {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
+    conn: Framed,
     next_req: u64,
 }
 
 impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream, rbuf: Vec::new(), wbuf: Vec::new(), next_req: 1 })
+        Ok(Self { conn: Framed::connect(addr)?, next_req: 1 })
     }
 
     /// [`Client::connect`] with a bound on how long connection
@@ -145,46 +142,46 @@ impl Client {
     /// shard must fail fast rather than stall the request. Tries each
     /// resolved address until one connects within `timeout`.
     pub fn connect_with_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
-        let mut last_err = None;
-        for sock_addr in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&sock_addr, timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    return Ok(Self { stream, rbuf: Vec::new(), wbuf: Vec::new(), next_req: 1 });
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no addresses to connect to")))
+        Ok(Self { conn: Framed::connect_timeout(addr, timeout)?, next_req: 1 })
     }
 
     /// Bounds how long any single reply read may block (`None` restores
     /// blocking reads). With a timeout set, a stalled server surfaces as
     /// `ClientError::Io(WouldBlock | TimedOut)` instead of a hang.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.conn.stream().set_read_timeout(timeout)
     }
 
-    fn recv(&mut self) -> Result<Message, ClientError> {
-        match read_frame(&mut self.stream, &mut self.rbuf)? {
-            Some(msg) => Ok(msg),
-            None => Err(ClientError::Closed),
-        }
+    /// One bounded reload exchange on a fresh connection: dial within
+    /// `connect_timeout`, wait at most `reply_timeout` for the answer, and
+    /// ask for the newest snapshot (`None`) or one exact identity.
+    pub(crate) fn reload_once(
+        addr: &str,
+        connect_timeout: Duration,
+        reply_timeout: Duration,
+        target: Option<u64>,
+    ) -> Result<ReloadReport, ClientError> {
+        let mut client = Self::connect_with_timeout(addr, connect_timeout)?;
+        client.set_read_timeout(Some(reply_timeout))?;
+        client.reload_rpc(target)
     }
 
-    fn send(&mut self, msg: &Message) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, msg, &mut self.wbuf)?;
-        Ok(())
+    fn rpc(&mut self, msg: &Message) -> Result<Message, ClientError> {
+        self.conn.send(msg)?;
+        self.conn.recv()?.ok_or(ClientError::Closed)
+    }
+
+    fn next_req_id(&mut self) -> u64 {
+        let req_id = self.next_req;
+        self.next_req += 1;
+        req_id
     }
 
     /// Requests the embedding for one user's raw per-field rows (the
     /// server applies the same L2 normalization as offline training).
     pub fn embed(&mut self, fields: &[FieldRow]) -> Result<EmbedOutcome, ClientError> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.send(&Message::EmbedRequest { req_id, fields: fields.to_vec() })?;
-        match self.recv()? {
+        let req_id = self.next_req_id();
+        match self.rpc(&Message::EmbedRequest { req_id, fields: fields.to_vec() })? {
             Message::EmbedReply { req_id: r, ckpt_id, embedding } if r == req_id => {
                 Ok(EmbedOutcome::Embedding { ckpt_id, values: embedding })
             }
@@ -199,10 +196,8 @@ impl Client {
     /// Requests the top-`k` stored users nearest `query` (ANN retrieval
     /// over the server's embedding store).
     pub fn nearest(&mut self, query: &[f32], k: u32) -> Result<NearestOutcome, ClientError> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.send(&Message::NearestRequest { req_id, k, query: query.to_vec() })?;
-        match self.recv()? {
+        let req_id = self.next_req_id();
+        match self.rpc(&Message::NearestRequest { req_id, k, query: query.to_vec() })? {
             Message::NearestReply { req_id: r, index_id, ids, scores } if r == req_id => {
                 Ok(NearestOutcome::Neighbors {
                     index_id,
@@ -218,8 +213,7 @@ impl Client {
 
     /// Round-trips a ping token; verifies stream alignment.
     pub fn ping(&mut self, token: u64) -> Result<(), ClientError> {
-        self.send(&Message::Ping { token })?;
-        match self.recv()? {
+        match self.rpc(&Message::Ping { token })? {
             Message::Pong { token: t } if t == token => Ok(()),
             _ => Err(ClientError::UnexpectedReply("ping")),
         }
@@ -227,8 +221,7 @@ impl Client {
 
     /// Fetches the server's Prometheus metrics text.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.send(&Message::MetricsRequest)?;
-        match self.recv()? {
+        match self.rpc(&Message::MetricsRequest)? {
             Message::MetricsReply { text } => Ok(text),
             _ => Err(ClientError::UnexpectedReply("metrics")),
         }
@@ -236,8 +229,21 @@ impl Client {
 
     /// Asks the server to reload the newest checkpoint.
     pub fn reload(&mut self) -> Result<ReloadReport, ClientError> {
-        self.send(&Message::ReloadRequest)?;
-        match self.recv()? {
+        self.reload_rpc(None)
+    }
+
+    /// Asks the server to activate the snapshot with this exact identity
+    /// (the router's rollback primitive; see `Message::ReloadToRequest`).
+    pub fn reload_to(&mut self, ckpt_id: u64) -> Result<ReloadReport, ClientError> {
+        self.reload_rpc(Some(ckpt_id))
+    }
+
+    fn reload_rpc(&mut self, target: Option<u64>) -> Result<ReloadReport, ClientError> {
+        let request = match target {
+            None => Message::ReloadRequest,
+            Some(ckpt_id) => Message::ReloadToRequest { ckpt_id },
+        };
+        match self.rpc(&request)? {
             Message::ReloadReply { ok, changed, ckpt_id, detail } => {
                 Ok(ReloadReport { ok, changed, ckpt_id, detail })
             }
@@ -245,22 +251,9 @@ impl Client {
         }
     }
 
-    /// Asks the server to activate the snapshot with this exact identity
-    /// (the router's rollback primitive; see `Message::ReloadToRequest`).
-    pub fn reload_to(&mut self, ckpt_id: u64) -> Result<ReloadReport, ClientError> {
-        self.send(&Message::ReloadToRequest { ckpt_id })?;
-        match self.recv()? {
-            Message::ReloadReply { ok, changed, ckpt_id, detail } => {
-                Ok(ReloadReport { ok, changed, ckpt_id, detail })
-            }
-            _ => Err(ClientError::UnexpectedReply("reload_to")),
-        }
-    }
-
     /// Fetches the server's trace ring as Chrome `trace_event` JSON.
     pub fn trace_json(&mut self) -> Result<String, ClientError> {
-        self.send(&Message::TraceRequest)?;
-        match self.recv()? {
+        match self.rpc(&Message::TraceRequest)? {
             Message::TraceReply { json } => Ok(json),
             _ => Err(ClientError::UnexpectedReply("trace")),
         }
@@ -268,8 +261,7 @@ impl Client {
 
     /// Fetches the serving contract (field count, latent dim, checkpoint).
     pub fn info(&mut self) -> Result<ServerInfo, ClientError> {
-        self.send(&Message::InfoRequest)?;
-        match self.recv()? {
+        match self.rpc(&Message::InfoRequest)? {
             Message::InfoReply { n_fields, latent_dim, ckpt_id, quantized } => Ok(ServerInfo {
                 n_fields: n_fields as usize,
                 latent_dim: latent_dim as usize,
@@ -282,8 +274,7 @@ impl Client {
 
     /// Asks the server to shut down; returns once acknowledged.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.send(&Message::Shutdown)?;
-        match self.recv()? {
+        match self.rpc(&Message::Shutdown)? {
             Message::ShutdownAck => Ok(()),
             _ => Err(ClientError::UnexpectedReply("shutdown")),
         }

@@ -18,8 +18,10 @@
 //!
 //! The wire format ([`protocol`]) is length-prefixed binary frames over
 //! `std::net` — no HTTP stack, no external dependencies — hardened
-//! against truncated, oversized, and garbage input. Embeddings served
-//! over the wire are **bit-identical** to offline
+//! against truncated, oversized, and garbage input. One connection core
+//! (`net`: listener, per-connection loop, registry, shutdown, framed
+//! stream) carries both the shard [`server`] and the fleet [`router`].
+//! Embeddings served over the wire are **bit-identical** to offline
 //! [`Fvae::embed_users`](fvae_core::Fvae::embed_users) at any thread
 //! count.
 //!
@@ -40,6 +42,7 @@
 pub mod cache;
 pub mod client;
 pub mod loadgen;
+mod net;
 pub mod protocol;
 pub mod publish;
 pub mod router;

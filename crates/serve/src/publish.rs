@@ -21,6 +21,7 @@ use fvae_core::{Checkpointer, Fvae, SnapshotError, StreamTrainer};
 use fvae_data::{Event, EventLogError, EventLogReader, StreamBatcher};
 
 use crate::client::Client;
+use crate::net::RELOAD_TIMEOUT_FLOOR;
 
 /// Where the event log lives and how aggressively to snapshot/push.
 pub struct PublishConfig {
@@ -316,10 +317,12 @@ impl Publisher {
         }
         for addr in self.cfg.push.clone() {
             let span = self.metrics.as_ref().map(|m| fvae_obs::Span::on(&m.push_ns));
-            let committed = Client::connect_with_timeout(addr.as_str(), self.cfg.connect_timeout)
-                .ok()
-                .and_then(|mut c| c.reload().ok())
-                .filter(|r| r.ok);
+            // Bounded end to end: a target that accepts and never answers
+            // is a failed push, not a stalled training loop.
+            let committed =
+                Client::reload_once(&addr, self.cfg.connect_timeout, RELOAD_TIMEOUT_FLOOR, None)
+                    .ok()
+                    .filter(|r| r.ok);
             drop(span);
             match committed {
                 Some(r) => {

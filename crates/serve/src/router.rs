@@ -7,7 +7,8 @@
 //! behind a router (Fig. 10); this module is that router as a real
 //! process. It speaks the same length-prefixed protocol on both sides:
 //! downstream it looks exactly like a single `fvae-serve` server (so
-//! `Client`, `fvae embed-client`, and `fvae loadgen` work unchanged),
+//! `Client`, `fvae embed-client`, and `fvae loadgen` work unchanged) —
+//! it is a second [`Handler`] on the same connection core ([`crate::net`]);
 //! upstream it holds a persistent connection pool per shard and forwards
 //! each embed request to the shard that owns the request's row hash on a
 //! consistent hash ring.
@@ -38,23 +39,20 @@
 //! fleet.
 
 use std::fmt;
-use std::io::{self, Write};
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceBuffer, TraceEvent};
+use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceEvent};
 use parking_lot::RwLock;
 
-use crate::cache::row_hash;
+use crate::cache::{fnv64, row_hash};
 use crate::client::{Client, ServerInfo};
-use crate::protocol::{
-    decode_message, error_code, read_frame, read_payload, write_frame, Message, RecvError,
-};
-use crate::server::loopback_connect_addr;
+use crate::net::{self, Framed, Handler, Net, Request, RELOAD_TIMEOUT_FLOOR};
+use crate::protocol::{error_code, Message};
 
 // ---------------------------------------------------------------------------
 // Trace stages
@@ -65,14 +63,9 @@ use crate::server::loopback_connect_addr;
 /// multiple `shard_rpc` spans under one trace id.
 pub static ROUTER_TRACE_STAGES: &[&str] = &["decode", "route", "shard_rpc", "reply_write"];
 
-const RT_DECODE: usize = 0;
+// `decode` (0) and `reply_write` (3) are recorded by the connection core.
 const RT_ROUTE: usize = 1;
 const RT_SHARD_RPC: usize = 2;
-const RT_REPLY_WRITE: usize = 3;
-
-/// Idle housekeeping cadence: finished downstream connections are reaped
-/// this often even when no new connection arrives.
-const IDLE_SWEEP_TICK: Duration = Duration::from_millis(200);
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -170,15 +163,13 @@ impl From<io::Error> for RouterError {
 // Metrics
 // ---------------------------------------------------------------------------
 
+/// The router's own series; the core's [`Net`] holds the rest.
 struct RouterMetrics {
-    registry: Registry,
     requests: Counter,
     replies_ok: Counter,
     overloaded: Counter,
-    errors: Counter,
     /// Upstream attempts beyond a request's first (failover re-routes).
     retries: Counter,
-    connections: Counter,
     latency_us: Histogram,
     /// Number of shards currently marked unhealthy.
     unhealthy_shards: Gauge,
@@ -187,30 +178,21 @@ struct RouterMetrics {
     reload_errors: Counter,
     /// Failed coordinated reloads whose rollback restored every shard.
     reload_rollbacks: Counter,
-    /// Per-stage wall time (`fvae_router_stage_ns{stage=...}`).
-    stage_ns: [Histogram; ROUTER_TRACE_STAGES.len()],
 }
 
 impl RouterMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
+    fn new(registry: &Registry) -> Self {
         Self {
             requests: registry.counter("fvae_router_requests"),
             replies_ok: registry.counter("fvae_router_replies_ok"),
             overloaded: registry.counter("fvae_router_overloaded"),
-            errors: registry.counter("fvae_router_errors"),
             retries: registry.counter("fvae_router_retries"),
-            connections: registry.counter("fvae_router_connections"),
             latency_us: registry.histogram("fvae_router_latency_us"),
             unhealthy_shards: registry.gauge("fvae_router_unhealthy_shards"),
             reloads: registry.counter("fvae_router_reloads"),
             reload_noops: registry.counter("fvae_router_reload_noops"),
             reload_errors: registry.counter("fvae_router_reload_errors"),
             reload_rollbacks: registry.counter("fvae_router_reload_rollbacks"),
-            stage_ns: std::array::from_fn(|i| {
-                registry.histogram_with("fvae_router_stage_ns", &[("stage", ROUTER_TRACE_STAGES[i])])
-            }),
-            registry,
         }
     }
 }
@@ -285,30 +267,12 @@ struct Health {
     consecutive_failures: u32,
 }
 
-/// One pooled upstream connection. Any RPC error discards it — after a
-/// partial exchange the stream may hold a stray reply, and reusing it
-/// would desynchronize every later request on this connection.
-struct ShardConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-}
-
-impl ShardConn {
-    fn rpc(&mut self, msg: &Message) -> Result<Message, RecvError> {
-        write_frame(&mut self.stream, msg, &mut self.wbuf)?;
-        match read_frame(&mut self.stream, &mut self.rbuf)? {
-            Some(reply) => Ok(reply),
-            None => Err(RecvError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "shard closed mid-request",
-            ))),
-        }
-    }
-}
-
+/// The pooled upstream connections of one shard. Any RPC error discards
+/// the connection it happened on — after a partial exchange the stream may
+/// hold a stray reply, and reusing it would desynchronize every later
+/// request on that connection.
 struct Pool {
-    idle: Vec<ShardConn>,
+    idle: Vec<Framed>,
     /// Checked-out + idle connections; bounded by `pool_size`, making the
     /// pool double as the shard's in-flight window.
     live: usize,
@@ -441,7 +405,7 @@ impl Shard {
 
     /// Takes a pooled connection, dialing a fresh one while the window has
     /// room, or waiting up to `pool_wait` for a checkin.
-    fn checkout(&self, cfg: &RouterConfig) -> Result<ShardConn, CheckoutError> {
+    fn checkout(&self, cfg: &RouterConfig) -> Result<Framed, CheckoutError> {
         let deadline = Instant::now() + cfg.pool_wait;
         let mut pool = self.pool.lock().expect("pool mutex");
         loop {
@@ -473,26 +437,21 @@ impl Shard {
         }
     }
 
-    fn dial(&self, cfg: &RouterConfig) -> io::Result<ShardConn> {
+    fn dial(&self, cfg: &RouterConfig) -> io::Result<Framed> {
         let addr = self.refresh_addr(cfg.shards_file.as_ref());
-        let sock_addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable shard address"))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, cfg.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(cfg.rpc_timeout))?;
-        stream.set_write_timeout(Some(cfg.rpc_timeout))?;
-        Ok(ShardConn { stream, rbuf: Vec::new(), wbuf: Vec::new() })
+        let conn = Framed::connect_timeout(addr.as_str(), cfg.connect_timeout)?;
+        conn.stream().set_read_timeout(Some(cfg.rpc_timeout))?;
+        conn.stream().set_write_timeout(Some(cfg.rpc_timeout))?;
+        Ok(conn)
     }
 
-    fn checkin(&self, conn: ShardConn) {
+    fn checkin(&self, conn: Framed) {
         let mut pool = self.pool.lock().expect("pool mutex");
         pool.idle.push(conn);
         self.pool_cv.notify_one();
     }
 
-    fn discard(&self, conn: ShardConn) {
+    fn discard(&self, conn: Framed) {
         drop(conn);
         let mut pool = self.pool.lock().expect("pool mutex");
         pool.live -= 1;
@@ -519,24 +478,16 @@ pub struct FleetInfo {
     pub quantized: bool,
 }
 
-struct RouterConnEntry {
-    stream: Option<TcpStream>,
-    handle: JoinHandle<()>,
-}
-
 struct RouterShared {
     cfg: RouterConfig,
-    trace: TraceBuffer,
+    net: Net,
     metrics: RouterMetrics,
     shards: Vec<Arc<Shard>>,
     ring: Vec<(u64, u32)>,
     fleet: RwLock<FleetInfo>,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<RouterConnEntry>>,
     /// Serializes coordinated reloads (two racing fleet transactions
     /// could interleave commit and rollback).
     reload_lock: Mutex<()>,
-    addr: SocketAddr,
 }
 
 /// Outcome of a coordinated fleet reload.
@@ -556,8 +507,6 @@ pub struct FleetReloadOutcome {
 /// A running router instance. Dropping it performs a graceful shutdown.
 pub struct Router {
     shared: Arc<RouterShared>,
-    accept: Option<JoinHandle<()>>,
-    housekeeping: Option<JoinHandle<()>>,
 }
 
 impl Router {
@@ -567,12 +516,12 @@ impl Router {
         if cfg.shards.is_empty() {
             return Err(RouterError::Fleet("no shards configured".into()));
         }
-        let metrics = RouterMetrics::new();
+        let registry = Registry::new();
         let shards: Vec<Arc<Shard>> = cfg
             .shards
             .iter()
             .enumerate()
-            .map(|(i, addr)| Arc::new(Shard::new(i, addr.clone(), &metrics.registry)))
+            .map(|(i, addr)| Arc::new(Shard::new(i, addr.clone(), &registry)))
             .collect();
 
         // Fleet validation: collect every shard's serving contract and
@@ -606,44 +555,31 @@ impl Router {
         };
 
         let ring = build_ring(shards.len(), cfg.replicas.max(1));
-        let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
-        let addr = listener.local_addr()?;
+        let (net, listener) = Net::bind(
+            "router",
+            &cfg.host,
+            cfg.port,
+            ROUTER_TRACE_STAGES,
+            cfg.trace_capacity,
+            Arc::new(AtomicU32::new(0)), // spawn-failure injection is a shard test hook
+            registry,
+        )?;
         let shared = Arc::new(RouterShared {
-            trace: TraceBuffer::new(cfg.trace_capacity, ROUTER_TRACE_STAGES),
-            metrics,
+            metrics: RouterMetrics::new(&net.registry),
+            net,
             shards,
             ring,
             fleet: RwLock::new(fleet),
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
             reload_lock: Mutex::new(()),
-            addr,
             cfg,
         });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fvae-router-accept".into())
-                .spawn(move || accept_loop(&shared, &listener))?
-        };
-        let housekeeping = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fvae-router-sweep".into())
-                .spawn(move || {
-                    while !shared.shutdown.load(Ordering::Acquire) {
-                        std::thread::park_timeout(IDLE_SWEEP_TICK);
-                        sweep_finished(&shared);
-                    }
-                })?
-        };
-        Ok(Self { shared, accept: Some(accept), housekeeping: Some(housekeeping) })
+        net::start(&shared, listener)?;
+        Ok(Self { shared })
     }
 
     /// The bound listen address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.net.addr()
     }
 
     /// The committed fleet contract.
@@ -664,17 +600,17 @@ impl Router {
 
     /// Prometheus text of the router's metrics registry.
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics.registry.render()
+        self.shared.net.registry.render()
     }
 
     /// Chrome `trace_event` JSON of the most recent routed request spans.
     pub fn trace_json(&self) -> String {
-        self.shared.trace.chrome_trace_json()
+        self.shared.net.trace.chrome_trace_json()
     }
 
     /// Snapshot of the resident trace events, sorted by start time.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.shared.trace.events()
+        self.shared.net.trace.events()
     }
 
     /// Runs a coordinated fleet reload (in-process equivalent of a
@@ -690,38 +626,19 @@ impl Router {
 
     /// Whether shutdown has been signalled.
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        self.shared.net.shutdown_requested()
     }
 
     /// Blocks until shutdown is signalled — the CLI's routing loop.
     pub fn wait(&self) {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        self.shared.net.wait();
     }
 
-    /// Graceful stop: refuse new connections, join every thread.
+    /// Graceful stop: refuse new connections, wait out every thread.
     /// Idempotent. Shards are left running — they belong to their own
     /// processes.
     pub fn shutdown(&mut self) {
-        signal_shutdown(&self.shared);
-        if let Some(h) = self.housekeeping.take() {
-            h.thread().unpark();
-            let _ = h.join();
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let entries: Vec<RouterConnEntry> =
-            self.shared.conns.lock().expect("conns mutex").drain(..).collect();
-        for e in &entries {
-            if let Some(s) = &e.stream {
-                let _ = s.shutdown(SockShutdown::Read);
-            }
-        }
-        for e in entries {
-            let _ = e.handle.join();
-        }
+        net::shutdown(&*self.shared, || {});
     }
 }
 
@@ -731,212 +648,45 @@ impl Drop for Router {
     }
 }
 
-fn signal_shutdown(shared: &RouterShared) {
-    shared.shutdown.store(true, Ordering::Release);
-    // Pop the accept thread out of its blocking accept(); the bind address
-    // may be a wildcard, so dial the loopback equivalent.
-    let _ = TcpStream::connect(loopback_connect_addr(shared.addr));
-}
-
-fn sweep_finished(shared: &RouterShared) {
-    let mut finished = Vec::new();
-    {
-        let mut conns = shared.conns.lock().expect("conns mutex");
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].handle.is_finished() {
-                finished.push(conns.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-    }
-    for e in finished {
-        let _ = e.handle.join();
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Downstream: accept + connection threads
+// The router's handler on the connection core
 // ---------------------------------------------------------------------------
 
-fn accept_loop(shared: &Arc<RouterShared>, listener: &TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        sweep_finished(shared);
-        let _ = stream.set_nodelay(true);
-        let clone = stream.try_clone().ok();
-        let conn_shared = Arc::clone(shared);
-        match std::thread::Builder::new()
-            .name("fvae-router-conn".into())
-            .spawn(move || connection_loop(&conn_shared, stream))
-        {
-            Ok(handle) => {
-                shared.metrics.connections.inc();
-                shared
-                    .conns
-                    .lock()
-                    .expect("conns mutex")
-                    .push(RouterConnEntry { stream: clone, handle });
-            }
-            Err(e) => {
-                shared.metrics.errors.inc();
-                if let Some(mut s) = clone {
-                    let mut wbuf = Vec::new();
-                    let reply = Message::ErrorReply {
-                        req_id: 0,
-                        code: error_code::UNAVAILABLE,
-                        msg: format!("router cannot service this connection: {e}"),
-                    };
-                    let _ = write_frame(&mut s, &reply, &mut wbuf);
-                    let _ = s.flush();
-                }
-            }
-        }
-    }
-}
+impl Handler for RouterShared {
+    /// The ring preference order of the request in hand.
+    type Conn = Vec<u32>;
 
-fn connection_loop(shared: &Arc<RouterShared>, mut stream: TcpStream) {
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut wbuf: Vec<u8> = Vec::new();
-    let mut candidates: Vec<u32> = Vec::with_capacity(shared.shards.len());
-    let trace = &shared.trace;
-    loop {
-        let len = match read_payload(&mut stream, &mut rbuf) {
-            Ok(Some(len)) => len,
-            Ok(None) => return,
-            Err(RecvError::Io(_)) => return,
-            Err(RecvError::Proto(e)) => {
-                shared.metrics.errors.inc();
-                let reply =
-                    Message::ErrorReply { req_id: 0, code: error_code::PROTOCOL, msg: e.to_string() };
-                let _ = write_frame(&mut stream, &reply, &mut wbuf);
-                return;
+    fn net(&self) -> &Net {
+        &self.net
+    }
+
+    fn handle(
+        self: &Arc<Self>,
+        req: Request,
+        decode_start: u64,
+        candidates: &mut Vec<u32>,
+    ) -> (Option<u64>, Message) {
+        match req {
+            Request::Embed { req_id, fields } => {
+                route(self, decode_start, req_id, candidates, || embed_route(self, req_id, fields))
             }
-        };
-        let decode_start = trace.now_ns();
-        let msg = match decode_message(&rbuf[..len]) {
-            Ok(msg) => msg,
-            Err(e) => {
-                shared.metrics.errors.inc();
-                let reply =
-                    Message::ErrorReply { req_id: 0, code: error_code::PROTOCOL, msg: e.to_string() };
-                let _ = write_frame(&mut stream, &reply, &mut wbuf);
-                return;
+            Request::Nearest { req_id, k, query } => {
+                route(self, decode_start, req_id, candidates, || Ok(nearest_route(req_id, k, query)))
             }
-        };
-        match msg {
-            Message::EmbedRequest { req_id, fields } => {
-                let trace_id = trace.next_trace_id();
-                let decode_dur = trace.now_ns().saturating_sub(decode_start);
-                trace.record(trace_id, RT_DECODE, decode_start, decode_dur);
-                shared.metrics.stage_ns[RT_DECODE].record(decode_dur);
-                let reply = route_embed(shared, trace_id, req_id, fields, &mut candidates);
-                let write_start = trace.now_ns();
-                let res = write_frame(&mut stream, &reply, &mut wbuf);
-                let write_dur = trace.now_ns().saturating_sub(write_start);
-                trace.record(trace_id, RT_REPLY_WRITE, write_start, write_dur);
-                shared.metrics.stage_ns[RT_REPLY_WRITE].record(write_dur);
-                if res.is_err() {
-                    return;
-                }
-            }
-            Message::NearestRequest { req_id, k, query } => {
-                let trace_id = trace.next_trace_id();
-                let decode_dur = trace.now_ns().saturating_sub(decode_start);
-                trace.record(trace_id, RT_DECODE, decode_start, decode_dur);
-                shared.metrics.stage_ns[RT_DECODE].record(decode_dur);
-                let reply = route_nearest(shared, trace_id, req_id, k, query, &mut candidates);
-                let write_start = trace.now_ns();
-                let res = write_frame(&mut stream, &reply, &mut wbuf);
-                let write_dur = trace.now_ns().saturating_sub(write_start);
-                trace.record(trace_id, RT_REPLY_WRITE, write_start, write_dur);
-                shared.metrics.stage_ns[RT_REPLY_WRITE].record(write_dur);
-                if res.is_err() {
-                    return;
-                }
-            }
-            Message::Ping { token } => {
-                if write_frame(&mut stream, &Message::Pong { token }, &mut wbuf).is_err() {
-                    return;
-                }
-            }
-            Message::InfoRequest => {
-                let fleet = *shared.fleet.read();
+            Request::Info => {
+                let fleet = *self.fleet.read();
                 let reply = Message::InfoReply {
                     n_fields: fleet.n_fields as u32,
                     latent_dim: fleet.latent_dim as u32,
                     ckpt_id: fleet.ckpt_id,
                     quantized: fleet.quantized,
                 };
-                if write_frame(&mut stream, &reply, &mut wbuf).is_err() {
-                    return;
-                }
+                (None, reply)
             }
-            Message::MetricsRequest => {
-                let reply = Message::MetricsReply { text: shared.metrics.registry.render() };
-                if write_frame(&mut stream, &reply, &mut wbuf).is_err() {
-                    return;
-                }
-            }
-            Message::TraceRequest => {
-                let reply = Message::TraceReply { json: shared.trace.chrome_trace_json() };
-                if write_frame(&mut stream, &reply, &mut wbuf).is_err() {
-                    return;
-                }
-            }
-            Message::ReloadRequest => {
-                let out = coordinated_reload(shared, None);
-                let reply = Message::ReloadReply {
-                    ok: out.ok,
-                    changed: out.changed,
-                    ckpt_id: out.ckpt_id,
-                    detail: out.detail,
-                };
-                if write_frame(&mut stream, &reply, &mut wbuf).is_err() {
-                    return;
-                }
-            }
-            Message::ReloadToRequest { ckpt_id } => {
-                let out = coordinated_reload(shared, Some(ckpt_id));
-                let reply = Message::ReloadReply {
-                    ok: out.ok,
-                    changed: out.changed,
-                    ckpt_id: out.ckpt_id,
-                    detail: out.detail,
-                };
-                if write_frame(&mut stream, &reply, &mut wbuf).is_err() {
-                    return;
-                }
-            }
-            Message::Shutdown => {
-                let _ = write_frame(&mut stream, &Message::ShutdownAck, &mut wbuf);
-                let _ = stream.flush();
-                signal_shutdown(shared);
-                return;
-            }
-            _ => {
-                shared.metrics.errors.inc();
-                let reply = Message::ErrorReply {
-                    req_id: 0,
-                    code: error_code::PROTOCOL,
-                    msg: "unexpected message kind for router".to_string(),
-                };
-                if write_frame(&mut stream, &reply, &mut wbuf).is_err() {
-                    return;
-                }
+            Request::Reload(target) => {
+                let FleetReloadOutcome { ok, changed, ckpt_id, detail } =
+                    coordinated_reload(self, target);
+                (None, Message::ReloadReply { ok, changed, ckpt_id, detail })
             }
         }
     }
@@ -956,87 +706,77 @@ fn reply_answers(request: &Message, reply: &Message, req_id: u64) -> bool {
     }
 }
 
-/// Routes one embed request: hash → ring preference order → first healthy
-/// shard that answers, failing over on shard errors. Exactly one reply on
-/// every path.
-fn route_embed(
-    shared: &Arc<RouterShared>,
-    trace_id: u64,
+/// The ring hash of an embed request and the message to forward for it, or
+/// why the request is refused outright.
+fn embed_route(
+    shared: &RouterShared,
     req_id: u64,
     fields: Vec<crate::protocol::FieldRow>,
-    candidates: &mut Vec<u32>,
-) -> Message {
-    shared.metrics.requests.inc();
-    let started = Instant::now();
-    let route_start = shared.trace.now_ns();
+) -> Result<(u64, Message), String> {
     let n_fields = shared.fleet.read().n_fields;
     if fields.len() != n_fields {
-        shared.metrics.errors.inc();
-        let dur = shared.trace.now_ns().saturating_sub(route_start);
-        shared.trace.record(trace_id, RT_ROUTE, route_start, dur);
-        shared.metrics.stage_ns[RT_ROUTE].record(dur);
-        return Message::ErrorReply {
-            req_id,
-            code: error_code::BAD_REQUEST,
-            msg: format!("expected {n_fields} fields, got {}", fields.len()),
-        };
+        return Err(format!("expected {n_fields} fields, got {}", fields.len()));
     }
-    let hash = row_hash(&fields);
-    // Built once and reused verbatim across failover attempts — the reply
-    // must carry the downstream client's request id either way.
-    let msg = Message::EmbedRequest { req_id, fields };
-    forward_with_failover(shared, trace_id, req_id, started, route_start, hash, msg, candidates)
+    Ok((row_hash(&fields), Message::EmbedRequest { req_id, fields }))
 }
 
-/// Routes one nearest-neighbour request. Every shard indexes the full
+/// The same for a nearest-neighbour request. Every shard indexes the full
 /// embedding store, so the ring hash (over the query bits and `k`) only
 /// picks a stable preference order; any shard can answer, and failover
 /// walks the same ring as embed requests.
-fn route_nearest(
-    shared: &Arc<RouterShared>,
-    trace_id: u64,
-    req_id: u64,
-    k: u32,
-    query: Vec<f32>,
-    candidates: &mut Vec<u32>,
-) -> Message {
-    shared.metrics.requests.inc();
-    let started = Instant::now();
-    let route_start = shared.trace.now_ns();
+fn nearest_route(req_id: u64, k: u32, query: Vec<f32>) -> (u64, Message) {
     let mut key = Vec::with_capacity(4 + query.len() * 4);
     key.extend_from_slice(&k.to_le_bytes());
     for v in &query {
         key.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    let hash = crate::cache::fnv64(&key);
-    let msg = Message::NearestRequest { req_id, k, query };
-    forward_with_failover(shared, trace_id, req_id, started, route_start, hash, msg, candidates)
+    (fnv64(&key), Message::NearestRequest { req_id, k, query })
 }
 
-/// The shared forwarding loop: ring preference order from `hash`, first
-/// healthy shard whose reply answers `msg` wins, shard-side errors charge
-/// health and fail over. Exactly one reply on every path.
-#[allow(clippy::too_many_arguments)]
+/// Routes one request on the traced path: hash → ring preference order →
+/// first healthy shard that answers, failing over on shard errors. `keyed`
+/// yields the hash and the upstream message (built once, reused verbatim
+/// across failover attempts, carrying the downstream client's request id),
+/// or the `BAD_REQUEST` text. Exactly one reply on every path.
+fn route(
+    shared: &RouterShared,
+    decode_start: u64,
+    req_id: u64,
+    candidates: &mut Vec<u32>,
+    keyed: impl FnOnce() -> Result<(u64, Message), String>,
+) -> (Option<u64>, Message) {
+    let trace_id = shared.net.begin_trace(decode_start);
+    shared.metrics.requests.inc();
+    let started = Instant::now();
+    let route_start = shared.net.trace.now_ns();
+    let keyed = keyed();
+    if let Ok((hash, _)) = &keyed {
+        ring_candidates(&shared.ring, shared.shards.len(), *hash, candidates);
+    }
+    shared.net.end_stage(trace_id, RT_ROUTE, route_start);
+    let reply = match keyed {
+        Ok((_, msg)) => forward_with_failover(shared, trace_id, req_id, started, &msg, candidates),
+        Err(why) => shared.net.error_reply(req_id, error_code::BAD_REQUEST, why),
+    };
+    (Some(trace_id), reply)
+}
+
+/// The forwarding loop over the ring preference order in `candidates`:
+/// the first healthy shard whose reply answers `msg` wins, shard-side
+/// errors charge health and fail over.
 fn forward_with_failover(
-    shared: &Arc<RouterShared>,
+    shared: &RouterShared,
     trace_id: u64,
     req_id: u64,
     started: Instant,
-    route_start: u64,
-    hash: u64,
-    msg: Message,
-    candidates: &mut Vec<u32>,
+    msg: &Message,
+    candidates: &[u32],
 ) -> Message {
-    ring_candidates(&shared.ring, shared.shards.len(), hash, candidates);
-    let route_dur = shared.trace.now_ns().saturating_sub(route_start);
-    shared.trace.record(trace_id, RT_ROUTE, route_start, route_dur);
-    shared.metrics.stage_ns[RT_ROUTE].record(route_dur);
-
     let cfg = &shared.cfg;
     let mut attempts = 0usize;
     let mut saw_overloaded = false;
     let mut last_error: Option<Message> = None;
-    for &shard_idx in candidates.iter() {
+    for &shard_idx in candidates {
         if attempts >= cfg.max_attempts.max(1) {
             break;
         }
@@ -1069,14 +809,12 @@ fn forward_with_failover(
                 continue;
             }
         };
-        let rpc_start = shared.trace.now_ns();
-        let result = conn.rpc(&msg);
-        let rpc_dur = shared.trace.now_ns().saturating_sub(rpc_start);
-        shared.trace.record(trace_id, RT_SHARD_RPC, rpc_start, rpc_dur);
-        shared.metrics.stage_ns[RT_SHARD_RPC].record(rpc_dur);
+        let rpc_start = shared.net.trace.now_ns();
+        let result = conn.rpc(msg);
+        let rpc_dur = shared.net.end_stage(trace_id, RT_SHARD_RPC, rpc_start);
         shard.rpc_ns.record(rpc_dur);
         match result {
-            Ok(reply) if reply_answers(&msg, &reply, req_id) => {
+            Ok(reply) if reply_answers(msg, &reply, req_id) => {
                 shard.checkin(conn);
                 shard.record_ok(&shared.metrics);
                 shared.metrics.replies_ok.inc();
@@ -1095,8 +833,7 @@ fn forward_with_failover(
                 // The request itself is bad; every shard would refuse it.
                 shard.checkin(conn);
                 shard.record_ok(&shared.metrics);
-                shared.metrics.errors.inc();
-                return Message::ErrorReply { req_id, code, msg: emsg };
+                return shared.net.error_reply(req_id, code, emsg);
             }
             Ok(Message::ErrorReply { req_id: r, code, msg: emsg }) if r == req_id || r == 0 => {
                 // A serving-side failure (shutting down, timed out,
@@ -1106,13 +843,9 @@ fn forward_with_failover(
                 shard.record_failure(cfg.fail_threshold, &shared.metrics);
                 last_error = Some(Message::ErrorReply { req_id, code, msg: emsg });
             }
-            Ok(_) => {
-                // Wrong kind or mismatched id: the stream is desynchronized
-                // beyond recovery.
-                shard.discard(conn);
-                shard.record_failure(cfg.fail_threshold, &shared.metrics);
-            }
-            Err(_) => {
+            Ok(_) | Err(_) => {
+                // A transport failure, or a wrong kind / mismatched id: the
+                // stream is desynchronized beyond recovery.
                 shard.discard(conn);
                 shard.record_failure(cfg.fail_threshold, &shared.metrics);
             }
@@ -1122,7 +855,7 @@ fn forward_with_failover(
         shared.metrics.overloaded.inc();
         return Message::Overloaded { req_id };
     }
-    shared.metrics.errors.inc();
+    shared.net.errors.inc();
     last_error.unwrap_or_else(|| Message::ErrorReply {
         req_id,
         code: error_code::UNAVAILABLE,
@@ -1138,69 +871,41 @@ fn forward_with_failover(
 /// commit the fleet `ckpt_id` only when every shard reports success with
 /// one single new identity, and roll every shard back to the previous
 /// identity otherwise. Serialized on the router's reload lock.
-fn coordinated_reload(shared: &Arc<RouterShared>, target: Option<u64>) -> FleetReloadOutcome {
+fn coordinated_reload(shared: &RouterShared, target: Option<u64>) -> FleetReloadOutcome {
     let _serialize = shared.reload_lock.lock().expect("reload mutex");
     let old_id = shared.fleet.read().ckpt_id;
     let cfg = &shared.cfg;
     // Snapshot decode can outlast a routing RPC; give reloads more room.
-    let reload_timeout = cfg.rpc_timeout.max(Duration::from_secs(10));
-
-    let mut reports: Vec<Result<crate::client::ReloadReport, String>> =
-        Vec::with_capacity(shared.shards.len());
-    for shard in &shared.shards {
+    let reload_timeout = cfg.rpc_timeout.max(RELOAD_TIMEOUT_FLOOR);
+    // One shard's half of the transaction, forward or rollback.
+    let reload_shard = |shard: &Shard, target: Option<u64>| -> Result<u64, String> {
         let addr = shard.refresh_addr(cfg.shards_file.as_ref());
-        let report = (|| {
-            let mut client = Client::connect_with_timeout(addr.as_str(), cfg.connect_timeout)
-                .map_err(|e| format!("shard {} ({addr}): connect: {e}", shard.idx))?;
-            client
-                .set_read_timeout(Some(reload_timeout))
-                .map_err(|e| format!("shard {} ({addr}): {e}", shard.idx))?;
-            let report = match target {
-                None => client.reload(),
-                Some(t) => client.reload_to(t),
-            }
-            .map_err(|e| format!("shard {} ({addr}): {e}", shard.idx))?;
-            if report.ok {
-                Ok(report)
-            } else {
-                Err(format!("shard {} ({addr}): refused: {}", shard.idx, report.detail))
-            }
-        })();
-        reports.push(report);
-    }
+        match Client::reload_once(&addr, cfg.connect_timeout, reload_timeout, target) {
+            Ok(report) if report.ok => Ok(report.ckpt_id),
+            Ok(report) => Err(format!("shard {} ({addr}): refused: {}", shard.idx, report.detail)),
+            Err(e) => Err(format!("shard {} ({addr}): {e}", shard.idx)),
+        }
+    };
 
-    let mut new_ids: Vec<u64> = reports
-        .iter()
-        .filter_map(|r| r.as_ref().ok().map(|rep| rep.ckpt_id))
-        .collect();
+    let reports: Vec<Result<u64, String>> =
+        shared.shards.iter().map(|shard| reload_shard(shard, target)).collect();
+
+    let mut new_ids: Vec<u64> = reports.iter().filter_map(|r| r.as_ref().ok().copied()).collect();
     new_ids.dedup();
     let all_ok = reports.iter().all(|r| r.is_ok());
 
     if all_ok && new_ids.len() == 1 {
-        let new_id = new_ids[0];
-        if new_id == old_id {
+        let (new_id, n) = (new_ids[0], shared.shards.len());
+        let changed = new_id != old_id;
+        let detail = if changed {
+            shared.fleet.write().ckpt_id = new_id;
+            shared.metrics.reloads.inc();
+            format!("fleet of {n} committed {old_id:#018x} -> {new_id:#018x}")
+        } else {
             shared.metrics.reload_noops.inc();
-            return FleetReloadOutcome {
-                ok: true,
-                changed: false,
-                ckpt_id: old_id,
-                detail: format!(
-                    "fleet of {} already serving {old_id:#018x}",
-                    shared.shards.len()
-                ),
-            };
-        }
-        shared.fleet.write().ckpt_id = new_id;
-        shared.metrics.reloads.inc();
-        return FleetReloadOutcome {
-            ok: true,
-            changed: true,
-            ckpt_id: new_id,
-            detail: format!(
-                "fleet of {} committed {old_id:#018x} -> {new_id:#018x}",
-                shared.shards.len()
-            ),
+            format!("fleet of {n} already serving {old_id:#018x}")
         };
+        return FleetReloadOutcome { ok: true, changed, ckpt_id: new_id, detail };
     }
 
     // Abort: roll every shard back to the old identity (a no-op for
@@ -1215,26 +920,11 @@ fn coordinated_reload(shared: &Arc<RouterShared>, target: Option<u64>) -> FleetR
     } else {
         format!("shards diverged: identities {new_ids:?}")
     };
-    let mut rollback_failed: Vec<String> = Vec::new();
-    for shard in &shared.shards {
-        let addr = shard.refresh_addr(cfg.shards_file.as_ref());
-        let rolled = (|| {
-            let mut client = Client::connect_with_timeout(addr.as_str(), cfg.connect_timeout)
-                .map_err(|e| e.to_string())?;
-            client
-                .set_read_timeout(Some(reload_timeout))
-                .map_err(|e| e.to_string())?;
-            let rep = client.reload_to(old_id).map_err(|e| e.to_string())?;
-            if rep.ok {
-                Ok(())
-            } else {
-                Err(rep.detail)
-            }
-        })();
-        if let Err(e) = rolled {
-            rollback_failed.push(format!("shard {} ({addr}): {e}", shard.idx));
-        }
-    }
+    let rollback_failed: Vec<String> = shared
+        .shards
+        .iter()
+        .filter_map(|shard| reload_shard(shard, Some(old_id)).err())
+        .collect();
     let detail = if rollback_failed.is_empty() {
         shared.metrics.reload_rollbacks.inc();
         format!("reload aborted, fleet rolled back to {old_id:#018x}: {why}")

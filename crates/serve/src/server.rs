@@ -2,8 +2,9 @@
 //!
 //! ## Architecture
 //!
-//! One **accept thread** hands each TCP connection to its own **connection
-//! thread** (blocking reads, framed protocol). Embed requests that miss the
+//! The connection core ([`crate::net`]) runs one **accept thread** and one
+//! blocking **connection thread** per client; this module is the shard's
+//! [`Handler`] on it. Embed requests that miss the
 //! LRU cache become [`Pending`] cells on a **bounded queue**; a single
 //! **batch thread** coalesces up to `batch_size` of them (waiting at most
 //! `max_wait` for stragglers), runs one batched encoder forward on the
@@ -31,10 +32,10 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Write};
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,14 +44,13 @@ use fvae_core::{
     decode_snapshot, normalized_snapshot_bytes, Checkpointer, Encoder, EncoderScratch, InputRows,
     QuantizedEncoder, QuantizedEncoderScratch, SnapshotError,
 };
-use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceBuffer, TraceEvent};
+use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceEvent};
 use fvae_tensor::Matrix;
 use parking_lot::RwLock;
 
 use crate::cache::{fnv64, row_hash, EmbedCache};
-use crate::protocol::{
-    decode_message, error_code, read_payload, write_frame, FieldRow, Message, RecvError,
-};
+use crate::net::{self, Handler, Net, Request};
+use crate::protocol::{error_code, FieldRow, Message};
 
 // ---------------------------------------------------------------------------
 // Trace stages
@@ -62,16 +62,11 @@ use crate::protocol::{
 pub static TRACE_STAGES: &[&str] =
     &["decode", "admission", "queue_wait", "batch_form", "encode", "reply_write"];
 
-const ST_DECODE: usize = 0;
+// `decode` (0) and `reply_write` (5) are recorded by the connection core.
 const ST_ADMISSION: usize = 1;
 const ST_QUEUE_WAIT: usize = 2;
 const ST_BATCH_FORM: usize = 3;
 const ST_ENCODE: usize = 4;
-const ST_REPLY_WRITE: usize = 5;
-
-/// How often the otherwise-blocked batch thread wakes to reap finished
-/// connection threads (see [`sweep_finished_conns`]).
-const IDLE_SWEEP_TICK: Duration = Duration::from_millis(200);
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -203,23 +198,18 @@ impl From<io::Error> for ServeError {
 // ---------------------------------------------------------------------------
 
 /// Handles into the server's metrics [`Registry`] (Prometheus-rendered via
-/// `MetricsRequest` or [`Server::metrics_text`]).
+/// `MetricsRequest` or [`Server::metrics_text`]); the core's [`Net`] holds
+/// the connection, error and per-stage series.
 struct ServeMetrics {
-    registry: Registry,
     requests: Counter,
     replies_ok: Counter,
     overloaded: Counter,
-    errors: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
     batches: Counter,
     batch_size: Histogram,
     latency_us: Histogram,
     queue_depth: Gauge,
-    connections: Counter,
-    /// Accepted connections the server could not serve (connection-thread
-    /// spawn failure); each got a best-effort `UNAVAILABLE` error frame.
-    accept_errors: Counter,
     reloads: Counter,
     reload_noops: Counter,
     reload_errors: Counter,
@@ -232,28 +222,20 @@ struct ServeMetrics {
     /// Wall time of each batch's encoder forward (the compute core of the
     /// serve path, excluding queueing and reply fan-out).
     encode_ns: Histogram,
-    /// Per-stage wall time, one labeled series per [`TRACE_STAGES`] entry
-    /// (`fvae_serve_stage_ns{stage=...}`). decode/admission/queue_wait/
-    /// reply_write record per request; batch_form/encode once per batch.
-    stage_ns: [Histogram; TRACE_STAGES.len()],
 }
 
 impl ServeMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
+    fn new(registry: &Registry) -> Self {
         Self {
             requests: registry.counter("fvae_serve_requests"),
             replies_ok: registry.counter("fvae_serve_replies_ok"),
             overloaded: registry.counter("fvae_serve_overloaded"),
-            errors: registry.counter("fvae_serve_errors"),
             cache_hits: registry.counter("fvae_serve_cache_hits"),
             cache_misses: registry.counter("fvae_serve_cache_misses"),
             batches: registry.counter("fvae_serve_batches"),
             batch_size: registry.histogram("fvae_serve_batch_size"),
             latency_us: registry.histogram("fvae_serve_latency_us"),
             queue_depth: registry.gauge("fvae_serve_queue_depth"),
-            connections: registry.counter("fvae_serve_connections"),
-            accept_errors: registry.counter("fvae_serve_accept_errors"),
             reloads: registry.counter("fvae_serve_reloads"),
             reload_noops: registry.counter("fvae_serve_reload_noops"),
             reload_errors: registry.counter("fvae_serve_reload_errors"),
@@ -262,10 +244,6 @@ impl ServeMetrics {
             nearest_reloads: registry.counter("fvae_serve_nearest_reloads"),
             quantized: registry.gauge("fvae_serve_quantized"),
             encode_ns: registry.histogram("fvae_serve_encode_ns"),
-            stage_ns: std::array::from_fn(|i| {
-                registry.histogram_with("fvae_serve_stage_ns", &[("stage", TRACE_STAGES[i])])
-            }),
-            registry,
         }
     }
 }
@@ -299,21 +277,21 @@ struct NearestState {
     index_id: u64,
 }
 
-/// Decodes embedding-store bytes and builds the serving index
-/// ([`fvae_ann::auto_build`]: flat below threshold, IVF-PQ above).
-fn build_nearest_index(path: &Path, raw: &[u8]) -> Result<fvae_ann::AnyIndex, ServeError> {
-    let file = fvae_ann::io::read_embeddings(raw)
-        .map_err(|e| ServeError::Reload(format!("embedding store {}: {e}", path.display())))?;
-    fvae_ann::auto_build(file.dim, &file.ids, &file.data)
-        .map_err(|e| ServeError::Reload(format!("embedding store {}: {e}", path.display())))
-}
-
-/// Reads the embedding-store file and builds the serving index.
-fn load_nearest_state(path: &Path) -> Result<NearestState, ServeError> {
+/// Reads the embedding-store file and builds the serving index over it
+/// ([`fvae_ann::auto_build`]: flat below threshold, IVF-PQ above) — unless
+/// its bytes hash to `current`, the index already serving (`Ok(None)`).
+fn load_nearest_state(path: &Path, current: Option<u64>) -> Result<Option<NearestState>, ServeError> {
     let raw = std::fs::read(path)?;
     let index_id = fnv64(&raw);
-    let index = build_nearest_index(path, &raw)?;
-    Ok(NearestState { index, index_id })
+    if current == Some(index_id) {
+        return Ok(None);
+    }
+    let bad_store =
+        |e: &dyn fmt::Display| ServeError::Reload(format!("embedding store {}: {e}", path.display()));
+    let file = fvae_ann::io::read_embeddings(raw.as_slice()).map_err(|e| bad_store(&e))?;
+    let index =
+        fvae_ann::auto_build(file.dim, &file.ids, &file.data).map_err(|e| bad_store(&e))?;
+    Ok(Some(NearestState { index, index_id }))
 }
 
 /// Re-reads the embedding-store file (when one is configured) and swaps in
@@ -325,14 +303,12 @@ fn refresh_nearest(shared: &Shared) -> Result<(), ServeError> {
     let Some(path) = &shared.cfg.embeddings else {
         return Ok(());
     };
-    let raw = std::fs::read(path)?;
-    let index_id = fnv64(&raw);
-    if shared.nearest.read().as_ref().map(|s| s.index_id) == Some(index_id) {
-        return Ok(()); // byte-identical store: keep the built index
+    let current = shared.nearest.read().as_ref().map(|s| s.index_id);
+    // `None`: a byte-identical store keeps the built index.
+    if let Some(state) = load_nearest_state(path, current)? {
+        *shared.nearest.write() = Some(Arc::new(state));
+        shared.metrics.nearest_reloads.inc();
     }
-    let index = build_nearest_index(path, &raw)?;
-    *shared.nearest.write() = Some(Arc::new(NearestState { index, index_id }));
-    shared.metrics.nearest_reloads.inc();
     Ok(())
 }
 
@@ -378,22 +354,9 @@ pub enum BatchPhase {
 /// counting allocator.
 pub type BatchProbe = Box<dyn FnMut(BatchPhase, usize) + Send>;
 
-/// One live (or recently finished) connection: the thread handle plus a
-/// read-half socket clone used to pop the thread out of a blocking read at
-/// shutdown. Finished entries are swept on every accept *and* on the batch
-/// thread's idle tick, so short-lived connections don't accumulate fds and
-/// handles — even when no new connection ever arrives to trigger a sweep.
-struct ConnEntry {
-    /// `None` when `try_clone` failed; the thread still serves, it just
-    /// can't be woken early at shutdown.
-    stream: Option<TcpStream>,
-    handle: JoinHandle<()>,
-}
-
 struct Shared {
     cfg: ServeConfig,
-    /// Request-span ring; also the clock and id source for tracing.
-    trace: TraceBuffer,
+    net: Net,
     model: RwLock<Arc<ModelState>>,
     /// `None` when the server was started without `--embeddings`.
     nearest: RwLock<Option<Arc<NearestState>>>,
@@ -401,11 +364,8 @@ struct Shared {
     work_cv: Condvar,
     cache: Mutex<EmbedCache>,
     metrics: ServeMetrics,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<ConnEntry>>,
     /// Serializes reloads (concurrent requests would race the swap).
     reload_lock: Mutex<()>,
-    addr: SocketAddr,
 }
 
 /// Outcome of a successful reload.
@@ -427,7 +387,6 @@ pub struct ReloadOutcome {
 /// shutdown: queued requests are drained and answered first.
 pub struct Server {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     batch: Option<JoinHandle<()>>,
 }
 
@@ -439,27 +398,31 @@ impl Server {
 
     /// [`Server::start`] with a batch-thread probe installed (test hook).
     pub fn start_with_probe(cfg: ServeConfig, probe: Option<BatchProbe>) -> Result<Self, ServeError> {
-        let state = load_model_state(&cfg.checkpoint_dir, cfg.quant)?;
+        let state = load_model_state(&cfg.checkpoint_dir, cfg.quant, None)?;
         let nearest = match &cfg.embeddings {
             None => None,
-            Some(path) => Some(Arc::new(load_nearest_state(path)?)),
+            Some(path) => load_nearest_state(path, None)?.map(Arc::new),
         };
         let dim = state.encoder.latent_dim();
-        let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
-        let addr = listener.local_addr()?;
+        let (net, listener) = Net::bind(
+            "serve",
+            &cfg.host,
+            cfg.port,
+            TRACE_STAGES,
+            cfg.trace_capacity,
+            Arc::clone(&cfg.fail_conn_spawns),
+            Registry::new(),
+        )?;
         let cache_capacity = cfg.cache_capacity;
         let shared = Arc::new(Shared {
-            trace: TraceBuffer::new(cfg.trace_capacity, TRACE_STAGES),
+            metrics: ServeMetrics::new(&net.registry),
+            net,
             model: RwLock::new(Arc::new(state)),
             nearest: RwLock::new(nearest),
             queue: Mutex::new(VecDeque::with_capacity(cfg.queue_capacity)),
             work_cv: Condvar::new(),
             cache: Mutex::new(EmbedCache::new(cache_capacity, dim)),
-            metrics: ServeMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
             reload_lock: Mutex::new(()),
-            addr,
             cfg,
         });
         shared
@@ -467,24 +430,20 @@ impl Server {
             .quantized
             .set(if shared.cfg.quant == QuantMode::Int8 { 1.0 } else { 0.0 });
 
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fvae-serve-accept".into())
-                .spawn(move || accept_loop(&shared, &listener))?
-        };
         let batch = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("fvae-serve-batch".into())
                 .spawn(move || batch_loop(&shared, probe))?
         };
-        Ok(Self { shared, accept: Some(accept), batch: Some(batch) })
+        let server = Self { shared, batch: Some(batch) };
+        net::start(&server.shared, listener)?;
+        Ok(server)
     }
 
     /// The bound listen address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.net.addr()
     }
 
     /// Identity of the checkpoint currently being served.
@@ -525,24 +484,24 @@ impl Server {
 
     /// Prometheus text of the server's metrics registry.
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics.registry.render()
+        self.shared.net.registry.render()
     }
 
     /// Chrome `trace_event` JSON of the most recent request spans
     /// (in-process equivalent of the `TraceRequest` frame).
     pub fn trace_json(&self) -> String {
-        self.shared.trace.chrome_trace_json()
+        self.shared.net.trace.chrome_trace_json()
     }
 
     /// Snapshot of the resident trace events, sorted by start time.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.shared.trace.events()
+        self.shared.net.trace.events()
     }
 
     /// Reloads the newest checkpoint (in-process equivalent of the
     /// `ReloadRequest` frame).
     pub fn reload(&self) -> Result<ReloadOutcome, ServeError> {
-        reload(&self.shared)
+        reload(&self.shared, None)
     }
 
     /// Activates the snapshot with this exact identity (in-process
@@ -550,50 +509,39 @@ impl Server {
     /// serving it, an error (old model keeps serving) when no snapshot in
     /// the checkpoint directory matches.
     pub fn reload_to(&self, ckpt_id: u64) -> Result<ReloadOutcome, ServeError> {
-        reload_to(&self.shared, ckpt_id)
+        reload(&self.shared, Some(ckpt_id))
     }
 
-    /// Number of connection entries currently held (live threads plus
-    /// finished ones not yet swept). The idle-sweep regression test
-    /// watches this drain to zero without any new connection arriving.
+    /// Number of connections currently registered: each connection thread
+    /// removes its own entry as it exits, so on an idle server this drains
+    /// to zero without any new connection arriving (the idle-drain
+    /// regression test watches it).
     pub fn live_connections(&self) -> usize {
-        self.shared.conns.lock().expect("conns mutex").len()
+        self.shared.net.live_connections()
     }
 
     /// Whether shutdown has been signalled (by [`Server::shutdown`], drop,
     /// or a client `Shutdown` frame).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        self.shared.net.shutdown_requested()
     }
 
     /// Blocks until shutdown is signalled — the CLI's serving loop.
     pub fn wait(&self) {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        self.shared.net.wait();
     }
 
     /// Graceful stop: refuse new work, drain the queue (every admitted
-    /// request still gets its reply), then join every thread. Idempotent.
+    /// request still gets its reply), then wait out every thread.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
-        signal_shutdown(&self.shared);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.batch.take() {
-            let _ = h.join();
-        }
-        // With the batch thread drained, wake connection threads parked in
-        // blocking reads; their replies are already fulfilled.
-        let entries: Vec<ConnEntry> = self.shared.conns.lock().expect("conns mutex").drain(..).collect();
-        for e in &entries {
-            if let Some(s) = &e.stream {
-                let _ = s.shutdown(SockShutdown::Read);
+        let batch = self.batch.take();
+        // Replies are fulfilled before the core wakes connection threads.
+        net::shutdown(&*self.shared, || {
+            if let Some(h) = batch {
+                let _ = h.join();
             }
-        }
-        for e in entries {
-            let _ = e.handle.join();
-        }
+        });
     }
 }
 
@@ -603,112 +551,69 @@ impl Drop for Server {
     }
 }
 
-/// Flags shutdown (under the queue lock, so no request can slip past the
-/// admission check afterwards) and wakes the accept and batch threads.
-fn signal_shutdown(shared: &Shared) {
-    {
-        let _q = shared.queue.lock().expect("serve queue mutex");
-        shared.shutdown.store(true, Ordering::Release);
-        shared.work_cv.notify_all();
-    }
-    // Self-connect to pop the accept thread out of its blocking accept().
-    // The bound address may be a wildcard (`0.0.0.0` / `[::]` for a
-    // multi-host fleet), which is not a reliable *connect* target on every
-    // platform — dial the matching loopback instead.
-    let _ = TcpStream::connect(loopback_connect_addr(shared.addr));
-}
-
-/// The address a local client should dial to reach a socket bound at
-/// `addr`: wildcard binds resolve to the matching loopback, anything else
-/// passes through unchanged.
-pub(crate) fn loopback_connect_addr(addr: SocketAddr) -> SocketAddr {
-    let mut out = addr;
-    if addr.ip().is_unspecified() {
-        out.set_ip(match addr {
-            SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-            SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-        });
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint loading / reload
 // ---------------------------------------------------------------------------
 
-fn load_model_state(dir: &Path, quant: QuantMode) -> Result<ModelState, ServeError> {
-    let loaded = Checkpointer::load_latest(dir)
-        .map_err(ServeError::Snapshot)?
-        .ok_or_else(|| ServeError::NoCheckpoint(dir.to_path_buf()))?;
-    // Hash the same bytes the snapshot was decoded from — a fresh read of
-    // the file could race a rewrite and stamp the weights with a different
-    // checkpoint's identity (which keys the embedding cache).
-    let normalized = normalized_snapshot_bytes(&loaded.raw).map_err(ServeError::Snapshot)?;
-    let ckpt_id = fnv64(&normalized);
-    let (model, _resume) = loaded.snapshot.into_resume();
+/// Loads the serving snapshot from `dir`: the newest usable one, or the
+/// one whose normalized-bytes identity equals `target` — the server half of
+/// a router rollback, which must re-activate a *specific* checkpoint.
+/// Unreadable or corrupt files are skipped (they can't be the target); a
+/// directory with no matching snapshot is an error.
+fn load_model_state(
+    dir: &Path,
+    quant: QuantMode,
+    target: Option<u64>,
+) -> Result<ModelState, ServeError> {
+    let (snapshot, ckpt_id, path) = match target {
+        None => {
+            let loaded = Checkpointer::load_latest(dir)
+                .map_err(ServeError::Snapshot)?
+                .ok_or_else(|| ServeError::NoCheckpoint(dir.to_path_buf()))?;
+            // Hash the same bytes the snapshot was decoded from — a fresh
+            // read of the file could race a rewrite and stamp the weights
+            // with a different checkpoint's identity (which keys the
+            // embedding cache).
+            let normalized = normalized_snapshot_bytes(&loaded.raw).map_err(ServeError::Snapshot)?;
+            (loaded.snapshot, fnv64(&normalized), loaded.path)
+        }
+        Some(target) => {
+            let matching = Checkpointer::list_snapshot_files(dir)?.into_iter().find_map(|path| {
+                let raw = std::fs::read(&path).ok()?;
+                let normalized = normalized_snapshot_bytes(&raw).ok()?;
+                (fnv64(&normalized) == target).then_some((path, raw))
+            });
+            let (path, raw) = matching.ok_or_else(|| {
+                ServeError::Reload(format!(
+                    "no snapshot in {} has identity {target:#018x}",
+                    dir.display()
+                ))
+            })?;
+            (decode_snapshot(&raw).map_err(ServeError::Snapshot)?, target, path)
+        }
+    };
+    let (model, _resume) = snapshot.into_resume();
     let encoder = Encoder::from(model);
     let quant = match quant {
         QuantMode::F32 => None,
         QuantMode::Int8 => Some(QuantizedEncoder::from_encoder(&encoder)),
     };
-    Ok(ModelState { encoder, quant, ckpt_id, path: loaded.path })
+    Ok(ModelState { encoder, quant, ckpt_id, path })
 }
 
-/// Loads the snapshot in `dir` whose normalized-bytes identity equals
-/// `target` — the server half of a router rollback, which must re-activate
-/// a *specific* checkpoint rather than whatever is newest. Unreadable or
-/// corrupt files are skipped (they can't be the target); a directory with
-/// no matching snapshot is an error.
-fn load_model_state_with_id(
-    dir: &Path,
-    quant: QuantMode,
-    target: u64,
-) -> Result<ModelState, ServeError> {
-    for path in Checkpointer::list_snapshot_files(dir)? {
-        let Ok(raw) = std::fs::read(&path) else { continue };
-        let Ok(normalized) = normalized_snapshot_bytes(&raw) else { continue };
-        if fnv64(&normalized) != target {
-            continue;
-        }
-        let snapshot = decode_snapshot(&raw).map_err(ServeError::Snapshot)?;
-        let (model, _resume) = snapshot.into_resume();
-        let encoder = Encoder::from(model);
-        let quant = match quant {
-            QuantMode::F32 => None,
-            QuantMode::Int8 => Some(QuantizedEncoder::from_encoder(&encoder)),
-        };
-        return Ok(ModelState { encoder, quant, ckpt_id: target, path });
-    }
-    Err(ServeError::Reload(format!(
-        "no snapshot in {} has identity {target:#018x}",
-        dir.display()
-    )))
-}
-
-/// Loads, validates, and swaps in the newest snapshot. The decode runs as
-/// a waitable task on the global compute pool; the swap itself is a single
-/// `Arc` store, so in-flight batches finish on the model they started
-/// with.
+/// Loads, validates, and swaps in the newest snapshot — or the one with
+/// exactly the `target` identity (a no-op when already serving), which is
+/// how the router's coordinated reload rolls every shard back when any
+/// shard's forward reload fails. The decode runs as a waitable task on the
+/// global compute pool; the swap itself is a single `Arc` store, so
+/// in-flight batches finish on the model they started with.
 ///
 /// A snapshot whose architecture (field count or latent dim) differs from
 /// the serving setup is rejected: the embedding cache slab, pre-sized
 /// reply cells, and admitted requests are all sized for the startup
 /// architecture, so swapping one in would panic the batch thread on its
 /// next batch and wedge the server. Such a model needs a fresh process.
-fn reload(shared: &Arc<Shared>) -> Result<ReloadOutcome, ServeError> {
-    reload_inner(shared, None)
-}
-
-/// [`reload`] pinned to a specific checkpoint identity instead of "newest
-/// usable": activates the snapshot whose normalized-bytes hash is
-/// `target`, a no-op when it is already serving. The router's coordinated
-/// reload uses this to roll every shard back to the old checkpoint when
-/// any shard's forward reload fails.
-fn reload_to(shared: &Arc<Shared>, target: u64) -> Result<ReloadOutcome, ServeError> {
-    reload_inner(shared, Some(target))
-}
-
-fn reload_inner(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutcome, ServeError> {
+fn reload(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutcome, ServeError> {
     let _serialize = shared.reload_lock.lock().expect("reload mutex");
     // The embedding-store half first: it has its own no-op detection, and a
     // failure here (store file unreadable/corrupt) fails the reload while
@@ -737,14 +642,8 @@ fn reload_inner(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutco
         let outcome = (|| {
             // Reload re-quantizes under the startup mode: the serving
             // numeric contract never changes across a hot swap.
-            let state = match target {
-                None => load_model_state(&task_shared.cfg.checkpoint_dir, task_shared.cfg.quant)?,
-                Some(t) => load_model_state_with_id(
-                    &task_shared.cfg.checkpoint_dir,
-                    task_shared.cfg.quant,
-                    t,
-                )?,
-            };
+            let cfg = &task_shared.cfg;
+            let state = load_model_state(&cfg.checkpoint_dir, cfg.quant, target)?;
             if state.ckpt_id == current_id {
                 task_shared.metrics.reload_noops.inc();
                 return Ok(ReloadOutcome { changed: false, ckpt_id: current_id, path: state.path });
@@ -784,274 +683,94 @@ fn reload_inner(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutco
 }
 
 // ---------------------------------------------------------------------------
-// Accept + connection threads
+// The shard's handler on the connection core
 // ---------------------------------------------------------------------------
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // Back off: persistent accept errors (fd exhaustion,
-                // ENOBUFS) would otherwise busy-spin this thread at 100%.
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return; // the shutdown self-connect, or a straggler: refuse
-        }
-        sweep_finished_conns(shared);
-        let _ = stream.set_nodelay(true);
-        let clone = stream.try_clone().ok();
-        // Test injector: pretend the spawn below failed (the real failure
-        // needs fd/thread exhaustion, which a test can't provoke safely).
-        let inject_fail = shared
-            .cfg
-            .fail_conn_spawns
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-            .is_ok();
-        let spawned: io::Result<JoinHandle<()>> = if inject_fail {
-            Err(io::Error::other("injected connection-thread spawn failure"))
-        } else {
-            let conn_shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name("fvae-serve-conn".into())
-                .spawn(move || connection_loop(&conn_shared, stream))
-        };
-        match spawned {
-            Ok(handle) => {
-                // Count the connection only once it is actually being
-                // served — a failed spawn used to inc() first and leave
-                // the gauge lying about a connection that never existed.
-                shared.metrics.connections.inc();
-                shared.conns.lock().expect("conns mutex").push(ConnEntry { stream: clone, handle });
-            }
-            Err(e) => {
-                // The stream itself was consumed by the failed spawn (or
-                // never handed off); tell the client why on the clone
-                // instead of silently resetting, then drop both halves.
-                shared.metrics.accept_errors.inc();
-                if let Some(mut s) = clone {
-                    let mut wbuf = Vec::new();
-                    let reply = Message::ErrorReply {
-                        req_id: 0,
-                        code: error_code::UNAVAILABLE,
-                        msg: format!("server cannot service this connection: {e}"),
-                    };
-                    let _ = write_frame(&mut s, &reply, &mut wbuf);
-                    let _ = s.flush();
-                }
-            }
-        }
-    }
-}
+impl Handler for Shared {
+    type Conn = ();
 
-/// Reaps connections whose thread has exited: joins the handle and drops
-/// the socket clone (which otherwise keeps the fd open indefinitely). Runs
-/// on the accept thread before each new connection and on the batch
-/// thread's idle tick, so the entry list drains even while no client is
-/// connecting.
-fn sweep_finished_conns(shared: &Shared) {
-    let mut finished = Vec::new();
-    {
-        let mut conns = shared.conns.lock().expect("conns mutex");
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].handle.is_finished() {
-                finished.push(conns.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
+    fn net(&self) -> &Net {
+        &self.net
     }
-    // Join outside the lock; these threads have already exited.
-    for e in finished {
-        let _ = e.handle.join();
-    }
-}
 
-fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut wbuf: Vec<u8> = Vec::new();
-    let trace = &shared.trace;
-    loop {
-        // The network wait is not a pipeline stage; the decode span starts
-        // only once the payload is fully assembled in memory.
-        let len = match read_payload(&mut stream, &mut rbuf) {
-            Ok(Some(len)) => len,
-            Ok(None) => return, // client hung up cleanly
-            Err(RecvError::Io(_)) => return,
-            Err(RecvError::Proto(e)) => {
-                return proto_error(shared, &mut stream, &mut wbuf, e);
-            }
-        };
-        let decode_start = trace.now_ns();
-        let msg = match decode_message(&rbuf[..len]) {
-            Ok(msg) => msg,
-            Err(e) => return proto_error(shared, &mut stream, &mut wbuf, e),
-        };
-        match msg {
-            Message::EmbedRequest { req_id, fields } => {
+    /// Wakes the batch thread to drain the queue and exit. Going through
+    /// the queue lock keeps the wake-up from falling between that thread's
+    /// flag check and its park; admission checks the flag under the same
+    /// lock, so nothing is enqueued once the batch thread has seen the flag
+    /// with an empty queue.
+    fn shutdown_signalled(&self) {
+        let _q = self.queue.lock().expect("serve queue mutex");
+        self.work_cv.notify_all();
+    }
+
+    fn handle(self: &Arc<Self>, req: Request, decode_start: u64, _conn: &mut ()) -> (Option<u64>, Message) {
+        match req {
+            Request::Embed { req_id, fields } => {
                 // The traced path: one id from decode to reply write.
-                let trace_id = trace.next_trace_id();
-                let decode_dur = trace.now_ns().saturating_sub(decode_start);
-                trace.record(trace_id, ST_DECODE, decode_start, decode_dur);
-                shared.metrics.stage_ns[ST_DECODE].record(decode_dur);
-                let reply = serve_embed(shared, trace_id, req_id, fields);
-                let write_start = trace.now_ns();
-                let res = write_frame(&mut stream, &reply, &mut wbuf);
-                let write_dur = trace.now_ns().saturating_sub(write_start);
-                trace.record(trace_id, ST_REPLY_WRITE, write_start, write_dur);
-                shared.metrics.stage_ns[ST_REPLY_WRITE].record(write_dur);
-                if res.is_err() {
-                    return;
-                }
+                let trace_id = self.net.begin_trace(decode_start);
+                (Some(trace_id), serve_embed(self, trace_id, req_id, fields))
             }
-            msg => {
-                if handle_message(shared, &mut stream, &mut wbuf, msg) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Reports an unparseable frame once and drops the connection (framing is
-/// lost beyond recovery).
-fn proto_error(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    wbuf: &mut Vec<u8>,
-    e: crate::protocol::ProtoError,
-) {
-    shared.metrics.errors.inc();
-    let reply =
-        Message::ErrorReply { req_id: 0, code: error_code::PROTOCOL, msg: e.to_string() };
-    let _ = write_frame(stream, &reply, wbuf);
-}
-
-/// Handles one non-embed client message; returns `true` when the
-/// connection should close. (`EmbedRequest` is handled inline by
-/// [`connection_loop`], which owns the trace-id plumbing.)
-fn handle_message(shared: &Arc<Shared>, stream: &mut TcpStream, wbuf: &mut Vec<u8>, msg: Message) -> bool {
-    match msg {
-        Message::Ping { token } => write_frame(stream, &Message::Pong { token }, wbuf).is_err(),
-        Message::TraceRequest => {
-            let reply = Message::TraceReply { json: shared.trace.chrome_trace_json() };
-            write_frame(stream, &reply, wbuf).is_err()
-        }
-        Message::InfoRequest => {
-            let reply = {
-                let model = shared.model.read();
-                Message::InfoReply {
+            Request::Nearest { req_id, k, query } => (None, serve_nearest(self, req_id, k, &query)),
+            Request::Info => {
+                let model = self.model.read();
+                let reply = Message::InfoReply {
                     n_fields: model.encoder.n_fields() as u32,
                     latent_dim: model.encoder.latent_dim() as u32,
                     ckpt_id: model.ckpt_id,
                     quantized: model.quant.is_some(),
-                }
-            };
-            write_frame(stream, &reply, wbuf).is_err()
-        }
-        Message::MetricsRequest => {
-            let reply = Message::MetricsReply { text: shared.metrics.registry.render() };
-            write_frame(stream, &reply, wbuf).is_err()
-        }
-        Message::ReloadRequest => {
-            let reply = match reload(shared) {
-                Ok(out) => Message::ReloadReply {
-                    ok: true,
-                    changed: out.changed,
-                    ckpt_id: out.ckpt_id,
-                    detail: out.path.display().to_string(),
-                },
-                Err(e) => Message::ReloadReply {
-                    ok: false,
-                    changed: false,
-                    ckpt_id: shared.model.read().ckpt_id,
-                    detail: e.to_string(),
-                },
-            };
-            write_frame(stream, &reply, wbuf).is_err()
-        }
-        Message::ReloadToRequest { ckpt_id } => {
-            let reply = match reload_to(shared, ckpt_id) {
-                Ok(out) => Message::ReloadReply {
-                    ok: true,
-                    changed: out.changed,
-                    ckpt_id: out.ckpt_id,
-                    detail: out.path.display().to_string(),
-                },
-                Err(e) => Message::ReloadReply {
-                    ok: false,
-                    changed: false,
-                    ckpt_id: shared.model.read().ckpt_id,
-                    detail: e.to_string(),
-                },
-            };
-            write_frame(stream, &reply, wbuf).is_err()
-        }
-        Message::NearestRequest { req_id, k, query } => {
-            shared.metrics.nearest_requests.inc();
-            // Clone the Arc under the read lock, search outside it: the
-            // whole query runs against one index snapshot, and a reload
-            // swapping mid-search affects later queries only.
-            let state = shared.nearest.read().as_ref().map(Arc::clone);
-            let reply = match state {
-                None => {
-                    shared.metrics.nearest_errors.inc();
-                    Message::ErrorReply {
-                        req_id,
-                        code: error_code::UNAVAILABLE,
-                        msg: "no embedding store loaded (start with --embeddings)".to_string(),
-                    }
-                }
-                Some(state) => {
-                    use fvae_ann::AnnIndex as _;
-                    if query.len() != state.index.dim() {
-                        shared.metrics.nearest_errors.inc();
-                        Message::ErrorReply {
-                            req_id,
-                            code: error_code::BAD_REQUEST,
-                            msg: format!(
-                                "query dim {} does not match store dim {}",
-                                query.len(),
-                                state.index.dim()
-                            ),
-                        }
-                    } else {
-                        let neighbors = state.index.search(&query, k as usize);
-                        Message::NearestReply {
-                            req_id,
-                            index_id: state.index_id,
-                            ids: neighbors.iter().map(|n| n.id).collect(),
-                            scores: neighbors.iter().map(|n| n.score).collect(),
-                        }
-                    }
-                }
-            };
-            write_frame(stream, &reply, wbuf).is_err()
-        }
-        Message::Shutdown => {
-            let _ = write_frame(stream, &Message::ShutdownAck, wbuf);
-            let _ = stream.flush();
-            signal_shutdown(shared);
-            true
-        }
-        _ => {
-            // Server-bound streams should never carry reply kinds.
-            shared.metrics.errors.inc();
-            let reply = Message::ErrorReply {
-                req_id: 0,
-                code: error_code::PROTOCOL,
-                msg: "unexpected message kind for server".to_string(),
-            };
-            write_frame(stream, &reply, wbuf).is_err()
+                };
+                (None, reply)
+            }
+            Request::Reload(target) => {
+                let reply = match reload(self, target) {
+                    Ok(out) => Message::ReloadReply {
+                        ok: true,
+                        changed: out.changed,
+                        ckpt_id: out.ckpt_id,
+                        detail: out.path.display().to_string(),
+                    },
+                    Err(e) => Message::ReloadReply {
+                        ok: false,
+                        changed: false,
+                        ckpt_id: self.model.read().ckpt_id,
+                        detail: e.to_string(),
+                    },
+                };
+                (None, reply)
+            }
         }
     }
+}
+
+/// Answers one nearest-neighbour request from the loaded embedding store.
+fn serve_nearest(shared: &Shared, req_id: u64, k: u32, query: &[f32]) -> Message {
+    use fvae_ann::AnnIndex as _;
+    shared.metrics.nearest_requests.inc();
+    // Clone the Arc under the read lock, search outside it: the whole query
+    // runs against one index snapshot, and a reload swapping mid-search
+    // affects later queries only.
+    let state = shared.nearest.read().as_ref().map(Arc::clone);
+    let (code, msg) = match state {
+        None => (
+            error_code::UNAVAILABLE,
+            "no embedding store loaded (start with --embeddings)".to_string(),
+        ),
+        Some(state) if query.len() != state.index.dim() => (
+            error_code::BAD_REQUEST,
+            format!("query dim {} does not match store dim {}", query.len(), state.index.dim()),
+        ),
+        Some(state) => {
+            let neighbors = state.index.search(query, k as usize);
+            return Message::NearestReply {
+                req_id,
+                index_id: state.index_id,
+                ids: neighbors.iter().map(|n| n.id).collect(),
+                scores: neighbors.iter().map(|n| n.score).collect(),
+            };
+        }
+    };
+    shared.metrics.nearest_errors.inc();
+    Message::ErrorReply { req_id, code, msg }
 }
 
 /// Full request path for one embed request: validate → cache probe →
@@ -1064,35 +783,22 @@ fn handle_message(shared: &Arc<Shared>, stream: &mut TcpStream, wbuf: &mut Vec<u
 fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<FieldRow>) -> Message {
     shared.metrics.requests.inc();
     let started = Instant::now();
-    let adm_start = shared.trace.now_ns();
-    let end_admission = || {
-        let dur = shared.trace.now_ns().saturating_sub(adm_start);
-        shared.trace.record(trace_id, ST_ADMISSION, adm_start, dur);
-        shared.metrics.stage_ns[ST_ADMISSION].record(dur);
+    let adm_start = shared.net.trace.now_ns();
+    let end_admission = || shared.net.end_stage(trace_id, ST_ADMISSION, adm_start);
+    let reject = |code: u16, msg: String| {
+        end_admission();
+        shared.net.error_reply(req_id, code, msg)
     };
     let (n_fields, dim, ckpt_id) = {
         let model = shared.model.read();
         (model.encoder.n_fields(), model.encoder.latent_dim(), model.ckpt_id)
     };
     if fields.len() != n_fields {
-        shared.metrics.errors.inc();
-        end_admission();
-        return Message::ErrorReply {
-            req_id,
-            code: error_code::BAD_REQUEST,
-            msg: format!("expected {n_fields} fields, got {}", fields.len()),
-        };
+        let msg = format!("expected {n_fields} fields, got {}", fields.len());
+        return reject(error_code::BAD_REQUEST, msg);
     }
-    for (ids, vals) in &fields {
-        if ids.len() != vals.len() {
-            shared.metrics.errors.inc();
-            end_admission();
-            return Message::ErrorReply {
-                req_id,
-                code: error_code::BAD_REQUEST,
-                msg: "ids/weights length mismatch".to_string(),
-            };
-        }
+    if fields.iter().any(|(ids, vals)| ids.len() != vals.len()) {
+        return reject(error_code::BAD_REQUEST, "ids/weights length mismatch".to_string());
     }
     let hash = row_hash(&fields);
     if let Some(hit) = shared.cache.lock().expect("cache mutex").get(ckpt_id, hash) {
@@ -1110,20 +816,14 @@ fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<Fie
         trace_id,
         // Queue wait starts here; the few hundred ns of lock acquisition
         // below are queueing delay too.
-        enqueued_ns: shared.trace.now_ns(),
+        enqueued_ns: shared.net.trace.now_ns(),
         slot: Mutex::new(PendingSlot { state: ReplyState::Waiting, ckpt_id: 0, emb: vec![0.0; dim] }),
         cv: Condvar::new(),
     });
     {
         let mut q = shared.queue.lock().expect("serve queue mutex");
-        if shared.shutdown.load(Ordering::Acquire) {
-            shared.metrics.errors.inc();
-            end_admission();
-            return Message::ErrorReply {
-                req_id,
-                code: error_code::SHUTTING_DOWN,
-                msg: "server is shutting down".to_string(),
-            };
+        if shared.net.shutdown_requested() {
+            return reject(error_code::SHUTTING_DOWN, "server is shutting down".to_string());
         }
         if q.len() >= shared.cfg.queue_capacity {
             shared.metrics.overloaded.inc();
@@ -1145,12 +845,8 @@ fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<Fie
             ReplyState::Waiting => {
                 let now = Instant::now();
                 if now >= deadline {
-                    shared.metrics.errors.inc();
-                    return Message::ErrorReply {
-                        req_id,
-                        code: error_code::TIMEOUT,
-                        msg: "timed out waiting for batch".to_string(),
-                    };
+                    let msg = "timed out waiting for batch".to_string();
+                    return shared.net.error_reply(req_id, error_code::TIMEOUT, msg);
                 }
                 let (guard, _timeout) = pending
                     .cv
@@ -1184,31 +880,16 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
                 if !q.is_empty() {
                     break;
                 }
-                if shared.shutdown.load(Ordering::Acquire) {
+                if shared.net.shutdown_requested() {
                     return;
                 }
-                // Bounded wait so the idle server still ticks: each timeout
-                // sweeps finished connection threads (joining handles,
-                // dropping socket-clone fds). Sweeping only on the accept
-                // path let an idle server hold a burst's worth of dead fds
-                // indefinitely after the clients disconnected.
-                let (guard, timeout) = shared
-                    .work_cv
-                    .wait_timeout(q, IDLE_SWEEP_TICK)
-                    .expect("serve queue mutex");
-                q = guard;
-                if timeout.timed_out() && q.is_empty() && !shared.shutdown.load(Ordering::Acquire)
-                {
-                    drop(q);
-                    sweep_finished_conns(shared);
-                    q = shared.queue.lock().expect("serve queue mutex");
-                }
+                q = shared.work_cv.wait(q).expect("serve queue mutex");
             }
             // Coalesce: give stragglers up to `max_wait` to fill the batch
             // (skipped during shutdown drain).
-            if q.len() < shared.cfg.batch_size && !shared.shutdown.load(Ordering::Acquire) {
+            if q.len() < shared.cfg.batch_size && !shared.net.shutdown_requested() {
                 let deadline = Instant::now() + shared.cfg.max_wait;
-                while q.len() < shared.cfg.batch_size && !shared.shutdown.load(Ordering::Acquire) {
+                while q.len() < shared.cfg.batch_size && !shared.net.shutdown_requested() {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
@@ -1230,11 +911,11 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
         shared.metrics.queue_depth.add(-(n as f64));
         // Batch formation starts the moment the drain completes; each
         // member's queue wait ends here too.
-        let formed_start = shared.trace.now_ns();
+        let formed_start = shared.net.trace.now_ns();
         for p in &batch {
             let wait = formed_start.saturating_sub(p.enqueued_ns);
-            shared.trace.record(p.trace_id, ST_QUEUE_WAIT, p.enqueued_ns, wait);
-            shared.metrics.stage_ns[ST_QUEUE_WAIT].record(wait);
+            shared.net.trace.record(p.trace_id, ST_QUEUE_WAIT, p.enqueued_ns, wait);
+            shared.net.stage_ns[ST_QUEUE_WAIT].record(wait);
         }
 
         // Snapshot the model for the whole batch: a concurrent reload
@@ -1252,22 +933,22 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
             debug_assert_eq!(p.fields.len(), model.encoder.n_fields());
             input.push_row(|k| (p.fields[k].0.as_slice(), p.fields[k].1.as_slice()));
         }
-        let encode_start = shared.trace.now_ns();
+        let encode_start = shared.net.trace.now_ns();
         match &model.quant {
             Some(q) => q.embed_into(&input, &mut qscratch, &mut mu),
             None => model.encoder.embed_into(&input, &mut scratch, &mut mu),
         }
-        let encode_dur = shared.trace.now_ns().saturating_sub(encode_start);
+        let encode_dur = shared.net.trace.now_ns().saturating_sub(encode_start);
         let form_dur = encode_start.saturating_sub(formed_start);
         // Shared batch stages land in every member's trace lane (each
         // request's timeline stays complete) but in the stage histograms
         // only once per batch — they happened once.
         for p in &batch {
-            shared.trace.record(p.trace_id, ST_BATCH_FORM, formed_start, form_dur);
-            shared.trace.record(p.trace_id, ST_ENCODE, encode_start, encode_dur);
+            shared.net.trace.record(p.trace_id, ST_BATCH_FORM, formed_start, form_dur);
+            shared.net.trace.record(p.trace_id, ST_ENCODE, encode_start, encode_dur);
         }
-        shared.metrics.stage_ns[ST_BATCH_FORM].record(form_dur);
-        shared.metrics.stage_ns[ST_ENCODE].record(encode_dur);
+        shared.net.stage_ns[ST_BATCH_FORM].record(form_dur);
+        shared.net.stage_ns[ST_ENCODE].record(encode_dur);
         shared.metrics.encode_ns.record(encode_dur);
         {
             let mut cache = shared.cache.lock().expect("cache mutex");

@@ -84,8 +84,8 @@ fn idle_server_sweeps_finished_connections() {
         drop(client);
     }
     // Connection threads exit asynchronously after the client drop; with
-    // no further accepts, only the batch thread's idle tick can reap
-    // them. Before the fix this list stayed full until shutdown.
+    // no further accepts, only each thread removing its own registry entry
+    // can drain the list. It once stayed full until shutdown.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         if server.live_connections() == 0 {

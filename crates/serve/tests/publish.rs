@@ -100,3 +100,72 @@ fn pushed_snapshots_serve_bit_identical_embeddings() {
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A push target that accepts the connection and then never answers used
+/// to stall the training loop forever (the reload RPC had no read timeout).
+/// The push is bounded now: it is counted as a failure, the run keeps
+/// going, and the next snapshot is still written.
+#[test]
+fn silent_push_target_is_a_counted_failure_not_a_stall() {
+    let dir = std::env::temp_dir().join(format!("fvae_publish_silent_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let ckpt_dir = dir.join("ckpt");
+    let log = dir.join("events.fvlg");
+
+    let ds = tiny_dataset(0xD0D0);
+    export_model_snapshot(&ckpt_dir, &trained_model(&ds, 1)).expect("warm-start snapshot");
+    let mut w = EventLogWriter::create(&log).expect("create log");
+    w.append(&dataset_to_events(&ds, 0, 2, 7)).expect("append");
+    w.sync().expect("sync");
+
+    // Accepts both pushes, holds the sockets open, says nothing.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        let held: Vec<_> = (0..2).map(|_| listener.accept().expect("accept")).collect();
+        let _ = released.recv();
+        drop(held);
+    });
+
+    let names = ds.field_names().to_vec();
+    let vocabs: Vec<usize> = (0..ds.n_fields()).map(|k| ds.field_vocab(k)).collect();
+    let mut cfg = PublishConfig::new(&log, &ckpt_dir);
+    cfg.push = vec![addr];
+    cfg.snapshot_every = 0; // only the stop-point snapshots push
+    cfg.batch_users = 16;
+    cfg.idle_exit = Some(Duration::from_millis(100));
+    let registry = fvae_obs::Registry::new();
+    let mut publisher = Publisher::new(cfg, names, vocabs, None)
+        .expect("resume from warm-start snapshot")
+        .with_registry(&registry);
+
+    let newest_id = || {
+        let loaded = Checkpointer::load_latest(&ckpt_dir).expect("load").expect("snapshot");
+        fnv64(&normalized_snapshot_bytes(&loaded.raw).expect("normalize"))
+    };
+    let mut prev_id = newest_id();
+    for stop_at in [1u64, 2] {
+        let started = std::time::Instant::now();
+        let report = publisher.run(Some(stop_at)).expect("run survives the silent target");
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "push must be bounded, took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(report.steps, stop_at, "training kept going");
+        assert_eq!(report.snapshots, stop_at, "the snapshot was still written");
+        assert_eq!((report.pushes_committed, report.push_failures), (0, stop_at));
+        let id = newest_id();
+        assert_ne!(id, prev_id, "a new snapshot is on disk after step {stop_at}");
+        prev_id = id;
+    }
+    let text = registry.render();
+    assert!(text.contains("fvae_publish_push_failures_total 2"), "{text}");
+    assert!(!text.contains("fvae_publish_pushes_total 1"), "{text}");
+
+    release.send(()).expect("release the silent target");
+    silent.join().expect("silent target clean");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -48,6 +48,11 @@ fn traced_requests_leave_complete_stage_lanes() {
     }
 
     // --- Ring contents: each traced request has all six stages. -----------
+    // The connection thread records `reply_write` only after the write
+    // returns, i.e. possibly after the client has the reply in hand. A ping
+    // on the same connection is answered by the same thread, in order, so
+    // once it returns the last embed's span is in the ring.
+    client.ping(0).expect("ping");
     let events = server.trace_events();
     let mut lanes: BTreeMap<u64, BTreeSet<&'static str>> = BTreeMap::new();
     for e in &events {
