@@ -1,14 +1,13 @@
-//! Reader/writer for the embedding-store artifact.
+//! Reader/writer for the embedding-store artifact: the one codec for it.
 //!
 //! `fvae embed` snapshots an `EmbeddingStore` (crates/lookalike) to disk:
 //! `[header][dim u64][n u64]` then `n` entries of `(user u64, dim × f32)` in
 //! ascending-user order. The `nearest` RPC and the `fvae ann` harness index
-//! those files without wanting the store's lock shards, so the byte layout
-//! is re-implemented here over flat slices. A format-lock test in
-//! `fvae-lookalike` pins the two implementations to identical bytes.
+//! those files without wanting the store's lock shards, so the format lives
+//! here over flat slices and `EmbeddingStore::{to_bytes, from_bytes}`
+//! delegate to it.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fvae_sparse::serial::{get_header, put_header, DecodeError};
+use fvae_sparse::serial::{put_f32, put_header, put_u64, DecodeError, Reader, MAGIC, VERSION};
 
 /// A decoded embedding file: ascending unique user ids and their vectors in
 /// one row-major buffer.
@@ -22,63 +21,52 @@ pub struct EmbeddingFile {
     pub data: Vec<f32>,
 }
 
-/// Serializes embeddings in the `EmbeddingStore::to_bytes` layout. Panics if
-/// the invariants of [`EmbeddingFile`] are violated (this is a programmer
-/// error on the write path, not hostile input).
-pub fn write_embeddings(dim: usize, ids: &[u64], data: &[f32]) -> Bytes {
+/// Serializes embeddings in the embedding-file layout. Panics if the
+/// invariants of [`EmbeddingFile`] are violated (this is a programmer error
+/// on the write path, not hostile input).
+pub fn write_embeddings(dim: usize, ids: &[u64], data: &[f32]) -> Vec<u8> {
     assert!(dim > 0, "embedding dim must be positive");
     assert_eq!(data.len(), ids.len() * dim, "data length is not ids x dim");
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly increasing");
-    let mut buf = BytesMut::with_capacity(22 + ids.len() * (8 + dim * 4));
+    let mut buf = Vec::with_capacity(22 + ids.len() * (8 + dim * 4));
     put_header(&mut buf);
-    buf.put_u64_le(dim as u64);
-    buf.put_u64_le(ids.len() as u64);
-    for (row, &user) in ids.iter().enumerate() {
-        buf.put_u64_le(user);
-        for &v in &data[row * dim..(row + 1) * dim] {
-            buf.put_f32_le(v);
+    put_u64(&mut buf, dim as u64);
+    put_u64(&mut buf, ids.len() as u64);
+    for (&user, row) in ids.iter().zip(data.chunks_exact(dim)) {
+        put_u64(&mut buf, user);
+        for &v in row {
+            put_f32(&mut buf, v);
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Parses an embedding file, enforcing the writer's invariants: positive
-/// dim, strictly increasing user ids, exact entry count. Validation order
-/// matches `EmbeddingStore::from_bytes` (dim before anything else) and no
-/// allocation is sized by unchecked input.
-pub fn read_embeddings(mut buf: impl Buf) -> Result<EmbeddingFile, DecodeError> {
-    get_header(&mut buf)?;
-    if buf.remaining() < 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let dim = buf.get_u64_le() as usize;
+/// dim (checked before anything else), strictly increasing user ids, exact
+/// entry count. The entry count is bounded by the ids alone, and each row
+/// is bounds-checked as it is read, so no allocation is sized by unchecked
+/// input.
+pub fn read_embeddings(buf: &[u8]) -> Result<EmbeddingFile, DecodeError> {
+    let mut r = Reader::new(buf);
+    r.header(MAGIC, VERSION)?;
+    let dim = r.usize()?;
     if dim == 0 {
         return Err(DecodeError::Invalid("zero embedding dim".into()));
     }
-    let n = buf.get_u64_le() as usize;
-    let entry = 8 + dim * 4;
-    if buf.remaining() < n.saturating_mul(entry) {
-        return Err(DecodeError::Truncated);
-    }
+    let n = r.count(8)?;
     let mut ids = Vec::with_capacity(n);
-    let mut data = Vec::with_capacity(n * dim);
+    let mut data = Vec::new();
     for _ in 0..n {
-        let user = buf.get_u64_le();
-        if let Some(&prev) = ids.last() {
-            if user <= prev {
-                return Err(DecodeError::Invalid(format!(
-                    "user ids not strictly increasing at {user}"
-                )));
-            }
+        let user = r.u64()?;
+        if ids.last().is_some_and(|&prev| user <= prev) {
+            return Err(DecodeError::Invalid(format!(
+                "user ids not strictly increasing at {user}"
+            )));
         }
         ids.push(user);
-        for _ in 0..dim {
-            data.push(buf.get_f32_le());
-        }
+        data.extend(r.f32_row(dim)?);
     }
-    if buf.remaining() > 0 {
-        return Err(DecodeError::Invalid(format!("{} trailing bytes", buf.remaining())));
-    }
+    r.finish()?;
     Ok(EmbeddingFile { dim, ids, data })
 }
 
@@ -89,7 +77,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let bytes = write_embeddings(2, &[3, 9], &[1.0, 2.0, 3.0, 4.0]);
-        let file = read_embeddings(bytes).expect("decode");
+        let file = read_embeddings(&bytes).expect("decode");
         assert_eq!(file.dim, 2);
         assert_eq!(file.ids, vec![3, 9]);
         assert_eq!(file.data, vec![1.0, 2.0, 3.0, 4.0]);
@@ -97,44 +85,44 @@ mod tests {
 
     #[test]
     fn zero_dim_rejected_before_entries() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        assert!(matches!(read_embeddings(buf.freeze()), Err(DecodeError::Invalid(_))));
+        put_u64(&mut buf, 0);
+        put_u64(&mut buf, 0);
+        assert!(matches!(read_embeddings(&buf), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
     fn unsorted_and_duplicate_ids_rejected() {
-        let mut sorted = BytesMut::new();
+        let mut sorted = Vec::new();
         put_header(&mut sorted);
-        sorted.put_u64_le(1);
-        sorted.put_u64_le(2);
+        put_u64(&mut sorted, 1);
+        put_u64(&mut sorted, 2);
         for user in [7u64, 7] {
-            sorted.put_u64_le(user);
-            sorted.put_f32_le(0.0);
+            put_u64(&mut sorted, user);
+            put_f32(&mut sorted, 0.0);
         }
-        assert!(matches!(read_embeddings(sorted.freeze()), Err(DecodeError::Invalid(_))));
+        assert!(matches!(read_embeddings(&sorted), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
     fn truncation_and_oversized_count_rejected() {
         let bytes = write_embeddings(4, &[1, 2], &[0.5; 8]);
         assert!(matches!(
-            read_embeddings(bytes.slice(0..bytes.len() - 1)),
+            read_embeddings(&bytes[..bytes.len() - 1]),
             Err(DecodeError::Truncated)
         ));
-        let mut hostile = BytesMut::new();
+        let mut hostile = Vec::new();
         put_header(&mut hostile);
-        hostile.put_u64_le(4);
-        hostile.put_u64_le(u64::MAX); // count far beyond the buffer
-        assert!(matches!(read_embeddings(hostile.freeze()), Err(DecodeError::Truncated)));
+        put_u64(&mut hostile, 4);
+        put_u64(&mut hostile, u64::MAX); // count far beyond the buffer
+        assert!(matches!(read_embeddings(&hostile), Err(DecodeError::Truncated)));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = write_embeddings(1, &[5], &[1.0]).to_vec();
+        let mut bytes = write_embeddings(1, &[5], &[1.0]);
         bytes.push(9);
-        assert!(matches!(read_embeddings(&bytes[..]), Err(DecodeError::Invalid(_))));
+        assert!(matches!(read_embeddings(&bytes), Err(DecodeError::Invalid(_))));
     }
 }

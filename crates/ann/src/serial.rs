@@ -8,9 +8,9 @@
 //! codes within the codebook, cross-array length agreement) is re-validated,
 //! and failures surface as typed [`DecodeError`]s — never panics.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fvae_sparse::serial::{
-    get_f32_vec, get_header, get_u64_vec, put_f32_slice, put_header, put_u64_slice, DecodeError,
+    expect_len, put_bytes, put_f32_slice, put_header, put_u64, put_u64_slice, put_u8, DecodeError,
+    Reader, MAGIC, VERSION,
 };
 
 use crate::flat::FlatIndex;
@@ -55,65 +55,41 @@ impl AnnIndex for AnyIndex {
     }
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
 fn invalid(msg: impl Into<String>) -> DecodeError {
     DecodeError::Invalid(msg.into())
 }
 
-/// Length-prefixed raw bytes (PQ code rows). The length is checked against
-/// the buffer before the allocation it sizes.
-fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u64_le(data.len() as u64);
-    buf.put_slice(data);
-}
-
-fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>, DecodeError> {
-    need(buf, 8)?;
-    let len = buf.get_u64_le() as usize;
-    need(buf, len)?;
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
-
 /// Serializes an index (header + kind + payload) into a standalone buffer.
-pub fn encode_index(index: &AnyIndex) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode_index(index: &AnyIndex) -> Vec<u8> {
+    let mut buf = Vec::new();
     put_header(&mut buf);
     match index {
         AnyIndex::Flat(flat) => {
-            buf.put_u8(KIND_FLAT);
-            buf.put_u64_le(flat.dim() as u64);
+            put_u8(&mut buf, KIND_FLAT);
+            put_u64(&mut buf, flat.dim() as u64);
             put_u64_slice(&mut buf, flat.ids());
             put_f32_slice(&mut buf, flat.vectors());
         }
         AnyIndex::Ivf(ivf) => {
-            buf.put_u8(KIND_IVF);
+            put_u8(&mut buf, KIND_IVF);
             encode_ivf_payload(&mut buf, ivf);
         }
     }
-    buf.freeze()
+    buf
 }
 
-fn encode_ivf_payload(buf: &mut BytesMut, ivf: &IvfIndex) {
+fn encode_ivf_payload(buf: &mut Vec<u8>, ivf: &IvfIndex) {
     let cfg = ivf.config();
-    buf.put_u64_le(ivf.dim as u64);
-    buf.put_u64_le(ivf.nlist as u64);
-    buf.put_u64_le(ivf.ks as u64);
-    buf.put_u64_le(cfg.nlist as u64);
-    buf.put_u64_le(cfg.pq_m as u64);
-    buf.put_u64_le(cfg.pq_ks as u64);
-    buf.put_u64_le(cfg.rerank as u64);
-    buf.put_u64_le(cfg.default_nprobe as u64);
-    buf.put_u64_le(cfg.train_iters as u64);
-    buf.put_u64_le(cfg.seed);
+    put_u64(buf, ivf.dim as u64);
+    put_u64(buf, ivf.nlist as u64);
+    put_u64(buf, ivf.ks as u64);
+    put_u64(buf, cfg.nlist as u64);
+    put_u64(buf, cfg.pq_m as u64);
+    put_u64(buf, cfg.pq_ks as u64);
+    put_u64(buf, cfg.rerank as u64);
+    put_u64(buf, cfg.default_nprobe as u64);
+    put_u64(buf, cfg.train_iters as u64);
+    put_u64(buf, cfg.seed);
     put_f32_slice(buf, &ivf.centroids);
     put_f32_slice(buf, &ivf.codebooks);
     for list in &ivf.lists {
@@ -125,42 +101,37 @@ fn encode_ivf_payload(buf: &mut BytesMut, ivf: &IvfIndex) {
 
 /// Deserializes an index written by [`encode_index`], re-validating every
 /// structural invariant of the in-memory form.
-pub fn decode_index(mut buf: impl Buf) -> Result<AnyIndex, DecodeError> {
-    get_header(&mut buf)?;
-    need(&buf, 1)?;
-    let kind = buf.get_u8();
-    let index = match kind {
-        KIND_FLAT => AnyIndex::Flat(decode_flat_payload(&mut buf)?),
-        KIND_IVF => AnyIndex::Ivf(decode_ivf_payload(&mut buf)?),
+pub fn decode_index(buf: &[u8]) -> Result<AnyIndex, DecodeError> {
+    let mut r = Reader::new(buf);
+    r.header(MAGIC, VERSION)?;
+    let index = match r.u8()? {
+        KIND_FLAT => AnyIndex::Flat(decode_flat_payload(&mut r)?),
+        KIND_IVF => AnyIndex::Ivf(decode_ivf_payload(&mut r)?),
         other => return Err(invalid(format!("unknown index kind {other}"))),
     };
-    if buf.remaining() > 0 {
-        return Err(invalid(format!("{} trailing bytes", buf.remaining())));
-    }
+    r.finish()?;
     Ok(index)
 }
 
-fn decode_flat_payload(buf: &mut impl Buf) -> Result<FlatIndex, DecodeError> {
-    need(buf, 8)?;
-    let dim = buf.get_u64_le() as usize;
-    let ids = get_u64_vec(buf)?;
-    let data = get_f32_vec(buf)?;
+fn decode_flat_payload(r: &mut Reader<'_>) -> Result<FlatIndex, DecodeError> {
+    let dim = r.usize()?;
+    let ids = r.u64s()?;
+    let data = r.f32s()?;
     FlatIndex::from_canonical_parts(dim, ids, data).map_err(invalid)
 }
 
-fn decode_ivf_payload(buf: &mut impl Buf) -> Result<IvfIndex, DecodeError> {
-    need(buf, 10 * 8)?;
-    let dim = buf.get_u64_le() as usize;
-    let nlist = buf.get_u64_le() as usize;
-    let ks = buf.get_u64_le() as usize;
+fn decode_ivf_payload(r: &mut Reader<'_>) -> Result<IvfIndex, DecodeError> {
+    let dim = r.usize()?;
+    let nlist = r.usize()?;
+    let ks = r.usize()?;
     let config = IvfConfig {
-        nlist: buf.get_u64_le() as usize,
-        pq_m: buf.get_u64_le() as usize,
-        pq_ks: buf.get_u64_le() as usize,
-        rerank: buf.get_u64_le() as usize,
-        default_nprobe: buf.get_u64_le() as usize,
-        train_iters: buf.get_u64_le() as usize,
-        seed: buf.get_u64_le(),
+        nlist: r.usize()?,
+        pq_m: r.usize()?,
+        pq_ks: r.usize()?,
+        rerank: r.usize()?,
+        default_nprobe: r.usize()?,
+        train_iters: r.usize()?,
+        seed: r.u64()?,
     };
     if dim == 0 {
         return Err(invalid("zero dim"));
@@ -175,26 +146,22 @@ fn decode_ivf_payload(buf: &mut impl Buf) -> Result<IvfIndex, DecodeError> {
         return Err(invalid(format!("effective nlist {nlist} out of range")));
     }
     let sub = dim / config.pq_m;
-    let centroids = get_f32_vec(buf)?;
-    if centroids.len() != nlist * dim {
-        return Err(invalid("centroid length is not nlist x dim"));
-    }
-    let codebooks = get_f32_vec(buf)?;
-    if codebooks.len() != config.pq_m * ks * sub {
-        return Err(invalid("codebook length is not pq_m x ks x subdim"));
-    }
-    let mut lists = Vec::with_capacity(nlist);
+    let centroids = r.f32s()?;
+    expect_len(centroids.len(), &[nlist, dim], "centroid length is not nlist x dim")?;
+    let codebooks = r.f32s()?;
+    expect_len(
+        codebooks.len(),
+        &[config.pq_m, ks, sub],
+        "codebook length is not pq_m x ks x subdim",
+    )?;
+    let mut lists = Vec::new();
     let mut n = 0usize;
     for _ in 0..nlist {
-        let ids = get_u64_vec(buf)?;
-        let codes = get_bytes(buf)?;
-        let vectors = get_f32_vec(buf)?;
-        if codes.len() != ids.len() * config.pq_m {
-            return Err(invalid("code row count disagrees with list ids"));
-        }
-        if vectors.len() != ids.len() * dim {
-            return Err(invalid("vector row count disagrees with list ids"));
-        }
+        let ids = r.u64s()?;
+        let codes = r.bytes()?.to_vec();
+        let vectors = r.f32s()?;
+        expect_len(codes.len(), &[ids.len(), config.pq_m], "code row count disagrees with list ids")?;
+        expect_len(vectors.len(), &[ids.len(), dim], "vector row count disagrees with list ids")?;
         if codes.iter().any(|&c| c as usize >= ks) {
             return Err(invalid("PQ code outside the codebook"));
         }
@@ -239,7 +206,7 @@ mod tests {
     fn ivf_roundtrip_is_identity() {
         let ivf = sample_ivf();
         let bytes = encode_index(&AnyIndex::Ivf(ivf.clone()));
-        let back = decode_index(bytes).expect("decode");
+        let back = decode_index(&bytes).expect("decode");
         assert_eq!(back, AnyIndex::Ivf(ivf));
     }
 
@@ -248,7 +215,7 @@ mod tests {
         let (ids, data) = synth_clustered(50, 4, 2, 1);
         let flat = FlatIndex::build(4, &ids, &data).expect("build");
         let bytes = encode_index(&AnyIndex::Flat(flat.clone()));
-        let back = decode_index(bytes).expect("decode");
+        let back = decode_index(&bytes).expect("decode");
         assert_eq!(back, AnyIndex::Flat(flat));
     }
 
@@ -258,33 +225,33 @@ mod tests {
         // Every strict prefix must fail with a typed error (stride keeps the
         // test fast; hostile fuzzing lives in the proptest suite).
         for cut in (0..bytes.len()).step_by(97) {
-            assert!(decode_index(bytes.slice(0..cut)).is_err(), "prefix {cut} accepted");
+            assert!(decode_index(&bytes[..cut]).is_err(), "prefix {cut} accepted");
         }
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
         let bytes = encode_index(&AnyIndex::Ivf(sample_ivf()));
-        let mut extended = bytes.to_vec();
+        let mut extended = bytes;
         extended.push(0);
         assert!(matches!(
-            decode_index(&extended[..]),
+            decode_index(&extended),
             Err(DecodeError::Invalid(_))
         ));
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
-        buf.put_u8(99);
-        assert!(matches!(decode_index(buf.freeze()), Err(DecodeError::Invalid(_))));
+        put_u8(&mut buf, 99);
+        assert!(matches!(decode_index(&buf), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
     fn code_outside_codebook_is_rejected() {
         let ivf = sample_ivf();
-        let bytes = encode_index(&AnyIndex::Ivf(ivf.clone())).to_vec();
+        let bytes = encode_index(&AnyIndex::Ivf(ivf.clone()));
         // Corrupt one PQ code to 255 (>= ks, since ks defaults to 16). Codes
         // live in the per-list byte blocks; flipping any one of them must be
         // caught either by the code-range check or by id-order checks —
@@ -298,7 +265,7 @@ mod tests {
         for pos in (6 + 1 + 80..bytes.len()).step_by(211) {
             tampered.copy_from_slice(&bytes);
             tampered[pos] = 0xFF;
-            match decode_index(&tampered[..]) {
+            match decode_index(&tampered) {
                 Ok(ok) => {
                     // Accepted mutations must still be structurally valid.
                     let AnyIndex::Ivf(ok) = ok else { panic!("kind flip") };
@@ -314,12 +281,12 @@ mod tests {
     fn hostile_list_count_rejected_before_allocating() {
         // A header that declares 2^60 ids must fail on the length check, not
         // attempt the allocation.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf);
-        buf.put_u8(KIND_FLAT);
-        buf.put_u64_le(4); // dim
-        buf.put_u64_le(1u64 << 60); // id count: absurd
-        buf.put_u64_le(0);
-        assert_eq!(decode_index(buf.freeze()), Err(DecodeError::Truncated));
+        put_u8(&mut buf, KIND_FLAT);
+        put_u64(&mut buf, 4); // dim
+        put_u64(&mut buf, 1u64 << 60); // id count: absurd
+        put_u64(&mut buf, 0);
+        assert_eq!(decode_index(&buf), Err(DecodeError::Truncated));
     }
 }

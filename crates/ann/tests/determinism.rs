@@ -98,7 +98,7 @@ fn rebuild_from_decoded_bytes_searches_identically() {
     let (ids, data) = corpus();
     let ivf = IvfIndex::build(16, &ids, &data, config()).expect("build");
     let bytes = encode_index(&AnyIndex::Ivf(ivf.clone()));
-    let loaded = fvae_ann::decode_index(bytes).expect("decode");
+    let loaded = fvae_ann::decode_index(&bytes).expect("decode");
     for q in [0usize, 17, 399] {
         let query = &data[q * 16..(q + 1) * 16];
         assert_eq!(ivf.search(query, 10), loaded.search(query, 10), "query {q}");

@@ -44,7 +44,7 @@ proptest! {
     ) {
         let index = build_any(kind, n, dim_sel, seed);
         let bytes = encode_index(&index);
-        let back = decode_index(bytes.clone()).expect("decode");
+        let back = decode_index(&bytes).expect("decode");
         prop_assert_eq!(&back, &index);
         prop_assert_eq!(encode_index(&back).to_vec(), bytes.to_vec());
     }
@@ -62,7 +62,7 @@ proptest! {
         let bytes = encode_index(&index);
         let cut = ((bytes.len() as f64) * cut_frac) as usize; // < bytes.len()
         prop_assert!(
-            decode_index(bytes.slice(0..cut)).is_err(),
+            decode_index(&bytes[..cut]).is_err(),
             "strict prefix of {} bytes decoded", cut
         );
     }
@@ -146,10 +146,10 @@ proptest! {
         let ids: Vec<u64> = (0..n as u64).map(|i| i * 2 + 1).collect();
         let data: Vec<f32> = (0..n * dim).map(|i| (seed as f32) + i as f32 * 0.5).collect();
         let bytes = write_embeddings(dim, &ids, &data);
-        let back = read_embeddings(bytes.clone()).expect("roundtrip");
+        let back = read_embeddings(&bytes).expect("roundtrip");
         prop_assert_eq!(back.ids, ids);
         prop_assert_eq!(back.data, data);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        prop_assert!(read_embeddings(bytes.slice(0..cut)).is_err());
+        prop_assert!(read_embeddings(&bytes[..cut]).is_err());
     }
 }

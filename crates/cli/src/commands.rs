@@ -1,7 +1,6 @@
 //! The `fvae` subcommands: the full offline → online pipeline of Fig. 2 as
 //! file-to-file steps.
 
-use bytes::Bytes;
 use fvae_core::{
     normalized_snapshot_bytes, Checkpointer, EncoderScratch, EpochStats, Fvae, FvaeConfig,
     InputRows, StepCtx, TelemetrySink, TrainObserver, TrainOptions, TrainRun,
@@ -106,7 +105,7 @@ fn load_dataset(path: &str) -> Result<MultiFieldDataset, String> {
 
 fn load_model(path: &str) -> Result<Fvae, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read model {path}: {e}"))?;
-    Fvae::from_bytes(Bytes::from(bytes)).map_err(|e| format!("cannot decode model {path}: {e}"))
+    Fvae::from_bytes(&bytes).map_err(|e| format!("cannot decode model {path}: {e}"))
 }
 
 fn generate(args: &Args) -> Result<String, String> {
@@ -499,7 +498,7 @@ fn similar(args: &Args) -> Result<String, String> {
     args.expect_only(&["store", "user", "k"])?;
     let path = args.required("store")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read store {path}: {e}"))?;
-    let store = EmbeddingStore::from_bytes(Bytes::from(bytes))
+    let store = EmbeddingStore::from_bytes(&bytes)
         .map_err(|e| format!("cannot decode store {path}: {e}"))?;
     let user: u64 = args.get_or("user", 0u64)?;
     let k: usize = args.get_or("k", 10usize)?;
@@ -1296,7 +1295,7 @@ mod tests {
         let users: Vec<usize> = (0..ds.n_users()).collect();
         let offline = model.embed_users(&ds, &users, None);
         let bytes = std::fs::read(&store_path).expect("store bytes");
-        let store = EmbeddingStore::from_bytes(Bytes::from(bytes)).expect("store");
+        let store = EmbeddingStore::from_bytes(&bytes).expect("store");
         for &u in &users {
             let e = store.get(u as u64).expect("user present");
             for (a, b) in e.iter().zip(offline.row(u)) {
@@ -1428,7 +1427,7 @@ mod tests {
         // Query with user 3's own embedding: its nearest neighbour is itself
         // at distance 0.
         let bytes = std::fs::read(&store_path).expect("store bytes");
-        let store = EmbeddingStore::from_bytes(Bytes::from(bytes)).expect("store");
+        let store = EmbeddingStore::from_bytes(&bytes).expect("store");
         let query: Vec<String> =
             store.get(3).expect("user 3").iter().map(|v| format!("{v}")).collect();
         let out = run(&args(&format!(

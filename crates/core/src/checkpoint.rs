@@ -32,12 +32,15 @@
 
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fvae_nn::serialize::{get_adam_state, put_adam_state};
 use fvae_nn::AdamState;
-use fvae_sparse::serial::{crc32, get_u64_vec, put_u64_slice, DecodeError};
+use fvae_sparse::serial::{
+    crc32, put_bytes, put_f32, put_f64, put_u16, put_u32, put_u64, put_u64_slice, put_u8,
+    DecodeError, Reader,
+};
 
 use crate::model::Fvae;
 use crate::train::{EpochStats, OptStates};
@@ -299,33 +302,31 @@ impl ResumePoint {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
+/// Encoded size of an empty Adam state (`t` and two length prefixes): the
+/// per-element bound for the optimizer section's group counts.
+const ADAM_MIN_BYTES: usize = 8 + 8 + 8;
+/// Encoded size of one [`EpochStats`] record.
+const EPOCH_STATS_BYTES: usize = 4 * 3 + 8 * 5;
 
-fn put_opt(buf: &mut BytesMut, opt: &OptStates) {
-    buf.put_u64_le(opt.bags.len() as u64);
+fn put_opt(buf: &mut Vec<u8>, opt: &OptStates) {
+    put_u64(buf, opt.bags.len() as u64);
     for s in &opt.bags {
         put_adam_state(buf, s);
     }
     put_adam_state(buf, &opt.enc_bias);
-    buf.put_u64_le(opt.enc_extra.len() as u64);
+    put_u64(buf, opt.enc_extra.len() as u64);
     for (w, b) in &opt.enc_extra {
         put_adam_state(buf, w);
         put_adam_state(buf, b);
     }
     put_adam_state(buf, &opt.enc_head.0);
     put_adam_state(buf, &opt.enc_head.1);
-    buf.put_u64_le(opt.trunk.len() as u64);
+    put_u64(buf, opt.trunk.len() as u64);
     for (w, b) in &opt.trunk {
         put_adam_state(buf, w);
         put_adam_state(buf, b);
     }
-    buf.put_u64_le(opt.heads_w.len() as u64);
+    put_u64(buf, opt.heads_w.len() as u64);
     for s in &opt.heads_w {
         put_adam_state(buf, s);
     }
@@ -334,313 +335,239 @@ fn put_opt(buf: &mut BytesMut, opt: &OptStates) {
     }
 }
 
-fn get_opt(buf: &mut impl Buf) -> Result<OptSnapshot, DecodeError> {
-    need(buf, 8)?;
-    let n_bags = buf.get_u64_le() as usize;
-    let mut bags = Vec::with_capacity(n_bags);
-    for _ in 0..n_bags {
-        bags.push(get_adam_state(buf)?);
+fn get_opt(r: &mut Reader<'_>) -> Result<OptSnapshot, DecodeError> {
+    fn states(r: &mut Reader<'_>, n: usize) -> Result<Vec<AdamState>, DecodeError> {
+        (0..n).map(|_| get_adam_state(r)).collect()
     }
-    let enc_bias = get_adam_state(buf)?;
-    need(buf, 8)?;
-    let n_extra = buf.get_u64_le() as usize;
-    let mut enc_extra = Vec::with_capacity(n_extra);
-    for _ in 0..n_extra {
-        enc_extra.push((get_adam_state(buf)?, get_adam_state(buf)?));
+    fn pairs(r: &mut Reader<'_>) -> Result<Vec<(AdamState, AdamState)>, DecodeError> {
+        let n = r.count(2 * ADAM_MIN_BYTES)?;
+        (0..n).map(|_| Ok((get_adam_state(r)?, get_adam_state(r)?))).collect()
     }
-    let enc_head = (get_adam_state(buf)?, get_adam_state(buf)?);
-    need(buf, 8)?;
-    let n_trunk = buf.get_u64_le() as usize;
-    let mut trunk = Vec::with_capacity(n_trunk);
-    for _ in 0..n_trunk {
-        trunk.push((get_adam_state(buf)?, get_adam_state(buf)?));
-    }
-    need(buf, 8)?;
-    let n_heads = buf.get_u64_le() as usize;
-    let mut heads_w = Vec::with_capacity(n_heads);
-    for _ in 0..n_heads {
-        heads_w.push(get_adam_state(buf)?);
-    }
-    let mut heads_b = Vec::with_capacity(n_heads);
-    for _ in 0..n_heads {
-        heads_b.push(get_adam_state(buf)?);
-    }
+    let n_bags = r.count(ADAM_MIN_BYTES)?;
+    let bags = states(r, n_bags)?;
+    let enc_bias = get_adam_state(r)?;
+    let enc_extra = pairs(r)?;
+    let enc_head = (get_adam_state(r)?, get_adam_state(r)?);
+    let trunk = pairs(r)?;
+    let n_heads = r.count(2 * ADAM_MIN_BYTES)?;
+    let heads_w = states(r, n_heads)?;
+    let heads_b = states(r, n_heads)?;
     Ok(OptSnapshot { bags, enc_bias, enc_extra, enc_head, trunk, heads_w, heads_b })
 }
 
-fn put_progress(buf: &mut BytesMut, p: &TrainProgress) {
-    buf.put_u64_le(p.epoch);
-    buf.put_u64_le(p.step_in_epoch);
-    buf.put_u64_le(p.global_step);
-    buf.put_f64_le(p.recon_sum);
-    buf.put_f64_le(p.kl_sum);
-    buf.put_f64_le(p.cand_sum);
-    buf.put_f32_le(p.beta);
+fn put_progress(buf: &mut Vec<u8>, p: &TrainProgress) {
+    put_u64(buf, p.epoch);
+    put_u64(buf, p.step_in_epoch);
+    put_u64(buf, p.global_step);
+    put_f64(buf, p.recon_sum);
+    put_f64(buf, p.kl_sum);
+    put_f64(buf, p.cand_sum);
+    put_f32(buf, p.beta);
     put_u64_slice(buf, &p.epoch_order);
 }
 
-fn get_progress(buf: &mut impl Buf) -> Result<TrainProgress, DecodeError> {
-    need(buf, 8 * 3 + 8 * 3 + 4)?;
-    let epoch = buf.get_u64_le();
-    let step_in_epoch = buf.get_u64_le();
-    let global_step = buf.get_u64_le();
-    let recon_sum = buf.get_f64_le();
-    let kl_sum = buf.get_f64_le();
-    let cand_sum = buf.get_f64_le();
-    let beta = buf.get_f32_le();
-    let epoch_order = get_u64_vec(buf)?;
+fn get_progress(r: &mut Reader<'_>) -> Result<TrainProgress, DecodeError> {
     Ok(TrainProgress {
-        epoch,
-        step_in_epoch,
-        global_step,
-        epoch_order,
-        recon_sum,
-        kl_sum,
-        cand_sum,
-        beta,
+        epoch: r.u64()?,
+        step_in_epoch: r.u64()?,
+        global_step: r.u64()?,
+        recon_sum: r.f64()?,
+        kl_sum: r.f64()?,
+        cand_sum: r.f64()?,
+        beta: r.f32()?,
+        epoch_order: r.u64s()?,
     })
 }
 
-fn put_epoch_stats(buf: &mut BytesMut, s: &EpochStats) {
-    buf.put_f32_le(s.recon);
-    buf.put_f32_le(s.kl);
-    buf.put_f32_le(s.beta);
-    buf.put_u64_le(s.users as u64);
-    buf.put_f64_le(s.mean_candidates);
-    buf.put_u64_le(s.steps as u64);
-    buf.put_f64_le(s.wall_secs);
-    buf.put_f64_le(s.users_per_sec);
+fn put_epoch_stats(buf: &mut Vec<u8>, s: &EpochStats) {
+    put_f32(buf, s.recon);
+    put_f32(buf, s.kl);
+    put_f32(buf, s.beta);
+    put_u64(buf, s.users as u64);
+    put_f64(buf, s.mean_candidates);
+    put_u64(buf, s.steps as u64);
+    put_f64(buf, s.wall_secs);
+    put_f64(buf, s.users_per_sec);
 }
 
-fn get_epoch_stats(buf: &mut impl Buf) -> Result<EpochStats, DecodeError> {
-    need(buf, 4 * 3 + 8 * 5)?;
+fn get_epoch_stats(r: &mut Reader<'_>) -> Result<EpochStats, DecodeError> {
     Ok(EpochStats {
-        recon: buf.get_f32_le(),
-        kl: buf.get_f32_le(),
-        beta: buf.get_f32_le(),
-        users: buf.get_u64_le() as usize,
-        mean_candidates: buf.get_f64_le(),
-        steps: buf.get_u64_le() as usize,
-        wall_secs: buf.get_f64_le(),
-        users_per_sec: buf.get_f64_le(),
+        recon: r.f32()?,
+        kl: r.f32()?,
+        beta: r.f32()?,
+        users: r.usize()?,
+        mean_candidates: r.f64()?,
+        steps: r.usize()?,
+        wall_secs: r.f64()?,
+        users_per_sec: r.f64()?,
     })
 }
 
-fn put_early_stop(buf: &mut BytesMut, es: &EarlyStopState) {
+fn put_early_stop(buf: &mut Vec<u8>, es: &EarlyStopState) {
     match &es.best {
         Some((elbo, bytes, epoch)) => {
-            buf.put_u8(1);
-            buf.put_f32_le(*elbo);
-            buf.put_u64_le(*epoch);
-            buf.put_u64_le(bytes.len() as u64);
-            buf.put_slice(bytes);
+            put_u8(buf, 1);
+            put_f32(buf, *elbo);
+            put_u64(buf, *epoch);
+            put_bytes(buf, bytes);
         }
-        None => buf.put_u8(0),
+        None => put_u8(buf, 0),
     }
-    buf.put_u64_le(es.strikes);
-    buf.put_u8(es.stopped_early as u8);
-    buf.put_u64_le(es.epochs.len() as u64);
+    put_u64(buf, es.strikes);
+    put_u8(buf, es.stopped_early as u8);
+    put_u64(buf, es.epochs.len() as u64);
     for s in &es.epochs {
         put_epoch_stats(buf, s);
     }
-    buf.put_u64_le(es.validations.len() as u64);
+    put_u64(buf, es.validations.len() as u64);
     for &(epoch, elbo) in &es.validations {
-        buf.put_u64_le(epoch);
-        buf.put_f32_le(elbo);
+        put_u64(buf, epoch);
+        put_f32(buf, elbo);
     }
 }
 
-fn get_early_stop(buf: &mut impl Buf) -> Result<EarlyStopState, DecodeError> {
-    need(buf, 1)?;
-    let best = if buf.get_u8() != 0 {
-        need(buf, 4 + 8 + 8)?;
-        let elbo = buf.get_f32_le();
-        let epoch = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        need(buf, len)?;
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        Some((elbo, bytes, epoch))
+fn get_early_stop(r: &mut Reader<'_>) -> Result<EarlyStopState, DecodeError> {
+    let best = if r.u8()? != 0 {
+        let elbo = r.f32()?;
+        let epoch = r.u64()?;
+        Some((elbo, r.bytes()?.to_vec(), epoch))
     } else {
         None
     };
-    need(buf, 17)?;
-    let strikes = buf.get_u64_le();
-    let stopped_early = buf.get_u8() != 0;
-    let n_epochs = buf.get_u64_le() as usize;
-    let mut epochs = Vec::with_capacity(n_epochs);
-    for _ in 0..n_epochs {
-        epochs.push(get_epoch_stats(buf)?);
-    }
-    need(buf, 8)?;
-    let n_val = buf.get_u64_le() as usize;
-    need(buf, n_val * 12)?;
-    let mut validations = Vec::with_capacity(n_val);
-    for _ in 0..n_val {
-        let epoch = buf.get_u64_le();
-        validations.push((epoch, buf.get_f32_le()));
-    }
+    let strikes = r.u64()?;
+    let stopped_early = r.u8()? != 0;
+    let n_epochs = r.count(EPOCH_STATS_BYTES)?;
+    let epochs = (0..n_epochs).map(|_| get_epoch_stats(r)).collect::<Result<_, _>>()?;
+    let n_val = r.count(8 + 4)?;
+    let validations = (0..n_val)
+        .map(|_| Ok((r.u64()?, r.f32()?)))
+        .collect::<Result<_, DecodeError>>()?;
     Ok(EarlyStopState { best, strikes, stopped_early, epochs, validations })
 }
 
-fn put_stream(buf: &mut BytesMut, sp: &StreamProgress) {
-    buf.put_u64_le(sp.log_offset);
-    buf.put_u64_le(sp.events);
-    buf.put_u64_le(sp.batches);
+fn put_stream(buf: &mut Vec<u8>, sp: &StreamProgress) {
+    put_u64(buf, sp.log_offset);
+    put_u64(buf, sp.events);
+    put_u64(buf, sp.batches);
 }
 
-fn get_stream(buf: &mut impl Buf) -> Result<StreamProgress, DecodeError> {
-    need(buf, 24)?;
-    Ok(StreamProgress {
-        log_offset: buf.get_u64_le(),
-        events: buf.get_u64_le(),
-        batches: buf.get_u64_le(),
-    })
+fn get_stream(r: &mut Reader<'_>) -> Result<StreamProgress, DecodeError> {
+    Ok(StreamProgress { log_offset: r.u64()?, events: r.u64()?, batches: r.u64()? })
 }
 
-/// Encodes a complete snapshot (framing + section table + CRC).
+/// Encodes a complete snapshot (framing + section table + CRC). `stream`
+/// adds the streaming trainer's `SEC_STREAM` section.
 pub(crate) fn encode_snapshot(
     model: &Fvae,
     opt: &OptStates,
     rng_state: [u64; 4],
     progress: &TrainProgress,
     early_stop: Option<&EarlyStopState>,
-) -> Bytes {
-    encode_snapshot_with_stream(model, opt, rng_state, progress, early_stop, None)
-}
-
-/// [`encode_snapshot`] plus the streaming trainer's `SEC_STREAM` section.
-pub(crate) fn encode_snapshot_with_stream(
-    model: &Fvae,
-    opt: &OptStates,
-    rng_state: [u64; 4],
-    progress: &TrainProgress,
-    early_stop: Option<&EarlyStopState>,
     stream: Option<StreamProgress>,
-) -> Bytes {
+) -> Vec<u8> {
     let model_bytes = model.to_bytes();
-    let mut optim = BytesMut::new();
+    // Two f32 moments per f32 parameter: twice the model's bytes bounds the
+    // optimizer section, so its buffer is sized once too.
+    let mut optim = Vec::with_capacity(2 * model_bytes.len());
     put_opt(&mut optim, opt);
-    let mut rng_buf = BytesMut::with_capacity(32);
+    let mut rng_buf = Vec::with_capacity(32);
     for w in rng_state {
-        rng_buf.put_u64_le(w);
+        put_u64(&mut rng_buf, w);
     }
-    let mut prog = BytesMut::new();
+    let mut prog = Vec::new();
     put_progress(&mut prog, progress);
-    let mut es_buf = BytesMut::new();
+    let mut sections: Vec<(u8, &[u8])> = vec![
+        (SEC_MODEL, &model_bytes),
+        (SEC_OPTIM, &optim),
+        (SEC_RNG, &rng_buf),
+        (SEC_PROGRESS, &prog),
+    ];
+    let mut es_buf = Vec::new();
     if let Some(es) = early_stop {
         put_early_stop(&mut es_buf, es);
+        sections.push((SEC_EARLY_STOP, &es_buf));
     }
-    let mut sections: Vec<(u8, &[u8])> = vec![
-        (SEC_MODEL, model_bytes.as_ref()),
-        (SEC_OPTIM, optim.as_ref()),
-        (SEC_RNG, rng_buf.as_ref()),
-        (SEC_PROGRESS, prog.as_ref()),
-    ];
-    if early_stop.is_some() {
-        sections.push((SEC_EARLY_STOP, es_buf.as_ref()));
-    }
-    let mut stream_buf = BytesMut::new();
+    let mut stream_buf = Vec::new();
     if let Some(sp) = &stream {
         put_stream(&mut stream_buf, sp);
-        sections.push((SEC_STREAM, stream_buf.as_ref()));
+        sections.push((SEC_STREAM, &stream_buf));
     }
 
     let payload: usize = sections.iter().map(|(_, p)| p.len()).sum();
     let mut buf = Vec::with_capacity(7 + sections.len() * 9 + payload + 4);
-    buf.put_u32_le(SNAPSHOT_MAGIC);
-    buf.put_u16_le(SNAPSHOT_VERSION);
-    buf.put_u8(sections.len() as u8);
+    put_u32(&mut buf, SNAPSHOT_MAGIC);
+    put_u16(&mut buf, SNAPSHOT_VERSION);
+    put_u8(&mut buf, sections.len() as u8);
     for (tag, p) in &sections {
-        buf.put_u8(*tag);
-        buf.put_u64_le(p.len() as u64);
+        put_u8(&mut buf, *tag);
+        put_u64(&mut buf, p.len() as u64);
     }
     for (_, p) in &sections {
-        buf.put_slice(p);
+        buf.extend_from_slice(p);
     }
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    Bytes::from(buf)
+    put_u32(&mut buf, crc);
+    buf
 }
 
-/// Decodes a snapshot, verifying framing and checksum.
+/// Verifies a snapshot's framing and checksum and walks its section table:
+/// `(tag, payload range within data)` per section, in file order.
 ///
 /// Check order: magic and version first (friendly "this is not a snapshot"
 /// errors), then the whole-file CRC (any bit flip past the version field
-/// lands here), then the section table and payloads.
-pub fn decode_snapshot(data: &[u8]) -> Result<TrainSnapshot, SnapshotError> {
-    if data.len() < 7 + 4 {
-        return Err(DecodeError::Truncated.into());
-    }
-    let mut head = data;
-    if head.get_u32_le() != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic.into());
-    }
-    let version = head.get_u16_le();
-    if version != SNAPSHOT_VERSION {
-        return Err(DecodeError::BadVersion(version).into());
-    }
-    let body = &data[..data.len() - 4];
-    let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().expect("4 bytes"));
+/// lands here), then the section table.
+fn section_table(data: &[u8]) -> Result<Vec<(u8, Range<usize>)>, SnapshotError> {
+    // The CRC trailer is not part of the framing: everything below reads
+    // `body` only, so no cursor can run into it.
+    let (body, stored) = data.split_last_chunk::<4>().ok_or(DecodeError::Truncated)?;
+    let mut table = Reader::new(body);
+    table.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    let n_sections = table.u8()?;
+    let stored = u32::from_le_bytes(*stored);
     let computed = crc32(body);
     if stored != computed {
         return Err(SnapshotError::CrcMismatch { stored, computed });
     }
-
-    let n_sections = data[6] as usize;
-    let table_end = 7 + n_sections * 9;
-    if body.len() < table_end {
-        return Err(DecodeError::Truncated.into());
-    }
-    let mut table = &data[7..table_end];
-    let mut sections = Vec::with_capacity(n_sections);
-    let mut offset = table_end;
+    // `table` reads the `(tag u8, len u64)` entries while `payload`, started
+    // just past them, consumes each section in turn.
+    let mut payload = table;
+    payload.take(usize::from(n_sections) * 9)?;
+    let mut sections = Vec::new();
     for _ in 0..n_sections {
-        let tag = table.get_u8();
-        let len = table.get_u64_le() as usize;
-        let end = offset.checked_add(len).ok_or(DecodeError::Truncated)?;
-        if end > body.len() {
-            return Err(DecodeError::Truncated.into());
-        }
-        sections.push((tag, &body[offset..end]));
-        offset = end;
+        let tag = table.u8()?;
+        let len = table.count(1)?;
+        let start = body.len() - payload.remaining();
+        payload.take(len)?;
+        sections.push((tag, start..start + len));
     }
-    if offset != body.len() {
-        return Err(DecodeError::Invalid(format!(
-            "section table covers {offset} bytes but payload has {}",
-            body.len()
-        ))
-        .into());
-    }
+    payload.finish()?;
+    Ok(sections)
+}
 
-    let find = |tag: u8| -> Result<&[u8], SnapshotError> {
-        sections
-            .iter()
-            .find(|&&(t, _)| t == tag)
-            .map(|&(_, p)| p)
-            .ok_or(SnapshotError::MissingSection(tag))
-    };
-    let model = Fvae::from_bytes(find(SEC_MODEL)?).map_err(SnapshotError::Decode)?;
-    let opt = get_opt(&mut find(SEC_OPTIM)?)?;
-    let mut rng_buf = find(SEC_RNG)?;
-    need(&rng_buf, 32)?;
-    let rng_state = [
-        rng_buf.get_u64_le(),
-        rng_buf.get_u64_le(),
-        rng_buf.get_u64_le(),
-        rng_buf.get_u64_le(),
-    ];
-    let progress = get_progress(&mut find(SEC_PROGRESS)?)?;
-    let early_stop = match find(SEC_EARLY_STOP) {
-        Ok(mut p) => Some(get_early_stop(&mut p)?),
-        Err(SnapshotError::MissingSection(_)) => None,
-        Err(e) => return Err(e),
-    };
-    let stream = match find(SEC_STREAM) {
-        Ok(mut p) => Some(get_stream(&mut p)?),
-        Err(SnapshotError::MissingSection(_)) => None,
-        Err(e) => return Err(e),
-    };
+/// Decodes one section, which its decoder must consume to the last byte
+/// (re-encoding it, as normalization does, then preserves its length).
+fn whole<T>(
+    payload: &[u8],
+    get: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut r = Reader::new(payload);
+    let value = get(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// Decodes a snapshot, verifying framing and checksum (in
+/// [`section_table`]'s order) before any section payload is read.
+pub fn decode_snapshot(data: &[u8]) -> Result<TrainSnapshot, SnapshotError> {
+    let sections = section_table(data)?;
+    let find = |tag: u8| sections.iter().find(|(t, _)| *t == tag).map(|(_, r)| &data[r.clone()]);
+    let required = |tag: u8| find(tag).ok_or(SnapshotError::MissingSection(tag));
+    let model = Fvae::from_bytes(required(SEC_MODEL)?)?;
+    let opt = whole(required(SEC_OPTIM)?, get_opt)?;
+    let rng_state = whole(required(SEC_RNG)?, |r| Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))?;
+    let progress = whole(required(SEC_PROGRESS)?, get_progress)?;
+    let early_stop = find(SEC_EARLY_STOP).map(|p| whole(p, get_early_stop)).transpose()?;
+    let stream = find(SEC_STREAM).map(|p| whole(p, get_stream)).transpose()?;
     Ok(TrainSnapshot { model, opt, rng_state, progress, early_stop, stream })
 }
 
@@ -655,30 +582,20 @@ pub fn decode_snapshot(data: &[u8]) -> Result<TrainSnapshot, SnapshotError> {
 /// section re-encoded with the wall fields zeroed (same length — only f64
 /// values change) and the trailing CRC recomputed.
 pub fn normalized_snapshot_bytes(data: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    let snap = decode_snapshot(data)?; // validates framing + CRC first
-    let Some(mut es) = snap.early_stop else {
-        return Ok(data.to_vec());
+    let sections = section_table(data)?; // validates framing + CRC first
+    let mut out = data.to_vec();
+    let Some((_, range)) = sections.iter().find(|(tag, _)| *tag == SEC_EARLY_STOP) else {
+        return Ok(out);
     };
+    let mut es = whole(&data[range.clone()], get_early_stop)?;
     for e in &mut es.epochs {
         e.wall_secs = 0.0;
         e.users_per_sec = 0.0;
     }
-    let n_sections = data[6] as usize;
-    let table_end = 7 + n_sections * 9;
-    let mut table = &data[7..table_end];
-    let mut offset = table_end;
-    let mut out = data.to_vec();
-    for _ in 0..n_sections {
-        let tag = table.get_u8();
-        let len = table.get_u64_le() as usize;
-        if tag == SEC_EARLY_STOP {
-            let mut buf = BytesMut::new();
-            put_early_stop(&mut buf, &es);
-            assert_eq!(buf.len(), len, "normalization must not change the section length");
-            out[offset..offset + len].copy_from_slice(buf.as_ref());
-        }
-        offset += len;
-    }
+    let mut buf = Vec::with_capacity(range.len());
+    put_early_stop(&mut buf, &es);
+    assert_eq!(buf.len(), range.len(), "normalization must not change the section length");
+    out[range.clone()].copy_from_slice(&buf);
     let body_end = out.len() - 4;
     let crc = crc32(&out[..body_end]);
     out[body_end..].copy_from_slice(&crc.to_le_bytes());
@@ -704,9 +621,9 @@ pub fn export_model_snapshot(dir: &Path, model: &Fvae) -> Result<PathBuf, Snapsh
     let seed = model.cfg.seed ^ model.step.wrapping_mul(0x9e3779b9);
     let rng_state = [seed, seed.rotate_left(17), seed.rotate_left(31), seed.rotate_left(47)];
     let progress = TrainProgress::at_epoch_boundary(0, model.step);
-    let bytes = encode_snapshot(model, &fresh_opt(model), rng_state, &progress, None);
+    let bytes = encode_snapshot(model, &fresh_opt(model), rng_state, &progress, None, None);
     let name = format!("ckpt-{:016}.{SNAPSHOT_EXT}", model.step);
-    Ok(write_atomic(dir, &name, bytes.as_ref())?)
+    Ok(write_atomic(dir, &name, &bytes)?)
 }
 
 fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
@@ -800,19 +717,8 @@ impl Checkpointer {
     }
 
     /// Encodes and atomically writes one snapshot; prunes old ones.
+    /// `stream` carries the streaming trainer's log cursor.
     pub(crate) fn save(
-        &self,
-        model: &Fvae,
-        opt: &OptStates,
-        rng_state: [u64; 4],
-        progress: &TrainProgress,
-        early_stop: Option<&EarlyStopState>,
-    ) -> Result<PathBuf, SnapshotError> {
-        self.save_with_stream(model, opt, rng_state, progress, early_stop, None)
-    }
-
-    /// [`Checkpointer::save`] carrying the streaming trainer's log cursor.
-    pub(crate) fn save_with_stream(
         &self,
         model: &Fvae,
         opt: &OptStates,
@@ -822,9 +728,9 @@ impl Checkpointer {
         stream: Option<StreamProgress>,
     ) -> Result<PathBuf, SnapshotError> {
         let span = self.metrics.as_ref().map(|m| fvae_obs::Span::on(&m.write_ns));
-        let bytes = encode_snapshot_with_stream(model, opt, rng_state, progress, early_stop, stream);
+        let bytes = encode_snapshot(model, opt, rng_state, progress, early_stop, stream);
         let name = format!("ckpt-{:016}.{SNAPSHOT_EXT}", progress.global_step);
-        let path = write_atomic(&self.dir, &name, bytes.as_ref())?;
+        let path = write_atomic(&self.dir, &name, &bytes)?;
         self.prune()?;
         if let Some(m) = &self.metrics {
             m.writes.inc();
@@ -995,18 +901,18 @@ mod tests {
     #[test]
     fn progress_codec_roundtrips() {
         let p = sample_progress();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_progress(&mut buf, &p);
-        let got = get_progress(&mut buf.freeze()).expect("decodes");
+        let got = get_progress(&mut Reader::new(&buf)).expect("decodes");
         assert_eq!(got, p);
     }
 
     #[test]
     fn early_stop_codec_roundtrips() {
         let es = sample_early_stop();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_early_stop(&mut buf, &es);
-        let got = get_early_stop(&mut buf.freeze()).expect("decodes");
+        let got = get_early_stop(&mut Reader::new(&buf)).expect("decodes");
         assert_eq!(got.best, es.best);
         assert_eq!(got.strikes, es.strikes);
         assert_eq!(got.stopped_early, es.stopped_early);
@@ -1019,9 +925,9 @@ mod tests {
     fn opt_codec_roundtrips_every_moment_buffer() {
         let ds = tiny_ds();
         let (_, opt) = trained(&ds);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_opt(&mut buf, &opt);
-        let got = get_opt(&mut buf.freeze()).expect("decodes");
+        let got = get_opt(&mut Reader::new(&buf)).expect("decodes");
         let eq = |a: &AdamState, b: &AdamState| {
             let (am, av, at) = a.parts();
             let (bm, bv, bt) = b.parts();
@@ -1054,19 +960,15 @@ mod tests {
         let rng_state = [1u64, 2, 3, 4];
         let progress = sample_progress();
         let es = sample_early_stop();
-        let bytes = encode_snapshot(&model, &opt, rng_state, &progress, Some(&es));
-        let snap = decode_snapshot(bytes.as_ref()).expect("decodes");
+        let bytes = encode_snapshot(&model, &opt, rng_state, &progress, Some(&es), None);
+        let snap = decode_snapshot(&bytes).expect("decodes");
         assert_eq!(snap.rng_state, rng_state);
         assert_eq!(snap.progress, progress);
         assert!(snap.is_early_stopping());
         let got_es = snap.early_stop.as_ref().expect("present");
         assert_eq!(got_es.best, es.best);
         // The restored model serializes to the same bytes as the original.
-        assert_eq!(
-            snap.model.to_bytes().as_ref(),
-            model.to_bytes().as_ref(),
-            "model must round-trip bit-identically"
-        );
+        assert_eq!(snap.model.to_bytes(), model.to_bytes(), "model must round-trip bit-identically");
     }
 
     #[test]
@@ -1080,11 +982,11 @@ mod tests {
         es_a.epochs[0].users_per_sec = 48.0;
         es_b.epochs[0].wall_secs = 7.25;
         es_b.epochs[0].users_per_sec = 3.125;
-        let a = encode_snapshot(&model, &opt, [1, 2, 3, 4], &progress, Some(&es_a));
-        let b = encode_snapshot(&model, &opt, [1, 2, 3, 4], &progress, Some(&es_b));
-        assert_ne!(a.as_ref(), b.as_ref(), "wall clock must make raw bytes differ");
-        let na = normalized_snapshot_bytes(a.as_ref()).expect("normalizes");
-        let nb = normalized_snapshot_bytes(b.as_ref()).expect("normalizes");
+        let a = encode_snapshot(&model, &opt, [1, 2, 3, 4], &progress, Some(&es_a), None);
+        let b = encode_snapshot(&model, &opt, [1, 2, 3, 4], &progress, Some(&es_b), None);
+        assert_ne!(a, b, "wall clock must make raw bytes differ");
+        let na = normalized_snapshot_bytes(&a).expect("normalizes");
+        let nb = normalized_snapshot_bytes(&b).expect("normalizes");
         assert_eq!(na, nb, "runs differing only in wall clock must normalize equal");
         // Normalized bytes are still a valid snapshot, and non-telemetry
         // content survived.
@@ -1096,16 +998,16 @@ mod tests {
             es_a.epochs[0].recon.to_bits()
         );
         // No early-stop section → bytes pass through untouched.
-        let plain = encode_snapshot(&model, &opt, [1, 2, 3, 4], &progress, None);
-        assert_eq!(normalized_snapshot_bytes(plain.as_ref()).expect("ok"), plain.as_ref());
+        let plain = encode_snapshot(&model, &opt, [1, 2, 3, 4], &progress, None, None);
+        assert_eq!(normalized_snapshot_bytes(&plain).expect("ok"), plain);
     }
 
     #[test]
     fn snapshot_without_early_stop_section_decodes_to_none() {
         let ds = tiny_ds();
         let (model, opt) = trained(&ds);
-        let bytes = encode_snapshot(&model, &opt, [9, 9, 9, 9], &sample_progress(), None);
-        let snap = decode_snapshot(bytes.as_ref()).expect("decodes");
+        let bytes = encode_snapshot(&model, &opt, [9, 9, 9, 9], &sample_progress(), None, None);
+        let snap = decode_snapshot(&bytes).expect("decodes");
         assert!(!snap.is_early_stopping());
     }
 
@@ -1116,8 +1018,8 @@ mod tests {
     fn every_single_byte_flip_is_rejected() {
         let ds = tiny_ds();
         let (model, opt) = trained(&ds);
-        let bytes = encode_snapshot(&model, &opt, [7, 7, 7, 7], &sample_progress(), None);
-        let data = bytes.to_vec();
+        let bytes = encode_snapshot(&model, &opt, [7, 7, 7, 7], &sample_progress(), None, None);
+        let data = bytes;
         // Exhaustive on small snapshots; strided (but still covering the
         // framing, table, CRC, and a spread of payload offsets) on large.
         let stride = (data.len() / 8192).max(1);
@@ -1142,8 +1044,8 @@ mod tests {
     fn truncation_at_any_prefix_is_rejected() {
         let ds = tiny_ds();
         let (model, opt) = trained(&ds);
-        let bytes = encode_snapshot(&model, &opt, [1, 1, 1, 1], &sample_progress(), None);
-        let data = bytes.as_ref();
+        let bytes = encode_snapshot(&model, &opt, [1, 1, 1, 1], &sample_progress(), None, None);
+        let data = &bytes[..];
         for len in [0, 1, 6, 10, data.len() / 2, data.len() - 1] {
             assert!(decode_snapshot(&data[..len]).is_err(), "prefix of {len} bytes must fail");
         }
@@ -1153,34 +1055,34 @@ mod tests {
     fn unknown_sections_are_skipped_for_forward_compat() {
         let ds = tiny_ds();
         let (model, opt) = trained(&ds);
-        let bytes = encode_snapshot(&model, &opt, [3, 1, 4, 1], &sample_progress(), None);
-        let data = bytes.as_ref();
+        let bytes = encode_snapshot(&model, &opt, [3, 1, 4, 1], &sample_progress(), None, None);
+        let data = &bytes[..];
         // Re-frame with one extra section of an unknown tag appended.
         let n = data[6] as usize;
         let table_end = 7 + n * 9;
         let payload_end = data.len() - 4;
         let extra = b"from-the-future";
         let mut out: Vec<u8> = Vec::new();
-        out.put_u32_le(SNAPSHOT_MAGIC);
-        out.put_u16_le(SNAPSHOT_VERSION);
-        out.put_u8((n + 1) as u8);
-        out.put_slice(&data[7..table_end]); // existing table entries
-        out.put_u8(250); // unknown tag
-        out.put_u64_le(extra.len() as u64);
-        out.put_slice(&data[table_end..payload_end]);
-        out.put_slice(extra);
+        put_u32(&mut out, SNAPSHOT_MAGIC);
+        put_u16(&mut out, SNAPSHOT_VERSION);
+        put_u8(&mut out, (n + 1) as u8);
+        out.extend_from_slice(&data[7..table_end]); // existing table entries
+        put_u8(&mut out, 250); // unknown tag
+        put_u64(&mut out, extra.len() as u64);
+        out.extend_from_slice(&data[table_end..payload_end]);
+        out.extend_from_slice(extra);
         let crc = crc32(&out);
-        out.put_u32_le(crc);
+        put_u32(&mut out, crc);
         let snap = decode_snapshot(&out).expect("unknown sections must be skipped");
         assert_eq!(snap.rng_state, [3, 1, 4, 1]);
-        assert_eq!(snap.model.to_bytes().as_ref(), model.to_bytes().as_ref());
+        assert_eq!(snap.model.to_bytes(), model.to_bytes());
     }
 
     #[test]
     fn wrong_magic_and_version_are_typed_errors() {
         let ds = tiny_ds();
         let (model, opt) = trained(&ds);
-        let good = encode_snapshot(&model, &opt, [0, 1, 2, 3], &sample_progress(), None).to_vec();
+        let good = encode_snapshot(&model, &opt, [0, 1, 2, 3], &sample_progress(), None, None);
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
         assert!(matches!(
@@ -1216,7 +1118,7 @@ mod tests {
         let cp = Checkpointer::new(&dir, 1, 2).expect("create");
         for step in 1..=5u64 {
             let progress = TrainProgress { global_step: step, ..sample_progress() };
-            cp.save(&model, &opt, [step, 0, 0, 0], &progress, None).expect("save");
+            cp.save(&model, &opt, [step, 0, 0, 0], &progress, None, None).expect("save");
         }
         let names: Vec<u64> = Checkpointer::list(&dir)
             .expect("list")
@@ -1243,7 +1145,7 @@ mod tests {
         let mut paths = Vec::new();
         for step in 1..=3u64 {
             let progress = TrainProgress { global_step: step, ..sample_progress() };
-            paths.push(cp.save(&model, &opt, [step, 0, 0, 0], &progress, None).expect("save"));
+            paths.push(cp.save(&model, &opt, [step, 0, 0, 0], &progress, None, None).expect("save"));
         }
         // Corrupt the newest snapshot's payload.
         let newest = paths.last().expect("non-empty");
@@ -1317,9 +1219,9 @@ mod tests {
                     cand_sum: cand,
                     beta,
                 };
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 put_progress(&mut buf, &p);
-                let got = get_progress(&mut buf.freeze()).expect("decodes");
+                let got = get_progress(&mut Reader::new(&buf)).expect("decodes");
                 prop_assert_eq!(got, p);
             }
 

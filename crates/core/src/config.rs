@@ -170,6 +170,10 @@ impl FvaeConfig {
         if self.batch_size == 0 {
             return Err("batch size must be positive".into());
         }
+        // Row initialisation builds a Gaussian from it, which asserts this.
+        if self.init_std.is_nan() || self.init_std < 0.0 {
+            return Err("init_std must be non-negative".into());
+        }
         Ok(())
     }
 }

@@ -6,14 +6,15 @@
 //! produces bit-identical embeddings and can resume training (dynamic
 //! tables keep growing; optimizer moments restart).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fvae_nn::serialize::{
     get_dense, get_embedding_bag, get_mlp, get_softmax_head, put_dense, put_embedding_bag,
     put_mlp, put_softmax_head,
 };
 use fvae_sparse::serial::{
-    get_f32_vec, get_header, put_f32_slice, put_header, DecodeError,
+    expect_len, put_f32, put_f32_slice, put_f64, put_header, put_u64, put_u8, DecodeError, Reader,
+    MAGIC, VERSION,
 };
+use fvae_nn::{Dense, Mlp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,78 +41,61 @@ fn strategy_from_tag(tag: u8) -> Result<SamplingStrategy, DecodeError> {
     })
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn put_config(buf: &mut BytesMut, cfg: &FvaeConfig) {
-    buf.put_u64_le(cfg.n_fields as u64);
-    buf.put_u64_le(cfg.latent_dim as u64);
-    buf.put_u64_le(cfg.enc_hidden as u64);
-    buf.put_u64_le(cfg.enc_extra_hidden.len() as u64);
+fn put_config(buf: &mut Vec<u8>, cfg: &FvaeConfig) {
+    put_u64(buf, cfg.n_fields as u64);
+    put_u64(buf, cfg.latent_dim as u64);
+    put_u64(buf, cfg.enc_hidden as u64);
+    put_u64(buf, cfg.enc_extra_hidden.len() as u64);
     for &d in &cfg.enc_extra_hidden {
-        buf.put_u64_le(d as u64);
+        put_u64(buf, d as u64);
     }
-    buf.put_u64_le(cfg.dec_hidden.len() as u64);
+    put_u64(buf, cfg.dec_hidden.len() as u64);
     for &d in &cfg.dec_hidden {
-        buf.put_u64_le(d as u64);
+        put_u64(buf, d as u64);
     }
     put_f32_slice(buf, &cfg.alpha);
-    buf.put_f32_le(cfg.beta_cap);
-    buf.put_f32_le(cfg.user_beta_gamma);
-    buf.put_u64_le(cfg.anneal_steps);
-    buf.put_f32_le(cfg.dropout);
-    buf.put_f32_le(cfg.field_dropout);
-    buf.put_f32_le(cfg.lr);
-    buf.put_u64_le(cfg.batch_size as u64);
-    buf.put_u64_le(cfg.epochs as u64);
-    buf.put_u8(strategy_tag(cfg.sampling.strategy));
-    buf.put_f64_le(cfg.sampling.rate);
-    buf.put_f64_le(cfg.sampling.negative_pad);
-    buf.put_u64_le(cfg.sampling.sampled_fields.len() as u64);
+    put_f32(buf, cfg.beta_cap);
+    put_f32(buf, cfg.user_beta_gamma);
+    put_u64(buf, cfg.anneal_steps);
+    put_f32(buf, cfg.dropout);
+    put_f32(buf, cfg.field_dropout);
+    put_f32(buf, cfg.lr);
+    put_u64(buf, cfg.batch_size as u64);
+    put_u64(buf, cfg.epochs as u64);
+    put_u8(buf, strategy_tag(cfg.sampling.strategy));
+    put_f64(buf, cfg.sampling.rate);
+    put_f64(buf, cfg.sampling.negative_pad);
+    put_u64(buf, cfg.sampling.sampled_fields.len() as u64);
     for &flag in &cfg.sampling.sampled_fields {
-        buf.put_u8(flag as u8);
+        put_u8(buf, flag as u8);
     }
-    buf.put_f32_le(cfg.init_std);
-    buf.put_f32_le(cfg.clip_norm);
-    buf.put_u64_le(cfg.seed);
+    put_f32(buf, cfg.init_std);
+    put_f32(buf, cfg.clip_norm);
+    put_u64(buf, cfg.seed);
 }
 
-fn get_config(buf: &mut impl Buf) -> Result<FvaeConfig, DecodeError> {
-    need(buf, 32)?;
-    let n_fields = buf.get_u64_le() as usize;
-    let latent_dim = buf.get_u64_le() as usize;
-    let enc_hidden = buf.get_u64_le() as usize;
-    let n_extra = buf.get_u64_le() as usize;
-    need(buf, n_extra * 8)?;
-    let enc_extra_hidden: Vec<usize> = (0..n_extra).map(|_| buf.get_u64_le() as usize).collect();
-    need(buf, 8)?;
-    let n_dec = buf.get_u64_le() as usize;
-    need(buf, n_dec * 8)?;
-    let dec_hidden: Vec<usize> = (0..n_dec).map(|_| buf.get_u64_le() as usize).collect();
-    let alpha = get_f32_vec(buf)?;
-    need(buf, 4 + 8 + 4 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8)?;
-    let beta_cap = buf.get_f32_le();
-    let user_beta_gamma = buf.get_f32_le();
-    let anneal_steps = buf.get_u64_le();
-    let dropout = buf.get_f32_le();
-    let field_dropout = buf.get_f32_le();
-    let lr = buf.get_f32_le();
-    let batch_size = buf.get_u64_le() as usize;
-    let epochs = buf.get_u64_le() as usize;
-    let strategy = strategy_from_tag(buf.get_u8())?;
-    let rate = buf.get_f64_le();
-    let negative_pad = buf.get_f64_le();
-    let n_flags = buf.get_u64_le() as usize;
-    need(buf, n_flags + 16)?;
-    let sampled_fields: Vec<bool> = (0..n_flags).map(|_| buf.get_u8() != 0).collect();
-    let init_std = buf.get_f32_le();
-    let clip_norm = buf.get_f32_le();
-    let seed = buf.get_u64_le();
+fn get_config(r: &mut Reader<'_>) -> Result<FvaeConfig, DecodeError> {
+    let n_fields = r.usize()?;
+    let latent_dim = r.usize()?;
+    let enc_hidden = r.usize()?;
+    let enc_extra_hidden = r.usizes()?;
+    let dec_hidden = r.usizes()?;
+    let alpha = r.f32s()?;
+    let beta_cap = r.f32()?;
+    let user_beta_gamma = r.f32()?;
+    let anneal_steps = r.u64()?;
+    let dropout = r.f32()?;
+    let field_dropout = r.f32()?;
+    let lr = r.f32()?;
+    let batch_size = r.usize()?;
+    let epochs = r.usize()?;
+    let strategy = strategy_from_tag(r.u8()?)?;
+    let rate = r.f64()?;
+    let negative_pad = r.f64()?;
+    let sampled_fields: Vec<bool> = r.bytes()?.iter().map(|&flag| flag != 0).collect();
+    let init_std = r.f32()?;
+    let clip_norm = r.f32()?;
+    let seed = r.u64()?;
     let cfg = FvaeConfig {
         n_fields,
         latent_dim,
@@ -137,17 +121,46 @@ fn get_config(buf: &mut impl Buf) -> Result<FvaeConfig, DecodeError> {
 }
 
 impl Fvae {
+    /// Exact length of [`Fvae::to_bytes`]'s output, so the buffer is sized
+    /// once (`to_bytes` asserts the two agree in debug builds).
+    fn encoded_len(&self) -> usize {
+        // Each constant is the fixed part of one `put_*`: scalar fields plus
+        // an 8-byte prefix per length-prefixed array.
+        let dense = |d: &Dense| {
+            let (w, b) = d.params();
+            33 + 4 * (w.as_slice().len() + b.len())
+        };
+        let mlp = |m: &Mlp| 8 + m.layers().iter().map(dense).sum::<usize>();
+        let cfg = &self.cfg;
+        let config = 133
+            + 8 * (cfg.enc_extra_hidden.len() + cfg.dec_hidden.len())
+            + 4 * cfg.alpha.len()
+            + cfg.sampling.sampled_fields.len();
+        let bags = self.bags.iter().map(|b| 24 + 8 * b.vocab_len() + 4 * b.weights().len());
+        let heads = self.heads.iter().map(|h| 32 + h.vocab_len() * (12 + 4 * h.dim()));
+        6 + config
+            + 8
+            + bags.sum::<usize>()
+            + (8 + 4 * self.enc_bias.len())
+            + 1
+            + self.enc_extra.as_ref().map_or(0, mlp)
+            + dense(&self.enc_head)
+            + mlp(&self.trunk)
+            + heads.sum::<usize>()
+    }
+
     /// Serializes the model (configuration + all parameters + step count).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 << 20);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let len = self.encoded_len();
+        let mut buf = Vec::with_capacity(len);
         put_header(&mut buf);
         put_config(&mut buf, &self.cfg);
-        buf.put_u64_le(self.step);
+        put_u64(&mut buf, self.step);
         for bag in &self.bags {
             put_embedding_bag(&mut buf, bag);
         }
         put_f32_slice(&mut buf, &self.enc_bias);
-        buf.put_u8(self.enc_extra.is_some() as u8);
+        put_u8(&mut buf, self.enc_extra.is_some() as u8);
         if let Some(mlp) = &self.enc_extra {
             put_mlp(&mut buf, mlp);
         }
@@ -156,32 +169,28 @@ impl Fvae {
         for head in &self.heads {
             put_softmax_head(&mut buf, head);
         }
-        buf.freeze()
+        debug_assert_eq!(buf.len(), len, "encoded_len must mirror the format");
+        buf
     }
 
     /// Deserializes a model written by [`Fvae::to_bytes`].
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, DecodeError> {
-        get_header(&mut buf)?;
-        let cfg = get_config(&mut buf)?;
-        need(&buf, 8)?;
-        let step = buf.get_u64_le();
-        let mut bags = Vec::with_capacity(cfg.n_fields);
-        for _ in 0..cfg.n_fields {
-            bags.push(get_embedding_bag(&mut buf, cfg.init_std)?);
-        }
-        let enc_bias = get_f32_vec(&mut buf)?;
-        if enc_bias.len() != cfg.enc_hidden {
-            return Err(DecodeError::Invalid("encoder bias width mismatch".into()));
-        }
-        need(&buf, 1)?;
-        let has_extra = buf.get_u8() != 0;
-        let enc_extra = if has_extra { Some(get_mlp(&mut buf)?) } else { None };
-        let enc_head = get_dense(&mut buf)?;
-        let trunk = get_mlp(&mut buf)?;
-        let mut heads = Vec::with_capacity(cfg.n_fields);
-        for _ in 0..cfg.n_fields {
-            heads.push(get_softmax_head(&mut buf, cfg.init_std)?);
-        }
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(buf);
+        r.header(MAGIC, VERSION)?;
+        let cfg = get_config(&mut r)?;
+        let step = r.u64()?;
+        let bags = (0..cfg.n_fields)
+            .map(|_| get_embedding_bag(&mut r, cfg.init_std))
+            .collect::<Result<Vec<_>, _>>()?;
+        let enc_bias = r.f32s()?;
+        expect_len(enc_bias.len(), &[cfg.enc_hidden], "encoder bias width mismatch")?;
+        let enc_extra = if r.u8()? != 0 { Some(get_mlp(&mut r)?) } else { None };
+        let enc_head = get_dense(&mut r)?;
+        let trunk = get_mlp(&mut r)?;
+        let heads = (0..cfg.n_fields)
+            .map(|_| get_softmax_head(&mut r, cfg.init_std))
+            .collect::<Result<Vec<_>, _>>()?;
+        r.finish()?;
         let rng = StdRng::seed_from_u64(cfg.seed ^ step.wrapping_mul(0x9e37_79b9));
         Ok(Self { cfg, bags, enc_bias, enc_extra, enc_head, trunk, heads, rng, step })
     }
@@ -220,7 +229,7 @@ mod tests {
     fn roundtrip_preserves_embeddings_exactly() {
         let (ds, model) = trained_model();
         let bytes = model.to_bytes();
-        let restored = Fvae::from_bytes(bytes).expect("decode");
+        let restored = Fvae::from_bytes(&bytes).expect("decode");
         let users: Vec<usize> = (0..20).collect();
         let before = model.embed_users(&ds, &users, None);
         let after = restored.embed_users(&ds, &users, None);
@@ -230,7 +239,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_field_scores() {
         let (ds, model) = trained_model();
-        let restored = Fvae::from_bytes(model.to_bytes()).expect("decode");
+        let restored = Fvae::from_bytes(&model.to_bytes()).expect("decode");
         let z = model.embed_users(&ds, &[3], None);
         let cands: Vec<u32> = (0..48).collect();
         assert_eq!(
@@ -242,7 +251,7 @@ mod tests {
     #[test]
     fn restored_model_can_resume_training() {
         let (ds, model) = trained_model();
-        let mut restored = Fvae::from_bytes(model.to_bytes()).expect("decode");
+        let mut restored = Fvae::from_bytes(&model.to_bytes()).expect("decode");
         let users: Vec<usize> = (0..ds.n_users()).collect();
         restored.train_epochs(&ds, &users, 1, |_, s| {
             assert!(s.recon.is_finite());
@@ -255,9 +264,7 @@ mod tests {
     fn truncation_and_corruption_are_rejected() {
         let (_, model) = trained_model();
         let bytes = model.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 7);
-        assert!(Fvae::from_bytes(cut).is_err());
-        let cut_early = bytes.slice(0..10);
-        assert!(Fvae::from_bytes(cut_early).is_err());
+        assert!(Fvae::from_bytes(&bytes[..bytes.len() - 7]).is_err());
+        assert!(Fvae::from_bytes(&bytes[..10]).is_err());
     }
 }

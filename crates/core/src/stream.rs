@@ -99,7 +99,7 @@ impl StreamTrainer {
 
     /// Writes a crash-safe snapshot carrying the stream cursor.
     pub fn checkpoint(&self, cp: &Checkpointer) -> Result<PathBuf, SnapshotError> {
-        cp.save_with_stream(
+        cp.save(
             &self.model,
             &self.opt,
             self.model.rng.state(),

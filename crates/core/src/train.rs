@@ -427,7 +427,7 @@ impl Fvae {
                         cand_sum: cand,
                         beta,
                     };
-                    let path = cp.save(self, opt, self.rng.state(), &progress, None)?;
+                    let path = cp.save(self, opt, self.rng.state(), &progress, None, None)?;
                     *last_checkpoint = Some(path);
                 }
             }

@@ -7,7 +7,6 @@
 //! validation ELBO stalls and restores the best snapshot (via the model's
 //! binary serialization).
 
-use bytes::Bytes;
 use fvae_data::MultiFieldDataset;
 use fvae_nn::SampledSoftmaxOutput;
 use fvae_sparse::FastHashMap;
@@ -137,7 +136,7 @@ impl Fvae {
         assert!(options.max_epochs > 0 && options.eval_every > 0);
         let mut history = TrainHistory::default();
         let mut global_step = 0u64;
-        let mut best: Option<(f32, Bytes, usize)> = None;
+        let mut best: Option<(f32, Vec<u8>, usize)> = None;
         let mut strikes = 0usize;
         let mut epoch = 0usize;
         let mut already_stopped = false;
@@ -150,7 +149,7 @@ impl Fvae {
             history.validations =
                 es.validations.iter().map(|&(e, v)| (e as usize, v)).collect();
             history.stopped_early = es.stopped_early;
-            best = es.best.map(|(elbo, bytes, ep)| (elbo, Bytes::from(bytes), ep as usize));
+            best = es.best.map(|(elbo, bytes, ep)| (elbo, bytes, ep as usize));
             strikes = es.strikes as usize;
             already_stopped = es.stopped_early;
         }
@@ -180,7 +179,7 @@ impl Fvae {
                 let es = EarlyStopState {
                     best: best
                         .as_ref()
-                        .map(|(e, bytes, ep)| (*e, bytes.to_vec(), *ep as u64)),
+                        .map(|(e, bytes, ep)| (*e, bytes.clone(), *ep as u64)),
                     strikes: strikes as u64,
                     stopped_early: history.stopped_early,
                     epochs: history.epochs.clone(),
@@ -192,14 +191,14 @@ impl Fvae {
                 };
                 let opt = checkpoint::fresh_opt(self);
                 let progress = TrainProgress::at_epoch_boundary(epoch as u64, global_step);
-                cp.save(self, &opt, self.rng.state(), &progress, Some(&es))?;
+                cp.save(self, &opt, self.rng.state(), &progress, Some(&es), None)?;
             }
             if history.stopped_early {
                 break;
             }
         }
         if let Some((_, snapshot, best_epoch)) = best {
-            *self = Fvae::from_bytes(snapshot).expect("own snapshot decodes");
+            *self = Fvae::from_bytes(&snapshot).expect("own snapshot decodes");
             history.best_epoch = best_epoch;
         }
         Ok(history)

@@ -35,8 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use bytes::{BufMut, BytesMut};
-use fvae_sparse::serial::DecodeError;
+use fvae_sparse::serial::{put_f32, put_u16, put_u32, put_u64, DecodeError, Reader};
 use fvae_sparse::{CsrBuilder, FastHashMap};
 
 use crate::dataset::MultiFieldDataset;
@@ -104,34 +103,24 @@ impl From<DecodeError> for EventLogError {
 }
 
 /// Appends one encoded record (length prefix + payload) to `buf`.
-pub fn put_event(buf: &mut BytesMut, ev: &Event) {
-    buf.put_u32_le(EVENT_PAYLOAD_LEN);
-    buf.put_u64_le(ev.user);
-    buf.put_u16_le(ev.field);
-    buf.put_u32_le(ev.feature);
-    buf.put_f32_le(ev.weight);
-    buf.put_u64_le(ev.ts);
+pub fn put_event(buf: &mut Vec<u8>, ev: &Event) {
+    put_u32(buf, EVENT_PAYLOAD_LEN);
+    put_u64(buf, ev.user);
+    put_u16(buf, ev.field);
+    put_u32(buf, ev.feature);
+    put_f32(buf, ev.weight);
+    put_u64(buf, ev.ts);
 }
 
 /// Writes the log file header.
-pub fn put_log_header(buf: &mut BytesMut) {
-    buf.put_u32_le(LOG_MAGIC);
-    buf.put_u16_le(LOG_VERSION);
+pub fn put_log_header(buf: &mut Vec<u8>) {
+    put_u32(buf, LOG_MAGIC);
+    put_u16(buf, LOG_VERSION);
 }
 
 /// Checks a log file header (exactly [`LOG_HEADER_LEN`] bytes).
 pub fn check_log_header(head: &[u8]) -> Result<(), DecodeError> {
-    if head.len() < LOG_HEADER_LEN as usize {
-        return Err(DecodeError::Truncated);
-    }
-    if u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) != LOG_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = u16::from_le_bytes(head[4..6].try_into().expect("2 bytes"));
-    if version != LOG_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    Ok(())
+    Reader::new(head).header(LOG_MAGIC, LOG_VERSION)
 }
 
 /// Incremental record parser: feed arbitrary byte chunks (down to one byte
@@ -216,9 +205,9 @@ impl EventLogWriter {
     /// Creates (truncating) a new log at `path` and writes the header.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, EventLogError> {
         let mut file = File::create(path)?;
-        let mut buf = BytesMut::with_capacity(LOG_HEADER_LEN as usize);
+        let mut buf = Vec::with_capacity(LOG_HEADER_LEN as usize);
         put_log_header(&mut buf);
-        file.write_all(buf.as_ref())?;
+        file.write_all(&buf)?;
         Ok(Self { file, offset: LOG_HEADER_LEN })
     }
 
@@ -236,9 +225,9 @@ impl EventLogWriter {
         let n = read_up_to(&mut file, &mut head)?;
         if n == 0 {
             // Empty file (e.g. `touch`ed): adopt it by writing the header.
-            let mut buf = BytesMut::with_capacity(LOG_HEADER_LEN as usize);
+            let mut buf = Vec::with_capacity(LOG_HEADER_LEN as usize);
             put_log_header(&mut buf);
-            file.write_all(buf.as_ref())?;
+            file.write_all(&buf)?;
             return Ok(Self { file, offset: LOG_HEADER_LEN });
         }
         check_log_header(&head[..n])?;
@@ -262,11 +251,11 @@ impl EventLogWriter {
     /// Appends `events` and returns the offset after them. Buffered in one
     /// write; call [`EventLogWriter::sync`] to make it durable.
     pub fn append(&mut self, events: &[Event]) -> Result<u64, EventLogError> {
-        let mut buf = BytesMut::with_capacity(events.len() * (4 + EVENT_PAYLOAD_LEN as usize));
+        let mut buf = Vec::with_capacity(events.len() * (4 + EVENT_PAYLOAD_LEN as usize));
         for ev in events {
             put_event(&mut buf, ev);
         }
-        self.file.write_all(buf.as_ref())?;
+        self.file.write_all(&buf)?;
         self.offset += buf.len() as u64;
         Ok(self.offset)
     }
@@ -636,10 +625,10 @@ mod tests {
     #[test]
     fn future_version_is_rejected_and_longer_records_are_skipped() {
         let path = tmp("version.log");
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(LOG_MAGIC);
-        buf.put_u16_le(9);
-        std::fs::write(&path, buf.as_ref()).expect("write");
+        let mut buf = Vec::new();
+        put_u32(&mut buf, LOG_MAGIC);
+        put_u16(&mut buf, 9);
+        std::fs::write(&path, &buf).expect("write");
         assert!(matches!(
             EventLogReader::open(&path, 0),
             Err(EventLogError::Decode(DecodeError::BadVersion(9)))
@@ -648,16 +637,16 @@ mod tests {
         // A v1 reader skips trailing bytes a future minor revision appended
         // to a record, thanks to the length prefix.
         let ev = Event { user: 1, field: 0, feature: 2, weight: 1.0, ts: 3 };
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(EVENT_PAYLOAD_LEN + 4);
-        buf.put_u64_le(ev.user);
-        buf.put_u16_le(ev.field);
-        buf.put_u32_le(ev.feature);
-        buf.put_f32_le(ev.weight);
-        buf.put_u64_le(ev.ts);
-        buf.put_u32_le(0xdead_beef); // the future field
+        let mut buf = Vec::new();
+        put_u32(&mut buf, EVENT_PAYLOAD_LEN + 4);
+        put_u64(&mut buf, ev.user);
+        put_u16(&mut buf, ev.field);
+        put_u32(&mut buf, ev.feature);
+        put_f32(&mut buf, ev.weight);
+        put_u64(&mut buf, ev.ts);
+        put_u32(&mut buf, 0xdead_beef); // the future field
         let mut dec = EventDecoder::new();
-        dec.feed(buf.as_ref());
+        dec.feed(&buf);
         assert_eq!(dec.next_event().expect("decode"), Some(ev));
         assert_eq!(dec.pending(), 0);
     }

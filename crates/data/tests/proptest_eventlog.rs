@@ -2,12 +2,11 @@
 //! battery: roundtrip, truncation, garbage, hostile counts, and 1-byte
 //! chunk reassembly.
 
-use bytes::{BufMut, BytesMut};
 use fvae_data::events::{
     check_log_header, put_event, Event, EventDecoder, EVENT_PAYLOAD_LEN, LOG_MAGIC, LOG_VERSION,
     MAX_EVENT_LEN,
 };
-use fvae_sparse::serial::DecodeError;
+use fvae_sparse::serial::{put_u32, DecodeError};
 use proptest::prelude::*;
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -23,11 +22,11 @@ fn arb_bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
 }
 
 fn encode_all(events: &[Event]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     for ev in events {
         put_event(&mut buf, ev);
     }
-    buf.as_ref().to_vec()
+    buf
 }
 
 fn decode_all(bytes: &[u8]) -> Result<Vec<Event>, DecodeError> {
@@ -116,13 +115,13 @@ proptest! {
         } else {
             MAX_EVENT_LEN + 1 + raw % 100_000
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for ev in &good {
             put_event(&mut buf, ev);
         }
-        buf.put_u32_le(bad_len);
+        put_u32(&mut buf, bad_len);
         let mut dec = EventDecoder::new();
-        dec.feed(buf.as_ref());
+        dec.feed(&buf);
         let mut n = 0usize;
         let err = loop {
             match dec.next_event() {

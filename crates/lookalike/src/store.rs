@@ -5,8 +5,8 @@
 //! analogue: a sharded read–write-locked map with binary save/load so the
 //! offline step can hand artifacts to the online step.
 
-use bytes::{Buf, BufMut, BytesMut};
-use fvae_sparse::serial::{get_header, put_header, DecodeError};
+use fvae_ann::io::{read_embeddings, write_embeddings};
+use fvae_sparse::serial::DecodeError;
 use fvae_sparse::FastHashMap;
 use parking_lot::RwLock;
 
@@ -87,59 +87,28 @@ impl EmbeddingStore {
         Some(acc)
     }
 
-    /// Serializes the whole store (deterministic user order).
-    pub fn to_bytes(&self) -> bytes::Bytes {
+    /// Serializes the whole store in [`fvae_ann::io`]'s embedding-file
+    /// format (ascending user order, so the bytes are deterministic).
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut entries: Vec<(u64, Vec<f32>)> = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            for (&u, e) in shard.read().iter() {
-                entries.push((u, e.clone()));
-            }
+            entries.extend(shard.read().iter().map(|(&u, e)| (u, e.clone())));
         }
         entries.sort_unstable_by_key(|&(u, _)| u);
-        let mut buf = BytesMut::with_capacity(16 + entries.len() * (8 + self.dim * 4));
-        put_header(&mut buf);
-        buf.put_u64_le(self.dim as u64);
-        buf.put_u64_le(entries.len() as u64);
-        for (u, e) in entries {
-            buf.put_u64_le(u);
-            for v in e {
-                buf.put_f32_le(v);
-            }
-        }
-        buf.freeze()
+        let ids: Vec<u64> = entries.iter().map(|&(u, _)| u).collect();
+        let data: Vec<f32> = entries.into_iter().flat_map(|(_, e)| e).collect();
+        write_embeddings(self.dim, &ids, &data)
     }
 
-    /// Deserializes a store written by [`EmbeddingStore::to_bytes`].
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, DecodeError> {
-        get_header(&mut buf)?;
-        if buf.remaining() < 16 {
-            return Err(DecodeError::Truncated);
-        }
-        let dim = buf.get_u64_le() as usize;
-        // Validate *before* constructing: `EmbeddingStore::new` asserts a
-        // positive dim, and hostile input must surface as a typed error,
-        // not a panic (or a silently clamped dim-1 store).
-        if dim == 0 {
-            return Err(DecodeError::Invalid("zero embedding dim".into()));
-        }
-        let n = buf.get_u64_le() as usize;
-        let store = EmbeddingStore::new(dim);
-        for _ in 0..n {
-            if buf.remaining() < 8 + dim * 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let user = buf.get_u64_le();
-            // `to_bytes` never writes a user twice; a duplicate here means
-            // a corrupt or hand-forged file, and silently keeping the last
-            // occurrence would mask it (and break the declared count).
-            if store.contains(user) {
-                return Err(DecodeError::Invalid(format!("duplicate user id {user}")));
-            }
-            let mut e = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                e.push(buf.get_f32_le());
-            }
-            store.put(user, e);
+    /// Deserializes a store written by [`EmbeddingStore::to_bytes`]. The
+    /// file reader rejects a zero dim and unsorted or duplicate user ids, so
+    /// a corrupt or hand-forged file is a typed error, never a panic in
+    /// [`EmbeddingStore::new`] or a silently overwritten entry.
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
+        let file = read_embeddings(buf)?;
+        let store = EmbeddingStore::new(file.dim);
+        for (&user, row) in file.ids.iter().zip(file.data.chunks_exact(file.dim)) {
+            store.put(user, row.to_vec());
         }
         Ok(store)
     }
@@ -185,7 +154,7 @@ mod tests {
             store.put(u, vec![u as f32, -(u as f32)]);
         }
         let bytes = store.to_bytes();
-        let back = EmbeddingStore::from_bytes(bytes).expect("decode");
+        let back = EmbeddingStore::from_bytes(&bytes).expect("decode");
         assert_eq!(back.len(), 100);
         assert_eq!(back.dim(), 2);
         assert_eq!(back.get(42), Some(vec![42.0, -42.0]));
@@ -196,23 +165,33 @@ mod tests {
         let store = EmbeddingStore::new(4);
         store.put(1, vec![0.0; 4]);
         let bytes = store.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 2);
         assert!(matches!(
-            EmbeddingStore::from_bytes(cut),
+            EmbeddingStore::from_bytes(&bytes[..bytes.len() - 2]),
             Err(DecodeError::Truncated)
         ));
     }
 
+    /// A forged file: `n` entries of `(user, dim × 1.0)`.
+    fn forged(dim: u64, n: u64, users: &[u64]) -> Vec<u8> {
+        use fvae_sparse::serial::{put_f32, put_header, put_u64};
+        let mut buf = Vec::new();
+        put_header(&mut buf);
+        put_u64(&mut buf, dim);
+        put_u64(&mut buf, n);
+        for &user in users {
+            put_u64(&mut buf, user);
+            for _ in 0..dim {
+                put_f32(&mut buf, 1.0);
+            }
+        }
+        buf
+    }
+
     #[test]
     fn zero_dim_is_rejected_without_panicking() {
-        // A forged header with dim = 0 must be a typed decode error; the
-        // old path constructed the store (with dim clamped to 1) first,
-        // which turned hostile input into an assert in `new`.
-        let mut buf = BytesMut::new();
-        put_header(&mut buf);
-        buf.put_u64_le(0); // dim
-        buf.put_u64_le(3); // entries
-        match EmbeddingStore::from_bytes(buf.freeze()) {
+        // A forged header with dim = 0 must be a typed decode error, not
+        // the assert in `EmbeddingStore::new`.
+        match EmbeddingStore::from_bytes(&forged(0, 0, &[])) {
             Err(DecodeError::Invalid(msg)) => assert_eq!(msg, "zero embedding dim"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("zero-dim store accepted"),
@@ -221,38 +200,18 @@ mod tests {
 
     #[test]
     fn duplicate_user_ids_are_rejected() {
-        let mut buf = BytesMut::new();
-        put_header(&mut buf);
-        buf.put_u64_le(2); // dim
-        buf.put_u64_le(2); // entries
-        for _ in 0..2 {
-            buf.put_u64_le(7);
-            buf.put_f32_le(1.0);
-            buf.put_f32_le(2.0);
+        // `to_bytes` writes each user once, ascending; anything else is a
+        // corrupt or hand-forged file, and keeping the last occurrence
+        // would mask it (and break the declared count).
+        for users in [[7u64, 7], [9, 7]] {
+            match EmbeddingStore::from_bytes(&forged(2, 2, &users)) {
+                Err(DecodeError::Invalid(msg)) => {
+                    assert_eq!(msg, "user ids not strictly increasing at 7")
+                }
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("user ids {users:?} accepted"),
+            }
         }
-        match EmbeddingStore::from_bytes(buf.freeze()) {
-            Err(DecodeError::Invalid(msg)) => assert_eq!(msg, "duplicate user id 7"),
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("duplicate user ids accepted"),
-        }
-    }
-
-    #[test]
-    fn byte_layout_locked_to_fvae_ann_io() {
-        // `fvae_ann::io` re-implements this file format over flat slices
-        // (the `nearest` RPC reads embedding files without the lock
-        // shards); the two implementations must stay byte-identical.
-        let store = EmbeddingStore::new(3);
-        for u in [4u64, 9, 11, 30] {
-            store.put(u, vec![u as f32, 0.5, -(u as f32)]);
-        }
-        let via_store = store.to_bytes();
-        let ids = [4u64, 9, 11, 30];
-        let data: Vec<f32> = ids.iter().flat_map(|&u| [u as f32, 0.5, -(u as f32)]).collect();
-        let via_ann = fvae_ann::io::write_embeddings(3, &ids, &data);
-        assert_eq!(via_store.as_ref(), via_ann.as_ref(), "embedding file formats diverged");
-        let file = fvae_ann::io::read_embeddings(via_store).expect("ann reads store bytes");
-        assert_eq!(file.ids, ids);
     }
 
     #[test]
@@ -275,7 +234,7 @@ mod tests {
             assert_eq!(store.get(u).as_ref(), Some(e), "user {u}");
         }
         // Serialization must preserve the same state.
-        let restored = EmbeddingStore::from_bytes(store.to_bytes()).expect("decode");
+        let restored = EmbeddingStore::from_bytes(&store.to_bytes()).expect("decode");
         for (&u, e) in &model {
             assert_eq!(restored.get(u).as_ref(), Some(e));
         }

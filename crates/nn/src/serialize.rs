@@ -3,8 +3,9 @@
 //! model artifact; the serving side reloads it — the HDFS hand-off of
 //! Fig. 2's deployment diagram).
 
-use bytes::{Buf, BufMut, BytesMut};
-use fvae_sparse::serial::{get_f32_vec, get_u64_vec, put_f32_slice, put_u64_slice, DecodeError};
+use fvae_sparse::serial::{
+    expect_len, put_f32, put_f32_slice, put_u64, put_u64_slice, put_u8, DecodeError, Reader,
+};
 use fvae_tensor::Matrix;
 
 use crate::activation::Activation;
@@ -32,63 +33,60 @@ fn act_from_tag(tag: u8) -> Result<Activation, DecodeError> {
     })
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
-}
+/// Encoded size of an empty dense layer (two dims, the activation tag, two
+/// length prefixes): the per-element bound for an MLP's layer count.
+const DENSE_MIN_BYTES: usize = 8 + 8 + 1 + 8 + 8;
 
 /// Serializes a dense layer.
-pub fn put_dense(buf: &mut BytesMut, layer: &Dense) {
+pub fn put_dense(buf: &mut Vec<u8>, layer: &Dense) {
     let (w, b) = layer.params();
-    buf.put_u64_le(w.rows() as u64);
-    buf.put_u64_le(w.cols() as u64);
-    buf.put_u8(act_tag(layer.activation()));
+    put_u64(buf, w.rows() as u64);
+    put_u64(buf, w.cols() as u64);
+    put_u8(buf, act_tag(layer.activation()));
     put_f32_slice(buf, w.as_slice());
     put_f32_slice(buf, b);
 }
 
 /// Deserializes a dense layer.
-pub fn get_dense(buf: &mut impl Buf) -> Result<Dense, DecodeError> {
-    need(buf, 17)?;
-    let rows = buf.get_u64_le() as usize;
-    let cols = buf.get_u64_le() as usize;
-    let act = act_from_tag(buf.get_u8())?;
-    let w = get_f32_vec(buf)?;
-    let b = get_f32_vec(buf)?;
-    if w.len() != rows * cols || b.len() != cols {
-        return Err(DecodeError::Invalid("dense layer shape mismatch".into()));
-    }
+pub fn get_dense(r: &mut Reader<'_>) -> Result<Dense, DecodeError> {
+    let rows = r.usize()?;
+    let cols = r.usize()?;
+    let act = act_from_tag(r.u8()?)?;
+    let w = r.f32s()?;
+    let b = r.f32s()?;
+    expect_len(w.len(), &[rows, cols], "dense layer shape mismatch")?;
+    expect_len(b.len(), &[cols], "dense layer shape mismatch")?;
     Ok(Dense::from_parts(Matrix::from_vec(rows, cols, w), b, act))
 }
 
 /// Serializes an MLP.
-pub fn put_mlp(buf: &mut BytesMut, mlp: &Mlp) {
-    buf.put_u64_le(mlp.layers().len() as u64);
+pub fn put_mlp(buf: &mut Vec<u8>, mlp: &Mlp) {
+    put_u64(buf, mlp.layers().len() as u64);
     for layer in mlp.layers() {
         put_dense(buf, layer);
     }
 }
 
 /// Deserializes an MLP.
-pub fn get_mlp(buf: &mut impl Buf) -> Result<Mlp, DecodeError> {
-    need(buf, 8)?;
-    let depth = buf.get_u64_le() as usize;
+pub fn get_mlp(r: &mut Reader<'_>) -> Result<Mlp, DecodeError> {
+    let depth = r.count(DENSE_MIN_BYTES)?;
     if depth == 0 {
         return Err(DecodeError::Invalid("empty MLP".into()));
     }
     let mut layers = Vec::with_capacity(depth);
     for _ in 0..depth {
-        layers.push(get_dense(buf)?);
+        layers.push(get_dense(r)?);
+    }
+    // `Mlp::from_layers` asserts this; a forged file must be an error.
+    if layers.windows(2).any(|pair| pair[0].out_dim() != pair[1].in_dim()) {
+        return Err(DecodeError::Invalid("consecutive MLP layer dims do not chain".into()));
     }
     Ok(Mlp::from_layers(layers))
 }
 
 /// Serializes an embedding bag (IDs in slot order + weight buffer).
-pub fn put_embedding_bag(buf: &mut BytesMut, bag: &EmbeddingBag) {
-    buf.put_u64_le(bag.dim() as u64);
+pub fn put_embedding_bag(buf: &mut Vec<u8>, bag: &EmbeddingBag) {
+    put_u64(buf, bag.dim() as u64);
     put_u64_slice(buf, bag.table().ids());
     put_f32_slice(buf, bag.weights());
 }
@@ -96,78 +94,85 @@ pub fn put_embedding_bag(buf: &mut BytesMut, bag: &EmbeddingBag) {
 /// Deserializes an embedding bag. `init_std` seeds rows for IDs first seen
 /// *after* loading.
 pub fn get_embedding_bag(
-    buf: &mut impl Buf,
+    r: &mut Reader<'_>,
     init_std: f32,
 ) -> Result<EmbeddingBag, DecodeError> {
-    need(buf, 8)?;
-    let dim = buf.get_u64_le() as usize;
-    let ids = get_u64_vec(buf)?;
-    let weights = get_f32_vec(buf)?;
-    if weights.len() != ids.len() * dim {
-        return Err(DecodeError::Invalid("embedding bag size mismatch".into()));
-    }
-    let mut bag = EmbeddingBag::new(dim.max(1), init_std);
+    let dim = r.usize()?;
+    let ids = r.u64s()?;
+    let weights = r.f32s()?;
     if dim == 0 {
         return Err(DecodeError::Invalid("zero embedding dim".into()));
     }
-    for (slot, &id) in ids.iter().enumerate() {
-        bag.set_row(id, &weights[slot * dim..(slot + 1) * dim], &mut NoRng);
+    expect_len(weights.len(), &[ids.len(), dim], "embedding bag size mismatch")?;
+    let mut bag = EmbeddingBag::new(dim, init_std);
+    for (&id, row) in ids.iter().zip(weights.chunks_exact(dim)) {
+        bag.set_row(id, row, &mut NoRng);
+    }
+    // A repeated id would land on its first slot and shift every later one.
+    if bag.vocab_len() != ids.len() {
+        return Err(DecodeError::Invalid("duplicate id in embedding bag".into()));
     }
     Ok(bag)
 }
 
 /// Serializes a batched-softmax head.
-pub fn put_softmax_head(buf: &mut BytesMut, head: &SampledSoftmaxOutput) {
-    buf.put_u64_le(head.dim() as u64);
+pub fn put_softmax_head(buf: &mut Vec<u8>, head: &SampledSoftmaxOutput) {
+    put_u64(buf, head.dim() as u64);
     put_u64_slice(buf, head.table().ids());
-    let mut weights = Vec::with_capacity(head.vocab_len() * head.dim());
-    let mut bias = Vec::with_capacity(head.vocab_len());
-    for slot in 0..head.vocab_len() {
-        weights.extend_from_slice(head.weight_row(slot));
-        bias.push(head.bias_of(slot));
+    // The head hands out its tables per slot: write the two length prefixes
+    // by hand and stream the rows, rather than gathering temporaries first.
+    let vocab = head.vocab_len();
+    buf.reserve(16 + vocab * (head.dim() + 1) * 4);
+    put_u64(buf, (vocab * head.dim()) as u64);
+    for slot in 0..vocab {
+        for &w in head.weight_row(slot) {
+            put_f32(buf, w);
+        }
     }
-    put_f32_slice(buf, &weights);
-    put_f32_slice(buf, &bias);
+    put_u64(buf, vocab as u64);
+    for slot in 0..vocab {
+        put_f32(buf, head.bias_of(slot));
+    }
 }
 
 /// Deserializes a batched-softmax head.
 pub fn get_softmax_head(
-    buf: &mut impl Buf,
+    r: &mut Reader<'_>,
     init_std: f32,
 ) -> Result<SampledSoftmaxOutput, DecodeError> {
-    need(buf, 8)?;
-    let dim = buf.get_u64_le() as usize;
-    let ids = get_u64_vec(buf)?;
-    let weights = get_f32_vec(buf)?;
-    let bias = get_f32_vec(buf)?;
+    let dim = r.usize()?;
+    let ids = r.u64s()?;
+    let weights = r.f32s()?;
+    let bias = r.f32s()?;
     if dim == 0 {
         return Err(DecodeError::Invalid("zero head dim".into()));
     }
-    if weights.len() != ids.len() * dim || bias.len() != ids.len() {
-        return Err(DecodeError::Invalid("softmax head size mismatch".into()));
-    }
+    expect_len(weights.len(), &[ids.len(), dim], "softmax head size mismatch")?;
+    expect_len(bias.len(), &[ids.len()], "softmax head size mismatch")?;
     let mut head = SampledSoftmaxOutput::new(dim, init_std);
-    for (slot, &id) in ids.iter().enumerate() {
-        head.set_row(id, &weights[slot * dim..(slot + 1) * dim], bias[slot], &mut NoRng);
+    for ((&id, row), &b) in ids.iter().zip(weights.chunks_exact(dim)).zip(&bias) {
+        head.set_row(id, row, b, &mut NoRng);
+    }
+    if head.vocab_len() != ids.len() {
+        return Err(DecodeError::Invalid("duplicate id in softmax head".into()));
     }
     Ok(head)
 }
 
 /// Serializes Adam moment buffers (checkpoints carry optimizer state so a
 /// resumed run continues with identical update dynamics).
-pub fn put_adam_state(buf: &mut BytesMut, state: &crate::optim::AdamState) {
+pub fn put_adam_state(buf: &mut Vec<u8>, state: &crate::optim::AdamState) {
     let (m, v, t) = state.parts();
-    buf.put_u64_le(t);
+    put_u64(buf, t);
     put_f32_slice(buf, m);
     put_f32_slice(buf, v);
 }
 
 /// Deserializes Adam moment buffers written by [`put_adam_state`].
-pub fn get_adam_state(buf: &mut impl Buf) -> Result<crate::optim::AdamState, DecodeError> {
-    need(buf, 8)?;
-    let t = buf.get_u64_le();
-    let m = get_f32_vec(buf)?;
-    let v = get_f32_vec(buf)?;
+pub fn get_adam_state(r: &mut Reader<'_>) -> Result<crate::optim::AdamState, DecodeError> {
+    let t = r.u64()?;
+    let m = r.f32s()?;
+    let v = r.f32s()?;
     crate::optim::AdamState::from_parts(m, v, t).map_err(DecodeError::Invalid)
 }
 
@@ -200,9 +205,9 @@ mod tests {
     fn dense_roundtrip() {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = Dense::new(5, 3, Activation::Tanh, &mut rng);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_dense(&mut buf, &layer);
-        let back = get_dense(&mut buf.freeze()).expect("decode");
+        let back = get_dense(&mut Reader::new(&buf)).expect("decode");
         assert_eq!(back.params().0, layer.params().0);
         assert_eq!(back.params().1, layer.params().1);
         assert_eq!(back.activation(), layer.activation());
@@ -214,9 +219,9 @@ mod tests {
         let mlp = Mlp::new(&[4, 6, 2], Activation::Tanh, Activation::Identity, &mut rng);
         let x = Matrix::glorot_uniform(3, 4, &mut rng);
         let before = mlp.forward(&x);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_mlp(&mut buf, &mlp);
-        let back = get_mlp(&mut buf.freeze()).expect("decode");
+        let back = get_mlp(&mut Reader::new(&buf)).expect("decode");
         let after = back.forward(&x);
         assert_eq!(before, after);
     }
@@ -228,9 +233,9 @@ mod tests {
         let ids = [11u64, 99, 5];
         let vals = [1.0f32, 0.5, 2.0];
         bag.forward_batch(&[(&ids, &vals)], &mut rng);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_embedding_bag(&mut buf, &bag);
-        let back = get_embedding_bag(&mut buf.freeze(), 0.3).expect("decode");
+        let back = get_embedding_bag(&mut Reader::new(&buf), 0.3).expect("decode");
         assert_eq!(back.vocab_len(), bag.vocab_len());
         let before = bag.forward_batch_frozen(&[(&ids, &vals)]);
         let after = back.forward_batch_frozen(&[(&ids, &vals)]);
@@ -244,14 +249,24 @@ mod tests {
         let h = Matrix::glorot_uniform(2, 4, &mut rng);
         let cand = [7u64, 3, 123];
         head.forward(&h, &cand, &mut rng);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_softmax_head(&mut buf, &head);
-        let back = get_softmax_head(&mut buf.freeze(), 0.3).expect("decode");
+        let back = get_softmax_head(&mut Reader::new(&buf), 0.3).expect("decode");
         assert_eq!(back.vocab_len(), head.vocab_len());
         assert_eq!(
             back.logits_for_ids(h.row(0), &cand),
             head.logits_for_ids(h.row(0), &cand)
         );
+    }
+
+    #[test]
+    fn mlp_with_unchained_layers_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 2);
+        put_dense(&mut buf, &Dense::new(4, 3, Activation::Tanh, &mut rng));
+        put_dense(&mut buf, &Dense::new(5, 2, Activation::Tanh, &mut rng));
+        assert!(matches!(get_mlp(&mut Reader::new(&buf)), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
@@ -262,37 +277,35 @@ mod tests {
         for i in 0..7 {
             adam.step_slice(&mut state, &mut p, &[0.1 * i as f32, -0.2, 0.3]);
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_adam_state(&mut buf, &state);
-        let back = get_adam_state(&mut buf.freeze()).expect("decode");
+        let back = get_adam_state(&mut Reader::new(&buf)).expect("decode");
         assert_eq!(back.parts(), state.parts());
     }
 
     #[test]
     fn adam_state_moment_mismatch_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(3);
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 3);
         put_f32_slice(&mut buf, &[1.0, 2.0]);
         put_f32_slice(&mut buf, &[1.0]);
-        assert!(matches!(get_adam_state(&mut buf.freeze()), Err(DecodeError::Invalid(_))));
+        assert!(matches!(get_adam_state(&mut Reader::new(&buf)), Err(DecodeError::Invalid(_))));
     }
 
     #[test]
     fn corrupted_buffers_are_rejected() {
         let mut rng = StdRng::seed_from_u64(5);
         let layer = Dense::new(3, 2, Activation::Relu, &mut rng);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_dense(&mut buf, &layer);
-        let bytes = buf.freeze();
-        let cut = bytes.slice(0..bytes.len() / 2);
-        assert!(get_dense(&mut cut.clone()).is_err());
+        assert!(get_dense(&mut Reader::new(&buf[..buf.len() / 2])).is_err());
         // Bad activation tag.
-        let mut bad = BytesMut::new();
-        bad.put_u64_le(1);
-        bad.put_u64_le(1);
-        bad.put_u8(9);
+        let mut bad = Vec::new();
+        put_u64(&mut bad, 1);
+        put_u64(&mut bad, 1);
+        put_u8(&mut bad, 9);
         put_f32_slice(&mut bad, &[1.0]);
         put_f32_slice(&mut bad, &[0.0]);
-        assert!(matches!(get_dense(&mut bad.freeze()), Err(DecodeError::Invalid(_))));
+        assert!(matches!(get_dense(&mut Reader::new(&bad)), Err(DecodeError::Invalid(_))));
     }
 }

@@ -120,7 +120,7 @@ fn store_roundtrip_preserves_served_embeddings() {
         store.put(u as u64, embeddings.row(u).to_vec());
     }
     let bytes = store.to_bytes();
-    let restored = EmbeddingStore::from_bytes(bytes).expect("decode");
+    let restored = EmbeddingStore::from_bytes(&bytes).expect("decode");
     assert_eq!(restored.len(), store.len());
     for u in 0..embeddings.rows() as u64 {
         assert_eq!(restored.get(u), store.get(u), "user {u}");

@@ -69,10 +69,10 @@ fn serialization_survives_growth_cycles() {
     model.train_epochs(&old_world, &users, 2, |_, _| {});
 
     // Save, reload, grow, save, reload — embeddings stay consistent.
-    let mut reloaded = Fvae::from_bytes(model.to_bytes()).expect("decode");
+    let mut reloaded = Fvae::from_bytes(&model.to_bytes()).expect("decode");
     let new_world = dataset(2, 8);
     reloaded.train_epochs(&new_world, &users, 2, |_, _| {});
-    let again = Fvae::from_bytes(reloaded.to_bytes()).expect("decode twice");
+    let again = Fvae::from_bytes(&reloaded.to_bytes()).expect("decode twice");
     let a = reloaded.embed_users(&new_world, &users[..5], None);
     let b = again.embed_users(&new_world, &users[..5], None);
     assert_eq!(a, b, "reload after growth must be lossless");
