@@ -70,8 +70,8 @@ pub fn usage() -> String {
      \x20           (recall@k parity harness: sweeps nprobe, judging the IVF-PQ\n\
      \x20           index against the exhaustive flat scan on the same corpus)\n\
      \x20 serve     --checkpoint-dir DIR [--port P] [--host H] [--threads T]\n\
-     \x20           [--batch-size N] [--max-wait-us U] [--queue-capacity Q]\n\
-     \x20           [--cache-capacity C] [--port-file F] [--quant f32|int8]\n\
+     \x20           [--batch-size N] [--queue-capacity Q] [--cache-capacity C]\n\
+     \x20           [--port-file F] [--quant f32|int8]\n\
      \x20           [--embeddings STORE]  (also serve nearest-neighbour RPCs\n\
      \x20           over this embedding store; reload re-reads the file)\n\
      \x20 router    --shards A:P1,B:P2,... | --shards-file F [--port P] [--host H]\n\
@@ -688,8 +688,8 @@ fn ann(args: &Args) -> Result<String, String> {
 /// blocking until a client sends a `Shutdown` frame.
 fn serve(args: &Args) -> Result<String, String> {
     args.expect_only(&[
-        "checkpoint-dir", "host", "port", "threads", "batch-size", "max-wait-us",
-        "queue-capacity", "cache-capacity", "port-file", "quant", "embeddings",
+        "checkpoint-dir", "host", "port", "threads", "batch-size", "queue-capacity",
+        "cache-capacity", "port-file", "quant", "embeddings",
     ])?;
     if let Some(raw) = args.optional("threads") {
         let threads: usize = raw
@@ -703,7 +703,6 @@ fn serve(args: &Args) -> Result<String, String> {
     cfg.host = args.optional("host").unwrap_or("127.0.0.1").to_string();
     cfg.port = args.get_or("port", 0u16)?;
     cfg.batch_size = args.get_or("batch-size", cfg.batch_size)?;
-    cfg.max_wait = std::time::Duration::from_micros(args.get_or("max-wait-us", 500u64)?);
     cfg.queue_capacity = args.get_or("queue-capacity", cfg.queue_capacity)?;
     cfg.cache_capacity = args.get_or("cache-capacity", cfg.cache_capacity)?;
     if let Some(raw) = args.optional("quant") {
@@ -712,7 +711,12 @@ fn serve(args: &Args) -> Result<String, String> {
             .map_err(|e| format!("flag --quant: {e}"))?;
     }
     cfg.embeddings = args.optional("embeddings").map(Into::into);
-    let mut server = fvae_serve::Server::start(cfg).map_err(|e| format!("cannot serve: {e}"))?;
+    let mut server = fvae_serve::Server::start(cfg).map_err(|e| match e {
+        fvae_serve::ServeError::ZeroBatchSize => {
+            "flag --batch-size: expected a positive count, got '0'".to_string()
+        }
+        e => format!("cannot serve: {e}"),
+    })?;
     let addr = server.addr();
     let mode = if server.quantized() { "int8" } else { "f32" };
     eprintln!(
@@ -1212,6 +1216,17 @@ mod tests {
     }
 
     #[test]
+    fn serve_reports_zero_batch_size_as_a_flag_error() {
+        // This cannot start serving (and so block the test): the directory
+        // holds no checkpoint, and the flag must be refused before that is
+        // even looked at.
+        let dir = tmp("serve_flags_no_ckpts");
+        let err = run(&args(&format!("serve --checkpoint-dir {dir} --batch-size 0")))
+            .expect_err("batch size 0 would livelock the batch thread");
+        assert!(err.starts_with("flag --batch-size:"), "got: {err}");
+    }
+
+    #[test]
     fn threads_flag_trains_identically_and_ckpt_diff_agrees() {
         let ds_path = tmp("thr_ds.bin");
         let model_1 = tmp("thr_model_1.bin");
@@ -1407,7 +1422,7 @@ mod tests {
         let server = {
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 4 --max-wait-us 500 --embeddings {store_path}"
+                 --batch-size 4 --embeddings {store_path}"
             );
             std::thread::spawn(move || run(&args(&line)))
         };
@@ -1477,7 +1492,7 @@ mod tests {
         let server = {
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 4 --max-wait-us 500"
+                 --batch-size 4"
             );
             std::thread::spawn(move || run(&args(&line)))
         };
@@ -1556,7 +1571,7 @@ mod tests {
         let server = {
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 8 --max-wait-us 300 --cache-capacity 0"
+                 --batch-size 8 --cache-capacity 0"
             );
             std::thread::spawn(move || run(&args(&line)))
         };
@@ -1663,7 +1678,7 @@ mod tests {
             let _ = std::fs::remove_file(&port_file);
             let line = format!(
                 "serve --checkpoint-dir {ckpt_dir} --port 0 --port-file {port_file} \
-                 --batch-size 4 --max-wait-us 500 --cache-capacity 0"
+                 --batch-size 4 --cache-capacity 0"
             );
             shards.push(std::thread::spawn(move || run(&args(&line))));
             shard_addrs.push(wait_for_addr(&port_file));

@@ -4,10 +4,11 @@
 //! answers "user rows → latent embedding" requests against the newest
 //! `.fvck` checkpoint, built from three throughput mechanisms:
 //!
-//! 1. **Micro-batching** ([`server`]): requests coalesce (up to
-//!    `batch_size` or `max_wait`) into one batched [`fvae_core::Encoder`]
-//!    forward on the shared `fvae-pool` workers — amortizing the GEMM the
-//!    way the paper's training side batches users.
+//! 1. **Micro-batching** ([`server`]): whatever queued up while the
+//!    previous forward ran (up to `batch_size`) becomes one batched
+//!    [`fvae_core::Encoder`] forward on the shared `fvae-pool` workers —
+//!    amortizing the GEMM the way the paper's training side batches users,
+//!    with no timer: an idle server encodes a lone request at once.
 //! 2. **Embedding LRU** ([`cache`]): a fixed-capacity cache keyed by
 //!    `(checkpoint id, request row hash)` with a preallocated value slab —
 //!    repeat lookups for hot users skip the encoder entirely.

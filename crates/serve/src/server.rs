@@ -6,11 +6,14 @@
 //! blocking **connection thread** per client; this module is the shard's
 //! [`Handler`] on it. Embed requests that miss the
 //! LRU cache become [`Pending`] cells on a **bounded queue**; a single
-//! **batch thread** coalesces up to `batch_size` of them (waiting at most
-//! `max_wait` for stragglers), runs one batched encoder forward on the
-//! shared [`fvae_pool`] workers, and fulfils every cell. When the queue is
-//! full the connection thread answers `Overloaded` immediately — the queue
-//! never grows without bound and every request gets exactly one reply.
+//! **batch thread** sleeps only while that queue is empty: the moment the
+//! encoder is free it takes whatever is queued (at most `batch_size`), runs
+//! one batched encoder forward on the shared [`fvae_pool`] workers, and
+//! fulfils every cell. A lone request on an idle server is encoded at once;
+//! under load requests pile up behind the running forward and the next
+//! batch grows by itself. When the queue is full the connection thread
+//! answers `Overloaded` immediately — the queue never grows without bound
+//! and every request gets exactly one reply.
 //!
 //! All allocation happens on connection threads (parsing, reply frames,
 //! pre-sized pending cells). The batch loop itself — drain, build input,
@@ -83,10 +86,9 @@ pub struct ServeConfig {
     pub host: String,
     /// Listen port; 0 binds an ephemeral port (see [`Server::addr`]).
     pub port: u16,
-    /// Maximum requests coalesced into one encoder forward.
+    /// Maximum requests coalesced into one encoder forward (at least 1;
+    /// [`Server::start`] refuses 0).
     pub batch_size: usize,
-    /// How long a non-full batch waits for stragglers.
-    pub max_wait: Duration,
     /// Bound on queued (admitted, unserved) requests; beyond it new
     /// requests are answered `Overloaded`.
     pub queue_capacity: usize,
@@ -138,15 +140,13 @@ impl std::str::FromStr for QuantMode {
 }
 
 impl ServeConfig {
-    /// Defaults tuned for tiny models and tests: small batches, short
-    /// coalescing waits.
+    /// Defaults tuned for tiny models and tests: small batches.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         Self {
             checkpoint_dir: checkpoint_dir.into(),
             host: "127.0.0.1".to_string(),
             port: 0,
             batch_size: 32,
-            max_wait: Duration::from_micros(500),
             queue_capacity: 1024,
             cache_capacity: 4096,
             reply_timeout: Duration::from_secs(30),
@@ -170,6 +170,9 @@ pub enum ServeError {
     NoCheckpoint(PathBuf),
     /// A reload task failed; the previous model keeps serving.
     Reload(String),
+    /// `ServeConfig::batch_size` was 0: the batch thread would drain zero
+    /// requests per turn and never empty the queue.
+    ZeroBatchSize,
 }
 
 impl fmt::Display for ServeError {
@@ -181,6 +184,7 @@ impl fmt::Display for ServeError {
                 write!(f, "no checkpoint files in {}", dir.display())
             }
             ServeError::Reload(msg) => write!(f, "reload failed: {msg}"),
+            ServeError::ZeroBatchSize => write!(f, "batch_size must be at least 1"),
         }
     }
 }
@@ -398,6 +402,9 @@ impl Server {
 
     /// [`Server::start`] with a batch-thread probe installed (test hook).
     pub fn start_with_probe(cfg: ServeConfig, probe: Option<BatchProbe>) -> Result<Self, ServeError> {
+        if cfg.batch_size == 0 {
+            return Err(ServeError::ZeroBatchSize);
+        }
         let state = load_model_state(&cfg.checkpoint_dir, cfg.quant, None)?;
         let nearest = match &cfg.embeddings {
             None => None,
@@ -885,25 +892,8 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
                 }
                 q = shared.work_cv.wait(q).expect("serve queue mutex");
             }
-            // Coalesce: give stragglers up to `max_wait` to fill the batch
-            // (skipped during shutdown drain).
-            if q.len() < shared.cfg.batch_size && !shared.net.shutdown_requested() {
-                let deadline = Instant::now() + shared.cfg.max_wait;
-                while q.len() < shared.cfg.batch_size && !shared.net.shutdown_requested() {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = shared
-                        .work_cv
-                        .wait_timeout(q, deadline - now)
-                        .expect("serve queue mutex");
-                    q = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
+            // Work-conserving: the batch is whatever queued up while the
+            // previous forward ran — no timed wait for stragglers.
             let n = q.len().min(shared.cfg.batch_size);
             batch.extend(q.drain(..n));
         }

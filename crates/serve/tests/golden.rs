@@ -21,7 +21,6 @@ use fvae_core::checkpoint::export_model_snapshot;
 use fvae_serve::{read_frame, write_frame, Client, EmbedOutcome, FieldRow, Message, ServeConfig, Server};
 use std::io::Read;
 use std::path::PathBuf;
-use std::time::Duration;
 
 const FIXTURE_SEED: u64 = 0xF5AE;
 const FIXTURE_USERS: usize = 16;
@@ -114,7 +113,6 @@ fn served_embeddings_match_golden_bytes_at_1_2_4_threads() {
         fvae_pool::set_parallelism(threads);
         let mut cfg = ServeConfig::new(fixtures_dir());
         cfg.batch_size = 4;
-        cfg.max_wait = Duration::from_millis(1);
         cfg.cache_capacity = 0; // force every request through the encoder
         let server = Server::start(cfg).expect("start on fixture checkpoint");
         assert_eq!(server.latent_dim(), dim);

@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 fn test_config(dir: &Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(dir);
     cfg.batch_size = 4;
-    cfg.max_wait = Duration::from_millis(1);
     cfg
 }
 

@@ -21,7 +21,6 @@ use common::{raw_rows, tiny_dataset, trained_model};
 use fvae_core::checkpoint::export_model_snapshot;
 use fvae_serve::{read_frame, Client, EmbedOutcome, FieldRow, Message, QuantMode, ServeConfig, Server};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -54,7 +53,6 @@ fn read_fixture_expected() -> (usize, usize, Vec<f32>) {
 fn int8_config(dir: &Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(dir);
     cfg.batch_size = 4;
-    cfg.max_wait = Duration::from_millis(1);
     cfg.cache_capacity = 0; // every request exercises the quantized encoder
     cfg.quant = QuantMode::Int8;
     cfg

@@ -18,7 +18,6 @@ use std::time::Duration;
 fn test_config(dir: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(dir);
     cfg.batch_size = 4;
-    cfg.max_wait = Duration::from_millis(1);
     cfg.cache_capacity = 0; // embeddings must reflect the live model
     cfg
 }

@@ -8,12 +8,10 @@ use common::{raw_rows, tiny_dataset, trained_model};
 use fvae_core::checkpoint::export_model_snapshot;
 use fvae_serve::protocol::error_code;
 use fvae_serve::{Client, EmbedOutcome, Message, ServeConfig, Server};
-use std::time::Duration;
 
 fn test_config(dir: &std::path::Path) -> ServeConfig {
     let mut cfg = ServeConfig::new(dir);
     cfg.batch_size = 4;
-    cfg.max_wait = Duration::from_millis(1);
     cfg
 }
 

@@ -84,10 +84,15 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
 
     // ARMED flips after the warm-up round; the probe then turns the
     // counting allocator on for exactly the Start..End window of every
-    // batch — the region the zero-allocation contract covers.
+    // batch — the region the zero-allocation contract covers. Before that
+    // it gives the batch an explicit 1 ms service time (the tiny model
+    // encodes in microseconds): at most 4 replies leave per millisecond, so
+    // 12 closed-loop clients against 4 in the batch + 4 queued must shed,
+    // and the warm-up round is certain to see full batches.
     static ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
     let probe = Box::new(|phase: BatchPhase, _n: usize| match phase {
         BatchPhase::Start => {
+            std::thread::sleep(Duration::from_millis(1));
             if ARMED.load(Relaxed) {
                 COUNTING.with(|f| f.set(true));
             }
@@ -98,7 +103,6 @@ fn soak_overload_exact_replies_and_zero_batch_allocs() {
     let mut cfg = ServeConfig::new(&dir);
     cfg.batch_size = 4;
     cfg.queue_capacity = 4; // K = 4 ≪ N = 240: overload is guaranteed
-    cfg.max_wait = Duration::from_millis(3);
     cfg.cache_capacity = 0; // every request must cross the batch loop
     cfg.reply_timeout = Duration::from_secs(20);
     let server = Server::start_with_probe(cfg, Some(probe)).expect("start");

@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 mod common;
 
@@ -34,7 +33,6 @@ fn traced_requests_leave_complete_stage_lanes() {
 
     let mut cfg = ServeConfig::new(&dir);
     cfg.cache_capacity = 0; // every request must cross the full pipeline
-    cfg.max_wait = Duration::from_micros(200);
     cfg.trace_capacity = 256;
     let server = Server::start(cfg).expect("start");
     let mut client = Client::connect(server.addr()).expect("connect");
