@@ -50,6 +50,8 @@ impl SamplingStrategy {
 /// from their weighted distributions and deduplicate, as the samplers of
 /// [16] do — so their distinct output can be smaller when the weights are
 /// skewed.
+///
+/// Thin allocating wrapper over [`sample_candidates_into`].
 pub fn sample_candidates(
     features: &[u32],
     batch_freqs: &[f32],
@@ -57,11 +59,31 @@ pub fn sample_candidates(
     strategy: SamplingStrategy,
     rng: &mut impl Rng,
 ) -> Vec<u32> {
+    let mut out = Vec::new();
+    sample_candidates_into(features, batch_freqs, rate, strategy, rng, &mut out);
+    out
+}
+
+/// [`sample_candidates`] writing the sample into a caller-owned buffer
+/// (cleared first), with the same RNG draws. Under the Uniform strategy —
+/// the training default — a buffer with capacity for `features` makes the
+/// call allocation-free; the weighted strategies still build their alias
+/// table per call.
+pub fn sample_candidates_into(
+    features: &[u32],
+    batch_freqs: &[f32],
+    rate: f64,
+    strategy: SamplingStrategy,
+    rng: &mut impl Rng,
+    out: &mut Vec<u32>,
+) {
     assert_eq!(features.len(), batch_freqs.len(), "parallel slices required");
     assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
     let n = features.len();
+    out.clear();
     if rate >= 1.0 || n <= 1 {
-        return features.to_vec();
+        out.extend_from_slice(features);
+        return;
     }
     let keep = ((rate * n as f64).ceil() as usize).clamp(1, n);
 
@@ -69,16 +91,15 @@ pub fn sample_candidates(
         SamplingStrategy::Uniform => {
             // Partial Fisher–Yates: the first `keep` positions of a uniform
             // shuffle are a uniform sample without replacement.
-            let mut pool: Vec<u32> = features.to_vec();
+            out.extend_from_slice(features);
             for i in 0..keep {
                 let j = rng.random_range(i..n);
-                pool.swap(i, j);
+                out.swap(i, j);
             }
-            pool.truncate(keep);
-            pool
+            out.truncate(keep);
         }
         SamplingStrategy::Frequency => {
-            weighted_with_replacement_dedup(features, batch_freqs, keep, rng)
+            weighted_with_replacement_dedup(features, batch_freqs, keep, rng, out)
         }
         SamplingStrategy::Zipfian => {
             // Rank by decreasing batch frequency, then weight rank `r` with
@@ -93,7 +114,7 @@ pub fn sample_candidates(
             let weights: Vec<f32> = (0..n)
                 .map(|r| (((r + 2) as f32) / ((r + 1) as f32)).ln())
                 .collect();
-            weighted_with_replacement_dedup(&ranked, &weights, keep, rng)
+            weighted_with_replacement_dedup(&ranked, &weights, keep, rng, out)
         }
     }
 }
@@ -110,17 +131,16 @@ fn weighted_with_replacement_dedup(
     weights: &[f32],
     k: usize,
     rng: &mut impl Rng,
-) -> Vec<u32> {
+    out: &mut Vec<u32>,
+) {
     let table = fvae_tensor::dist::AliasTable::new(weights);
     let mut seen = fvae_sparse::FastHashSet::default();
-    let mut out = Vec::with_capacity(k);
     for _ in 0..k {
         let item = items[table.sample(rng)];
         if seen.insert(item) {
             out.push(item);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -264,6 +284,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let out = sample_candidates(&[42], &[1.0], 0.01, SamplingStrategy::Uniform, &mut rng);
         assert_eq!(out, vec![42]);
+    }
+
+    #[test]
+    fn into_reuses_a_sufficient_buffer_and_draws_the_same_sample() {
+        let (f, w) = features(200);
+        for s in SamplingStrategy::all() {
+            let mut out: Vec<u32> = Vec::with_capacity(f.len());
+            out.push(7); // stale content must be discarded
+            let (ptr, cap) = (out.as_ptr(), out.capacity());
+            for seed in 0..5 {
+                let expect = sample_candidates(&f, &w, 0.1, s, &mut StdRng::seed_from_u64(seed));
+                sample_candidates_into(&f, &w, 0.1, s, &mut StdRng::seed_from_u64(seed), &mut out);
+                assert_eq!(out, expect, "{s:?} seed {seed}");
+                assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap), "{s:?} reallocated the buffer");
+            }
+        }
     }
 }
 

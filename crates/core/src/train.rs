@@ -3,8 +3,8 @@
 
 use fvae_data::{split::shuffled_batches, MultiFieldDataset};
 use fvae_nn::{
-    Adam, AdamState, DenseGrads, GradClip, MlpGrads, SampledSoftmaxOutput, ShardedRowGrads,
-    SoftmaxBatch, Workspace,
+    Adam, AdamState, DenseGrads, GradClip, MlpGrads, RowGrads, SampledSoftmaxOutput, SoftmaxBatch,
+    Workspace,
 };
 use fvae_sparse::{FastHashMap, FastHashSet};
 use fvae_tensor::Matrix;
@@ -12,7 +12,7 @@ use fvae_tensor::Matrix;
 use crate::checkpoint::{Checkpointer, ResumePoint, SnapshotError, TrainProgress};
 use crate::model::{BatchInput, Fvae};
 use crate::observe::{PhaseNs, StepCtx, TrainObserver};
-use crate::sampling::sample_candidates;
+use crate::sampling::sample_candidates_into;
 
 /// Options for a crash-safe [`Fvae::train_checkpointed`] run.
 #[derive(Default)]
@@ -144,9 +144,9 @@ fn dur_ns(d: std::time::Duration) -> u64 {
 
 /// Per-step scratch for [`Fvae::train_batch`]. Owned by the optimizer state
 /// so every buffer of the hot path — activations, gradients, candidate sets,
-/// the sparse-gradient maps, and the [`Workspace`] arena behind the layers'
-/// `*_into` calls — survives across steps. After a warm-up step at each batch
-/// shape, a steady-state step performs no heap allocation.
+/// the sparse-gradient row panels, and the [`Workspace`] arena behind the
+/// layers' `*_into` calls — survives across steps. After a warm-up step at
+/// each batch shape, a steady-state step performs no heap allocation.
 #[derive(Default)]
 pub(crate) struct TrainScratch {
     ws: Workspace,
@@ -175,7 +175,7 @@ pub(crate) struct TrainScratch {
     dlogits: Matrix,
     dh_k: Matrix,
     db_dense: Vec<f32>,
-    head_dw: Vec<ShardedRowGrads>,
+    head_dw: Vec<RowGrads>,
     head_db: Vec<Vec<(usize, f32)>>,
     head_active: Vec<bool>,
     // KL / latent backward.
@@ -192,7 +192,7 @@ pub(crate) struct TrainScratch {
     extra_grads: MlpGrads,
     dx0: Matrix,
     bias_grad: Vec<f32>,
-    bag_grads: Vec<ShardedRowGrads>,
+    bag_grads: Vec<RowGrads>,
     /// Per-phase wall time of the most recent step (observability timeline).
     phases: PhaseNs,
 }
@@ -496,7 +496,7 @@ impl Fvae {
         let mut total_candidates = 0usize;
         sc.head_active.clear();
         sc.head_active.resize(n_fields, false);
-        sc.head_dw.resize_with(n_fields, ShardedRowGrads::default);
+        sc.head_dw.resize_with(n_fields, RowGrads::default);
         sc.head_db.resize_with(n_fields, Vec::new);
         for k in 0..n_fields {
             // Batch-unique features with in-batch frequencies (the batched
@@ -519,17 +519,17 @@ impl Fvae {
             sc.freqs.extend(sc.features.iter().map(|f| sc.freq[f]));
 
             // Feature sampling (§IV-C3) on the configured sparse fields.
-            sc.candidates.clear();
             if self.cfg.sampling.sampled_fields[k] && self.cfg.sampling.rate < 1.0 {
-                let sampled = sample_candidates(
+                sample_candidates_into(
                     &sc.features,
                     &sc.freqs,
                     self.cfg.sampling.rate,
                     self.cfg.sampling.strategy,
                     &mut self.rng,
+                    &mut sc.candidates,
                 );
-                sc.candidates.extend_from_slice(&sampled);
             } else {
+                sc.candidates.clear();
                 sc.candidates.extend_from_slice(&sc.features);
             }
             // Sampled-softmax uniform-negative pad: a few random vocabulary
@@ -686,7 +686,7 @@ impl Fvae {
             *dv *= 1.0 - y * y;
         }
         sc.dx0.col_sums_into(&mut sc.bias_grad);
-        sc.bag_grads.resize_with(n_fields, ShardedRowGrads::default);
+        sc.bag_grads.resize_with(n_fields, RowGrads::default);
         for k in 0..n_fields {
             self.bags[k].backward_sharded_into(
                 &sc.slots[k],
@@ -751,7 +751,7 @@ impl Fvae {
         let adam = *adam;
         for (k, grads) in sc.bag_grads.iter().enumerate() {
             let dim = self.bags[k].dim();
-            adam.step_rows(&mut opt_bags[k], self.bags[k].weights_mut(), dim, grads.merged());
+            adam.step_rows(&mut opt_bags[k], self.bags[k].weights_mut(), dim, grads);
         }
         adam.step_slice(opt_enc_bias, &mut self.enc_bias, &sc.bias_grad);
         if let Some(mlp) = self.enc_extra.as_mut() {
@@ -782,14 +782,7 @@ impl Fvae {
         for k in 0..self.cfg.n_fields {
             if sc.head_active[k] {
                 let dim = self.heads[k].dim();
-                // Candidate columns are batch-unique, so head shard maps
-                // hold disjoint slots — no merge, walk them in fixed order.
-                adam.step_rows_multi(
-                    &mut heads_w[k],
-                    self.heads[k].weights_mut(),
-                    dim,
-                    sc.head_dw[k].shard_maps(),
-                );
+                adam.step_rows(&mut heads_w[k], self.heads[k].weights_mut(), dim, &sc.head_dw[k]);
                 adam.step_scalars(&mut heads_b[k], self.heads[k].bias_mut(), &sc.head_db[k]);
             }
         }
@@ -821,14 +814,15 @@ impl Fvae {
 pub struct FvaeOptHandle(pub(crate) OptStates);
 
 impl FvaeOptHandle {
-    /// Cumulative count of scratch-arena allocations that could not be served
-    /// from pooled capacity. Flat across steps ⇒ the hot path is
-    /// allocation-free in steady state.
+    /// Cumulative count of scratch-arena requests that could not be served
+    /// from pooled capacity, plus sparse-gradient panel fills that had to
+    /// grow a buffer. Flat across steps ⇒ the hot path is allocation-free in
+    /// steady state.
     pub fn scratch_allocs(&self) -> u64 {
         let sc = &self.0.scratch;
         sc.ws.allocs()
-            + sc.head_dw.iter().map(ShardedRowGrads::allocs).sum::<u64>()
-            + sc.bag_grads.iter().map(ShardedRowGrads::allocs).sum::<u64>()
+            + sc.head_dw.iter().map(RowGrads::allocs).sum::<u64>()
+            + sc.bag_grads.iter().map(RowGrads::allocs).sum::<u64>()
     }
 
     /// Full scratch-arena counters after the most recent step.

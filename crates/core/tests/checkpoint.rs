@@ -40,6 +40,31 @@ fn config(ds: &MultiFieldDataset) -> FvaeConfig {
     cfg
 }
 
+/// `parity.rs`'s wide shape: batch 64 × width 32 × a 512-feature sampled
+/// field with negative padding, so the softmax head's panel GEMMs run
+/// sharded (the narrow shape stays under the serial-size shortcut) and the
+/// padding draws are part of the RNG state a resume must restore.
+fn wide_dataset() -> MultiFieldDataset {
+    TopicModelConfig {
+        n_users: 256,
+        n_topics: 3,
+        alpha: 0.15,
+        fields: vec![FieldSpec::new("ch", 12, 3, 1.0), FieldSpec::new("tag", 512, 12, 1.0)],
+        pair_prob: 0.0,
+        seed: 21,
+    }
+    .generate()
+}
+
+fn wide_config(ds: &MultiFieldDataset) -> FvaeConfig {
+    let mut cfg = config(ds);
+    cfg.enc_hidden = 32;
+    cfg.dec_hidden = vec![32];
+    cfg.batch_size = 64;
+    cfg.sampling.negative_pad = 0.1;
+    cfg
+}
+
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(name);
     let _ = fs::remove_dir_all(&dir);
@@ -50,13 +75,17 @@ fn fresh_dir(name: &str) -> PathBuf {
 /// the last epoch's loss accounting.
 fn uninterrupted() -> (Vec<u8>, u32, u32) {
     let ds = dataset();
-    let mut model = Fvae::new(config(&ds));
+    uninterrupted_on(&ds, config(&ds), 15)
+}
+
+fn uninterrupted_on(ds: &MultiFieldDataset, cfg: FvaeConfig, steps: u64) -> (Vec<u8>, u32, u32) {
+    let mut model = Fvae::new(cfg);
     let users: Vec<usize> = (0..ds.n_users()).collect();
     let outcome = model
-        .train_checkpointed(&ds, &users, 3, &mut NullObserver, TrainRun::default())
+        .train_checkpointed(ds, &users, 3, &mut NullObserver, TrainRun::default())
         .expect("no checkpointer, no I/O");
     assert!(outcome.completed);
-    assert_eq!(outcome.global_step, 15, "120 users / batch 24 = 5 steps x 3 epochs");
+    assert_eq!(outcome.global_step, steps, "ceil(users / batch) steps x 3 epochs");
     (
         model.to_bytes().to_vec(),
         outcome.last_epoch.recon.to_bits(),
@@ -66,19 +95,31 @@ fn uninterrupted() -> (Vec<u8>, u32, u32) {
 
 #[test]
 fn killed_and_resumed_run_is_bit_identical() {
-    let (ref_bytes, ref_recon, ref_kl) = uninterrupted();
-
+    // 120 users / batch 24 = 5 steps x 3 epochs; 256 / 64 = 4 x 3.
     let ds = dataset();
+    assert_killed_and_resumed_is_bit_identical(&ds, config(&ds), 15, "narrow");
+    let ds = wide_dataset();
+    assert_killed_and_resumed_is_bit_identical(&ds, wide_config(&ds), 12, "wide");
+}
+
+fn assert_killed_and_resumed_is_bit_identical(
+    ds: &MultiFieldDataset,
+    cfg: FvaeConfig,
+    steps: u64,
+    tag: &str,
+) {
+    let (ref_bytes, ref_recon, ref_kl) = uninterrupted_on(ds, cfg.clone(), steps);
+
     let users: Vec<usize> = (0..ds.n_users()).collect();
-    let dir = fresh_dir("fvae_ckpt_resume_test");
+    let dir = fresh_dir(&format!("fvae_ckpt_resume_test_{tag}"));
     let cp = Checkpointer::new(&dir, 3, 5).expect("create checkpointer");
 
-    // Phase 1: the "killed" run — stops mid-epoch after 7 of 15 steps
-    // (epoch 1, step 2 of 5) with a final snapshot.
-    let mut killed = Fvae::new(config(&ds));
+    // Phase 1: the "killed" run — stops mid-epoch after 7 steps (epoch 1,
+    // step 2 of 5 or 3 of 4) with a final snapshot.
+    let mut killed = Fvae::new(cfg);
     let outcome = killed
         .train_checkpointed(
-            &ds,
+            ds,
             &users,
             3,
             &mut NullObserver,
@@ -96,7 +137,7 @@ fn killed_and_resumed_run_is_bit_identical() {
     let (mut resumed, rp) = loaded.snapshot.into_resume();
     let outcome = resumed
         .train_checkpointed(
-            &ds,
+            ds,
             &users,
             3,
             &mut NullObserver,
@@ -104,7 +145,7 @@ fn killed_and_resumed_run_is_bit_identical() {
         )
         .expect("resumed run");
     assert!(outcome.completed);
-    assert_eq!(outcome.global_step, 15);
+    assert_eq!(outcome.global_step, steps);
 
     assert_eq!(
         resumed.to_bytes().to_vec(),

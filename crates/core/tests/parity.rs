@@ -3,11 +3,17 @@
 //! moments, RNG state, loss accounting, and every checkpoint byte.
 //!
 //! This holds because the pooled hot path never lets summation order depend
-//! on scheduling: output-disjoint kernels replay the serial operation
-//! sequence inside each shard, and every cross-sample reduction (multinomial
-//! loss, KL, embedding gradients) accumulates into a *fixed* number of
-//! shards combined in fixed order ([`fvae_pool::REDUCE_SHARDS`]), no matter
-//! how many workers ran them.
+//! on scheduling: output-disjoint kernels (the GEMMs, the embedding-bag and
+//! softmax-head gradient panels, sparse Adam) replay the serial operation
+//! sequence inside each shard, and the scalar cross-sample reductions
+//! (multinomial loss, KL) accumulate into a *fixed* number of shards combined
+//! in fixed order ([`fvae_pool::REDUCE_SHARDS`]), no matter how many workers
+//! ran them.
+//!
+//! Two shapes run: the narrow one keeps every GEMM under the tensor crate's
+//! serial-size shortcut, the wide one (batch 64 × width 32 × a few hundred
+//! candidates) is large enough that the head's panel GEMMs really dispatch
+//! through the pool.
 
 use std::fs;
 use std::path::PathBuf;
@@ -17,12 +23,27 @@ use fvae_core::{
 };
 use fvae_data::{FieldSpec, MultiFieldDataset, TopicModelConfig};
 
-fn dataset() -> MultiFieldDataset {
+/// One dataset + config to hold parity on.
+struct Shape {
+    tag: &'static str,
+    ds: MultiFieldDataset,
+    cfg: FvaeConfig,
+    /// Optimizer steps of the 3-epoch run.
+    steps: u64,
+    /// Lower bound on the mean candidates per step, so a shape that claims
+    /// to reach the pooled GEMMs cannot silently shrink below them.
+    min_candidates: f64,
+}
+
+fn dataset(n_users: usize, tag_vocab: usize, tags_per_user: usize) -> MultiFieldDataset {
     TopicModelConfig {
-        n_users: 120,
+        n_users,
         n_topics: 3,
         alpha: 0.15,
-        fields: vec![FieldSpec::new("ch", 12, 3, 1.0), FieldSpec::new("tag", 48, 5, 1.0)],
+        fields: vec![
+            FieldSpec::new("ch", 12, 3, 1.0),
+            FieldSpec::new("tag", tag_vocab, tags_per_user, 1.0),
+        ],
         pair_prob: 0.0,
         seed: 33,
     }
@@ -32,8 +53,9 @@ fn dataset() -> MultiFieldDataset {
 /// Exercises every RNG consumer on the training path (dropout,
 /// reparametrization, feature sampling, negative padding) plus every pooled
 /// kernel, so parity here covers the whole hot path.
-fn config(ds: &MultiFieldDataset) -> FvaeConfig {
-    let mut cfg = FvaeConfig::for_dataset(ds);
+fn narrow() -> Shape {
+    let ds = dataset(120, 48, 5);
+    let mut cfg = FvaeConfig::for_dataset(&ds);
     cfg.latent_dim = 8;
     cfg.enc_hidden = 16;
     cfg.dec_hidden = vec![16];
@@ -42,7 +64,26 @@ fn config(ds: &MultiFieldDataset) -> FvaeConfig {
     cfg.anneal_steps = 20;
     cfg.sampling.rate = 0.6;
     cfg.sampling.sampled_fields = vec![false, true];
-    cfg
+    Shape { tag: "narrow", ds, cfg, steps: 15, min_candidates: 0.0 }
+}
+
+/// The narrow shape's head GEMMs are 24 × 16 × ≤ 48 ≈ 18 k multiply-adds,
+/// under the 32 k serial shortcut at every thread count. Here the sampled
+/// 512-feature field gives 64 × 32 × (> 100 candidates) ≥ 200 k, so `H · Wcᵀ`,
+/// `∂logits · Wc` and `∂logitsᵀ · H` all run sharded.
+fn wide() -> Shape {
+    let ds = dataset(256, 512, 12);
+    let mut cfg = FvaeConfig::for_dataset(&ds);
+    cfg.latent_dim = 8;
+    cfg.enc_hidden = 32;
+    cfg.dec_hidden = vec![32];
+    cfg.batch_size = 64;
+    cfg.dropout = 0.1;
+    cfg.anneal_steps = 20;
+    cfg.sampling.rate = 0.6;
+    cfg.sampling.sampled_fields = vec![false, true];
+    cfg.sampling.negative_pad = 0.1;
+    Shape { tag: "wide", ds, cfg, steps: 12, min_candidates: 112.0 }
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -59,19 +100,19 @@ struct RunArtifacts {
     snapshots: Vec<(String, Vec<u8>, Vec<u8>)>,
 }
 
-fn train_at(threads: usize, dir_name: &str) -> RunArtifacts {
+fn train_at(threads: usize, shape: &Shape) -> RunArtifacts {
     fvae_pool::set_parallelism(threads);
     // The global pool's capacity floor (MIN_GLOBAL_CAPACITY = 4) guarantees
     // these thread counts are honored even on small CI runners.
     assert_eq!(fvae_pool::parallelism(), threads, "global pool must accept {threads} threads");
-    let ds = dataset();
+    let ds = &shape.ds;
     let users: Vec<usize> = (0..ds.n_users()).collect();
-    let dir = fresh_dir(dir_name);
+    let dir = fresh_dir(&format!("fvae_parity_{}_t{threads}", shape.tag));
     let cp = Checkpointer::new(&dir, 3, 10).expect("create checkpointer");
-    let mut model = Fvae::new(config(&ds));
+    let mut model = Fvae::new(shape.cfg.clone());
     let outcome = model
         .train_checkpointed(
-            &ds,
+            ds,
             &users,
             3,
             &mut NullObserver,
@@ -79,7 +120,13 @@ fn train_at(threads: usize, dir_name: &str) -> RunArtifacts {
         )
         .expect("checkpointed run");
     assert!(outcome.completed);
-    assert_eq!(outcome.global_step, 15, "120 users / batch 24 = 5 steps x 3 epochs");
+    assert_eq!(outcome.global_step, shape.steps, "ceil(users / batch) steps x 3 epochs");
+    assert!(
+        outcome.last_epoch.mean_candidates >= shape.min_candidates,
+        "{} shape trains on {} candidates a step",
+        shape.tag,
+        outcome.last_epoch.mean_candidates
+    );
 
     let mut names: Vec<String> = fs::read_dir(&dir)
         .expect("read checkpoint dir")
@@ -105,11 +152,19 @@ fn train_at(threads: usize, dir_name: &str) -> RunArtifacts {
     }
 }
 
+/// One test for both shapes: they share the global pool's parallelism, so
+/// they must not run concurrently.
 #[test]
 fn training_is_bit_identical_at_1_2_and_4_threads() {
-    let reference = train_at(1, "fvae_parity_t1");
+    for shape in [narrow(), wide()] {
+        assert_parity(&shape);
+    }
+}
+
+fn assert_parity(shape: &Shape) {
+    let reference = train_at(1, shape);
     for threads in [2usize, 4] {
-        let got = train_at(threads, &format!("fvae_parity_t{threads}"));
+        let got = train_at(threads, shape);
         assert_eq!(
             got.model_bytes, reference.model_bytes,
             "weights + hash tables + anneal state must be bit-identical at {threads} threads"

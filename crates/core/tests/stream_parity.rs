@@ -11,6 +11,10 @@
 //!    to a final checkpoint byte-identical to the uninterrupted run:
 //!    batches are a pure function of consumed log bytes, and the snapshot
 //!    carries everything else (weights, Adam moments, RNG, progress).
+//!
+//! Both run at two shapes, as `parity.rs` does: a narrow one whose GEMMs all
+//! take the serial-size shortcut, and a wide one (64-user windows × width 32
+//! × a 512-feature sampled field) whose head GEMMs dispatch through the pool.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,40 +26,77 @@ use fvae_data::{
     TopicModelConfig,
 };
 
-const BATCH_USERS: usize = 24;
 const CKPT_EVERY: u64 = 4;
 
-fn phase(n_users: usize, seed: u64) -> MultiFieldDataset {
-    TopicModelConfig {
-        n_users,
-        n_topics: 3,
-        alpha: 0.15,
-        fields: vec![FieldSpec::new("ch", 12, 3, 1.0), FieldSpec::new("tag", 48, 5, 1.0)],
-        pair_prob: 0.0,
-        seed,
-    }
-    .generate()
+/// Window size, hidden width and the sampled "tag" field of one run.
+#[derive(Clone, Copy)]
+struct Shape {
+    tag: &'static str,
+    batch_users: usize,
+    phase_users: usize,
+    hidden: usize,
+    tag_vocab: usize,
+    tags_per_user: usize,
+    negative_pad: f64,
 }
 
-fn config(ds: &MultiFieldDataset) -> FvaeConfig {
-    let mut cfg = FvaeConfig::for_dataset(ds);
-    cfg.latent_dim = 8;
-    cfg.enc_hidden = 16;
-    cfg.dec_hidden = vec![16];
-    cfg.batch_size = BATCH_USERS;
-    cfg.dropout = 0.1;
-    cfg.anneal_steps = 20;
-    cfg.sampling.rate = 0.6;
-    cfg.sampling.sampled_fields = vec![false, true];
-    cfg
+const NARROW: Shape = Shape {
+    tag: "narrow",
+    batch_users: 24,
+    phase_users: 96,
+    hidden: 16,
+    tag_vocab: 48,
+    tags_per_user: 5,
+    negative_pad: 0.0,
+};
+
+const WIDE: Shape = Shape {
+    tag: "wide",
+    batch_users: 64,
+    phase_users: 256,
+    hidden: 32,
+    tag_vocab: 512,
+    tags_per_user: 12,
+    negative_pad: 0.1,
+};
+
+impl Shape {
+    fn phase(&self, seed: u64) -> MultiFieldDataset {
+        TopicModelConfig {
+            n_users: self.phase_users,
+            n_topics: 3,
+            alpha: 0.15,
+            fields: vec![
+                FieldSpec::new("ch", 12, 3, 1.0),
+                FieldSpec::new("tag", self.tag_vocab, self.tags_per_user, 1.0),
+            ],
+            pair_prob: 0.0,
+            seed,
+        }
+        .generate()
+    }
+
+    fn config(&self, ds: &MultiFieldDataset) -> FvaeConfig {
+        let mut cfg = FvaeConfig::for_dataset(ds);
+        cfg.latent_dim = 8;
+        cfg.enc_hidden = self.hidden;
+        cfg.dec_hidden = vec![self.hidden];
+        cfg.batch_size = self.batch_users;
+        cfg.dropout = 0.1;
+        cfg.anneal_steps = 20;
+        cfg.sampling.rate = 0.6;
+        cfg.sampling.sampled_fields = vec![false, true];
+        cfg.sampling.negative_pad = self.negative_pad;
+        cfg
+    }
 }
 
 /// Writes the two-phase log: phase A users 0.., then phase B from a
 /// different generator seed under a disjoint user-id base — never-seen
 /// users (and the tokens their topics favor) arrive mid-stream.
-fn write_log(path: &Path) -> MultiFieldDataset {
-    let a = phase(96, 101);
-    let b = phase(96, 909);
+fn write_log(path: &Path, shape: &Shape) -> MultiFieldDataset {
+    let a = shape.phase(101);
+    let b = shape.phase(909);
     let mut w = EventLogWriter::create(path).expect("create log");
     w.append(&dataset_to_events(&a, 0, 2, 7)).expect("append phase A");
     w.append(&dataset_to_events(&b, 1_000, 2, 8)).expect("append phase B");
@@ -122,21 +163,21 @@ fn latest_bytes(dir: &Path) -> (String, Vec<u8>) {
     (name, bytes)
 }
 
-fn stream_train_at(threads: usize, tag: &str) -> (String, Vec<u8>, u64) {
+fn stream_train_at(threads: usize, shape: &Shape) -> (String, Vec<u8>, u64) {
     fvae_pool::set_parallelism(threads);
     assert_eq!(fvae_pool::parallelism(), threads, "pool must accept {threads} threads");
-    let dir = fresh_dir(&format!("fvae_stream_parity_{tag}"));
+    let dir = fresh_dir(&format!("fvae_stream_parity_{}_t{threads}", shape.tag));
     fs::create_dir_all(&dir).expect("mkdir");
     let log = dir.join("events.fvlg");
-    let a = write_log(&log);
+    let a = write_log(&log, shape);
     let (names, vocabs) = schema(&a);
     let cp = Checkpointer::new(dir.join("ckpt"), CKPT_EVERY, 64).expect("checkpointer");
 
-    let mut trainer = StreamTrainer::new(Fvae::new(config(&a)), LOG_HEADER_LEN);
+    let mut trainer = StreamTrainer::new(Fvae::new(shape.config(&a)), LOG_HEADER_LEN);
     let mut reader = EventLogReader::open(&log, LOG_HEADER_LEN).expect("open log");
-    let mut batcher = StreamBatcher::new(names, vocabs, BATCH_USERS);
+    let mut batcher = StreamBatcher::new(names, vocabs, shape.batch_users);
     let steps = drain(&mut trainer, &mut reader, &mut batcher, &cp, None);
-    assert!(steps >= 10, "two 96-user phases x2 repeats must seal >=10 windows, got {steps}");
+    assert!(steps >= 10, "two phases x2 repeats must seal >=10 windows, got {steps}");
     trainer.checkpoint(&cp).expect("final snapshot");
 
     let (name, bytes) = latest_bytes(cp.dir());
@@ -146,32 +187,42 @@ fn stream_train_at(threads: usize, tag: &str) -> (String, Vec<u8>, u64) {
 
 #[test]
 fn streaming_is_bit_identical_at_1_2_and_4_threads() {
-    let (ref_name, ref_bytes, ref_steps) = stream_train_at(1, "t1");
-    for threads in [2usize, 4] {
-        let (name, bytes, steps) = stream_train_at(threads, &format!("t{threads}"));
-        assert_eq!(steps, ref_steps, "same window schedule at {threads} threads");
-        assert_eq!(name, ref_name, "same final snapshot step at {threads} threads");
-        assert_eq!(
-            bytes, ref_bytes,
-            "streaming checkpoint must be byte-identical at {threads} threads"
-        );
+    for shape in [NARROW, WIDE] {
+        let (ref_name, ref_bytes, ref_steps) = stream_train_at(1, &shape);
+        for threads in [2usize, 4] {
+            let (name, bytes, steps) = stream_train_at(threads, &shape);
+            assert_eq!(steps, ref_steps, "same window schedule at {threads} threads");
+            assert_eq!(name, ref_name, "same final snapshot step at {threads} threads");
+            assert_eq!(
+                bytes, ref_bytes,
+                "streaming checkpoint must be byte-identical at {threads} threads"
+            );
+        }
     }
 }
 
 #[test]
 fn kill_and_resume_matches_uninterrupted_run() {
+    for shape in [NARROW, WIDE] {
+        assert_kill_and_resume(&shape);
+    }
+}
+
+fn assert_kill_and_resume(shape: &Shape) {
     fvae_pool::set_parallelism(1);
-    let dir = fresh_dir("fvae_stream_resume");
+    let dir = fresh_dir(&format!("fvae_stream_resume_{}", shape.tag));
     fs::create_dir_all(&dir).expect("mkdir");
     let log = dir.join("events.fvlg");
-    let a = write_log(&log);
+    let a = write_log(&log, shape);
     let (names, vocabs) = schema(&a);
+    let config = |ds: &MultiFieldDataset| shape.config(ds);
+    let batch_users = shape.batch_users;
 
     // Uninterrupted reference.
     let cp_ref = Checkpointer::new(dir.join("ref"), CKPT_EVERY, 64).expect("checkpointer");
     let mut trainer = StreamTrainer::new(Fvae::new(config(&a)), LOG_HEADER_LEN);
     let mut reader = EventLogReader::open(&log, LOG_HEADER_LEN).expect("open log");
-    let mut batcher = StreamBatcher::new(names.clone(), vocabs.clone(), BATCH_USERS);
+    let mut batcher = StreamBatcher::new(names.clone(), vocabs.clone(), batch_users);
     let total = drain(&mut trainer, &mut reader, &mut batcher, &cp_ref, None);
     trainer.checkpoint(&cp_ref).expect("final snapshot");
     let (ref_name, ref_bytes) = latest_bytes(cp_ref.dir());
@@ -186,7 +237,7 @@ fn kill_and_resume_matches_uninterrupted_run() {
             .expect("checkpointer");
         let mut trainer = StreamTrainer::new(Fvae::new(config(&a)), LOG_HEADER_LEN);
         let mut reader = EventLogReader::open(&log, LOG_HEADER_LEN).expect("open log");
-        let mut batcher = StreamBatcher::new(names.clone(), vocabs.clone(), BATCH_USERS);
+        let mut batcher = StreamBatcher::new(names.clone(), vocabs.clone(), batch_users);
         drain(&mut trainer, &mut reader, &mut batcher, &cp, Some(stop_after));
         drop((trainer, reader, batcher)); // the "kill": everything in memory is gone
 
@@ -196,7 +247,7 @@ fn kill_and_resume_matches_uninterrupted_run() {
         let stream = loaded.snapshot.stream_progress().expect("streaming snapshot");
         let mut trainer = StreamTrainer::resume(loaded.snapshot).expect("resume");
         let mut reader = EventLogReader::open(&log, stream.log_offset).expect("reopen at cursor");
-        let mut batcher = StreamBatcher::new(names.clone(), vocabs.clone(), BATCH_USERS);
+        let mut batcher = StreamBatcher::new(names.clone(), vocabs.clone(), batch_users);
         drain(&mut trainer, &mut reader, &mut batcher, &cp, None);
         trainer.checkpoint(&cp).expect("final snapshot");
 

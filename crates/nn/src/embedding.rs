@@ -7,17 +7,13 @@
 //! initialized row on first sight ("randomly initialized and pushed into the
 //! hash table"), so the model tracks a growing vocabulary without rebuilds.
 
-use fvae_pool::{SendPtr, ThreadPool, REDUCE_SHARDS};
-use fvae_sparse::{DynamicHashTable, FastHashMap};
+use fvae_pool::{SendPtr, ThreadPool};
+use fvae_sparse::DynamicHashTable;
 use fvae_tensor::dist::Gaussian;
 use fvae_tensor::Matrix;
 use rand::Rng;
 
-use crate::sharded::ShardedRowGrads;
-use crate::workspace::Workspace;
-
-/// Sparse gradient: dense slot index → gradient row of length `dim`.
-pub type RowGrads = FastHashMap<usize, Vec<f32>>;
+use crate::sharded::RowGrads;
 
 /// Embedding bag with dynamically growing vocabulary.
 #[derive(Clone, Debug)]
@@ -255,96 +251,65 @@ impl EmbeddingBag {
         });
     }
 
-    /// Backward pass: scatters `∂L/∂out` into per-slot gradient rows.
+    /// Backward pass: fills `grads` with `∂L/∂E[slot] = Σ v · ∂L/∂out[r]`
+    /// for every slot the batch touched.
     ///
-    /// `rows_slots`/`rows_vals` are the slot lists returned by
-    /// [`EmbeddingBag::forward_batch`] and the input values. Gradients for
-    /// slots hit by several rows accumulate.
-    pub fn backward(
-        &self,
-        rows_slots: &[Vec<u32>],
-        rows_vals: &[&[f32]],
-        dy: &Matrix,
-    ) -> RowGrads {
-        let mut grads = RowGrads::default();
-        self.backward_into(
-            rows_slots,
-            rows_vals.iter().copied(),
-            dy,
-            &mut grads,
-            &mut Workspace::new(),
-        );
-        grads
-    }
-
-    /// [`EmbeddingBag::backward`] reusing a caller-owned gradient map. Stale
-    /// rows from the previous step are drained back into `ws` first, so the
-    /// map's table capacity and every gradient row's heap buffer survive
-    /// across steps.
-    pub fn backward_into<'a>(
-        &self,
-        rows_slots: &[Vec<u32>],
-        rows_vals: impl Iterator<Item = &'a [f32]>,
-        dy: &Matrix,
-        grads: &mut RowGrads,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(rows_slots.len(), dy.rows(), "batch size mismatch");
-        for (_, g) in grads.drain() {
-            ws.recycle_vec(g);
-        }
-        for (r, (slots, vals)) in rows_slots.iter().zip(rows_vals).enumerate() {
-            let dy_row = dy.row(r);
-            for (&slot, &v) in slots.iter().zip(vals.iter()) {
-                let g = grads
-                    .entry(slot as usize)
-                    .or_insert_with(|| ws.take_vec(self.dim));
-                for (gi, &d) in g.iter_mut().zip(dy_row.iter()) {
-                    *gi += v * d;
-                }
-            }
-        }
-    }
-
-    /// Parallel backward pass over a **fixed** number of batch-row shards
-    /// ([`REDUCE_SHARDS`], independent of the thread count). Rows from
-    /// different samples can hit the same slot, so each shard scatters into
-    /// its own map and [`ShardedRowGrads::merge`] combines them in fixed
-    /// shard order — the summation sequence per slot depends only on the
-    /// batch, never on how many threads ran.
+    /// `rows_slots` are the slot lists recorded by the forward pass and
+    /// `rows_vals` the input values. Rows from different samples can hit the
+    /// same slot; [`RowGrads`] sums them by transposed index, one pool shard
+    /// per gradient row in serial batch-row order, so the bits depend only
+    /// on the batch, never on how many threads ran.
     pub fn backward_sharded_into(
         &self,
         rows_slots: &[Vec<u32>],
         rows_vals: &[Vec<f32>],
         dy: &Matrix,
-        grads: &mut ShardedRowGrads,
+        grads: &mut RowGrads,
         pool: &ThreadPool,
     ) {
-        assert_eq!(rows_slots.len(), dy.rows(), "batch size mismatch");
-        assert_eq!(rows_slots.len(), rows_vals.len(), "batch size mismatch");
-        grads.reset();
-        let dim = self.dim;
-        let batch = rows_slots.len();
-        pool.run_sharded(grads.shard_slots(), |s, (map, ws)| {
-            for r in fvae_pool::shard_range(batch, REDUCE_SHARDS, s, 1) {
-                let dy_row = dy.row(r);
-                for (&slot, &v) in rows_slots[r].iter().zip(rows_vals[r].iter()) {
-                    let g = map.entry(slot as usize).or_insert_with(|| ws.take_vec(dim));
-                    for (gi, &d) in g.iter_mut().zip(dy_row.iter()) {
-                        *gi += v * d;
-                    }
-                }
-            }
-        });
-        grads.merge(dim);
+        assert_eq!(dy.cols(), self.dim, "gradient width mismatch");
+        grads.scatter_add(rows_slots, rows_vals, dy, pool);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::oracle::{assert_panel_matches, assert_same_bits, MapGrads};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    impl EmbeddingBag {
+        /// The per-(row, feature) hash-map scatter the panel kernel
+        /// replaced: the differential oracle.
+        fn backward(&self, rows_slots: &[Vec<u32>], rows_vals: &[Vec<f32>], dy: &Matrix) -> MapGrads {
+            assert_eq!(rows_slots.len(), dy.rows(), "batch size mismatch");
+            let mut grads = MapGrads::default();
+            for (r, (slots, vals)) in rows_slots.iter().zip(rows_vals).enumerate() {
+                let dy_row = dy.row(r);
+                for (&slot, &v) in slots.iter().zip(vals.iter()) {
+                    let g = grads.entry(slot as usize).or_insert_with(|| vec![0.0; self.dim]);
+                    for (gi, &d) in g.iter_mut().zip(dy_row.iter()) {
+                        *gi += v * d;
+                    }
+                }
+            }
+            grads
+        }
+
+        fn backward_panel(
+            &self,
+            rows_slots: &[Vec<u32>],
+            rows_vals: &[Vec<f32>],
+            dy: &Matrix,
+            threads: usize,
+        ) -> RowGrads {
+            let mut grads = RowGrads::default();
+            self.backward_sharded_into(rows_slots, rows_vals, dy, &mut grads, &ThreadPool::new(threads));
+            grads
+        }
+    }
 
     #[test]
     fn forward_pools_weighted_rows() {
@@ -436,11 +401,12 @@ mod tests {
         let (out, slots) = bag.forward_batch(&rows, &mut rng);
         // Loss = Σ out² → dL/dout = 2·out.
         let dy = out.map(|v| 2.0 * v);
-        let vals_refs: Vec<&[f32]> = vec![&vals_a, &vals_b];
-        let grads = bag.backward(&slots, &vals_refs, &dy);
+        let vals = vec![vals_a.to_vec(), vals_b.to_vec()];
+        let grads = bag.backward_panel(&slots, &vals, &dy, 2);
+        assert_panel_matches(&grads, &bag.backward(&slots, &vals, &dy));
 
         let eps = 1e-3;
-        for (&slot, grad) in &grads {
+        for (slot, grad) in grads.iter() {
             for (d, &analytic) in grad.iter().enumerate() {
                 let idx = slot * 3 + d;
                 let orig = bag.weights[idx];
@@ -470,6 +436,7 @@ mod tests {
 
     #[test]
     fn sharded_forward_and_backward_match_serial_bits() {
+        let _backend = crate::test_sync::simd_backend_shared();
         let pool = ThreadPool::new(4);
         let batch = 13;
         let dim = 5;
@@ -503,22 +470,11 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        // Sharded backward merges to the same totals as the serial map
-        // (order differs from serial, so compare against an exact sum the
-        // shards must reproduce: run at 1 thread vs 4 threads).
+        // The backward panel carries the same bits at 1 and 4 threads.
         let dy = Matrix::from_fn(batch, dim, |r, c| (r as f32 - 2.0) * 0.5 + c as f32 * 0.125);
-        let serial_pool = ThreadPool::new(1);
-        let mut g1 = ShardedRowGrads::default();
-        bag_a.backward_sharded_into(&slots_a, &vals, &dy, &mut g1, &serial_pool);
-        let mut g4 = ShardedRowGrads::default();
-        bag_b.backward_sharded_into(&slots_b, &vals, &dy, &mut g4, &pool);
-        assert_eq!(g1.merged().len(), g4.merged().len());
-        for (slot, row) in g1.merged() {
-            let other = &g4.merged()[slot];
-            for (a, b) in row.iter().zip(other.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {slot} differs across thread counts");
-            }
-        }
+        let g1 = bag_a.backward_panel(&slots_a, &vals, &dy, 1);
+        let g4 = bag_b.backward_panel(&slots_b, &vals, &dy, 4);
+        assert_same_bits(&g1, &g4, "bag backward at 1 vs 4 threads");
     }
 
     #[test]
@@ -530,9 +486,48 @@ mod tests {
         let rows: Vec<(&[u64], &[f32])> = vec![(&ids, &ones), (&ids, &ones)];
         let (_, slots) = bag.forward_batch(&rows, &mut rng);
         let dy = Matrix::from_vec(2, 1, vec![1.0, 3.0]);
-        let vals_refs: Vec<&[f32]> = vec![&ones, &ones];
-        let grads = bag.backward(&slots, &vals_refs, &dy);
-        assert_eq!(grads.len(), 1);
-        assert!((grads[&0][0] - 4.0).abs() < 1e-6);
+        let grads = bag.backward_panel(&slots, &[ones.to_vec(), ones.to_vec()], &dy, 1);
+        assert_eq!(grads.slots(), &[0]);
+        assert!((grads.rows().get(0, 0) - 4.0).abs() < 1e-6);
+    }
+
+    proptest! {
+        /// The panel kernel against the hash-map oracle over random shapes:
+        /// widths off the SIMD lane count, odd batches, empty rows, features
+        /// repeated inside a row (tiny vocabularies), and a batch that never
+        /// mentions the field (`max_per_row == 0`) — and the same bits at
+        /// every thread count.
+        #[test]
+        fn panel_backward_matches_the_map_oracle_at_any_thread_count(
+            batch in 1usize..24,
+            dim in 1usize..21,
+            vocab in 1u64..12,
+            max_per_row in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let _backend = crate::test_sync::simd_backend_shared();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bag = EmbeddingBag::new(dim, 0.3);
+            let ids: Vec<Vec<u64>> = (0..batch)
+                .map(|_| {
+                    let n = rng.random_range(0..=max_per_row);
+                    (0..n).map(|_| rng.random_range(0..vocab)).collect()
+                })
+                .collect();
+            let vals: Vec<Vec<f32>> =
+                ids.iter().map(|r| r.iter().map(|_| rng.random_range(-2.0f32..2.0)).collect()).collect();
+            let mut out = Matrix::zeros(batch, dim);
+            let mut slots = Vec::new();
+            bag.accumulate_batch_sharded(&ids, &vals, &mut rng, &mut out, &mut slots, &ThreadPool::new(1));
+            let dy = Matrix::from_fn(batch, dim, |_, _| rng.random_range(-1.0f32..1.0));
+
+            let serial = bag.backward_panel(&slots, &vals, &dy, 1);
+            assert_panel_matches(&serial, &bag.backward(&slots, &vals, &dy));
+            prop_assert_eq!(serial.rows().shape(), (serial.len(), dim));
+            for threads in [2usize, 4, 7] {
+                let pooled = bag.backward_panel(&slots, &vals, &dy, threads);
+                assert_same_bits(&serial, &pooled, "bag backward across thread counts");
+            }
+        }
     }
 }

@@ -14,6 +14,10 @@
 //!   (§IV-C3); the samplers live in `fvae-core` since they are part of the
 //!   FVAE training loop, not of the layer.
 //!
+//! Both sparse layers hand their gradients to the optimizer as a [`RowGrads`]
+//! row panel — the batch's unique slots plus one contiguous `n × dim` matrix
+//! — which [`Adam::step_rows`] applies lazily, touching only those rows.
+//!
 //! Everything is explicit forward/backward pairs over [`fvae_tensor::Matrix`];
 //! correctness is pinned by finite-difference gradient checks in each
 //! module's tests.
@@ -33,10 +37,29 @@ pub mod workspace;
 pub use activation::Activation;
 pub use dense::{Dense, DenseGrads};
 pub use dropout::Dropout;
-pub use embedding::{EmbeddingBag, RowGrads};
+pub use embedding::EmbeddingBag;
 pub use mlp::{Mlp, MlpGrads};
 pub use optim::{Adam, AdamState, GradClip, Sgd};
 pub use quant::{fast_tanh, quantize_symmetric, QuantScratch, QuantizedDense};
-pub use sharded::ShardedRowGrads;
+pub use sharded::{RowGrads, ShardedRowGrads};
 pub use softmax_out::{SampledSoftmaxOutput, SoftmaxBatch};
 pub use workspace::{Workspace, WorkspaceStats};
+
+/// The SIMD backend is process-wide state and `cargo test` runs this crate's
+/// tests on parallel threads: a test that compares bits between two kernel
+/// calls holds [`test_sync::simd_backend_shared`], the one test that switches
+/// the backend holds [`test_sync::simd_backend_exclusive`].
+#[cfg(test)]
+pub(crate) mod test_sync {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static SIMD_BACKEND: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn simd_backend_shared() -> RwLockReadGuard<'static, ()> {
+        SIMD_BACKEND.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn simd_backend_exclusive() -> RwLockWriteGuard<'static, ()> {
+        SIMD_BACKEND.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}

@@ -7,9 +7,10 @@
 //! parameter-server trick that keeps the update cost proportional to the
 //! batch's active feature count rather than the vocabulary size.
 
+use fvae_pool::SendPtr;
 use fvae_tensor::Matrix;
 
-use crate::embedding::RowGrads;
+use crate::sharded::RowGrads;
 
 /// Plain stochastic gradient descent.
 #[derive(Clone, Copy, Debug)]
@@ -140,6 +141,11 @@ impl Adam {
     /// Lazy sparse update: only rows present in `row_grads` are touched.
     /// `param` is a `vocab × dim` buffer that may have grown since the last
     /// step; moment buffers grow to match.
+    ///
+    /// The panel's rows fan out across the global pool. Its slots are unique,
+    /// so every shard updates parameter and moment rows no other shard
+    /// touches, each from its own gradient row alone — bit-identical at any
+    /// thread count.
     pub fn step_rows(
         &self,
         state: &mut AdamState,
@@ -149,51 +155,40 @@ impl Adam {
     ) {
         state.ensure_len(param.len());
         state.t += 1;
-        let corr1 = 1.0 - self.beta1.powi(state.t as i32);
-        let corr2 = 1.0 - self.beta2.powi(state.t as i32);
-        for (&slot, grad) in row_grads {
-            let start = slot * dim;
-            debug_assert!(start + dim <= param.len(), "slot beyond parameter buffer");
-            for (d, &g) in grad.iter().enumerate().take(dim) {
-                let i = start + d;
-                self.apply_one(&mut param[i], g, &mut state.m[i], &mut state.v[i], corr1, corr2);
-            }
+        let n = row_grads.len();
+        if n == 0 {
+            return;
         }
-    }
-
-    /// [`Adam::step_rows`] over several gradient maps holding **disjoint**
-    /// slot sets (the fixed-shard maps of a column-sharded backward pass).
-    /// The bias-correction step `t` advances once for the whole group, and
-    /// per-slot updates are independent, so walking the maps in any order
-    /// yields the same bits as a single combined map.
-    pub fn step_rows_multi<'a>(
-        &self,
-        state: &mut AdamState,
-        param: &mut [f32],
-        dim: usize,
-        grad_maps: impl Iterator<Item = &'a RowGrads>,
-    ) {
-        state.ensure_len(param.len());
-        state.t += 1;
+        let (slots, grads) = (row_grads.slots(), row_grads.rows());
+        assert_eq!(grads.cols(), dim, "gradient panel width mismatch");
         let corr1 = 1.0 - self.beta1.powi(state.t as i32);
         let corr2 = 1.0 - self.beta2.powi(state.t as i32);
-        for row_grads in grad_maps {
-            for (&slot, grad) in row_grads {
-                let start = slot * dim;
-                debug_assert!(start + dim <= param.len(), "slot beyond parameter buffer");
-                for (d, &g) in grad.iter().enumerate().take(dim) {
-                    let i = start + d;
-                    self.apply_one(
-                        &mut param[i],
-                        g,
-                        &mut state.m[i],
-                        &mut state.v[i],
-                        corr1,
-                        corr2,
-                    );
+        let len = param.len();
+        let p = SendPtr::new(param.as_mut_ptr());
+        let m = SendPtr::new(state.m.as_mut_ptr());
+        let v = SendPtr::new(state.v.as_mut_ptr());
+        let pool = fvae_pool::global();
+        let n_shards = fvae_pool::balanced_shards(n, pool.parallelism());
+        pool.run(n_shards, |s| {
+            for i in fvae_pool::shard_range(n, n_shards, s, 1) {
+                let start = slots[i] as usize * dim;
+                assert!(start + dim <= len, "slot beyond parameter buffer");
+                // SAFETY: the range is inside `param` (checked above) and
+                // inside `m`/`v`, which `ensure_len` made at least as long.
+                // A `RowGrads` panel holds each slot once and shard ranges
+                // are disjoint, so no other shard touches these rows.
+                let (p, m, v) = unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(p.get().add(start), dim),
+                        std::slice::from_raw_parts_mut(m.get().add(start), dim),
+                        std::slice::from_raw_parts_mut(v.get().add(start), dim),
+                    )
+                };
+                for (((p, &g), m), v) in p.iter_mut().zip(grads.row(i)).zip(m).zip(v) {
+                    self.apply_one(p, g, m, v, corr1, corr2);
                 }
             }
-        }
+        });
     }
 
     /// Lazy sparse update of scalar-per-slot parameters (output biases).
@@ -307,6 +302,46 @@ mod tests {
         grads2.insert(1, vec![1.0, 1.0]);
         adam.step_rows(&mut state, &mut table, 2, &grads2);
         assert!(table[2] < 0.0 && table[3] < 0.0);
+    }
+
+    #[test]
+    fn sparse_rows_match_the_dense_step_at_any_thread_count() {
+        // Touching every slot through the panel must equal the dense update
+        // of the same gradient, whatever the pool's parallelism.
+        let (vocab, dim) = (37usize, 5usize);
+        let adam = Adam::new(0.05);
+        let grad: Vec<f32> = (0..vocab * dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut grads = RowGrads::default();
+        for slot in (0..vocab).rev() {
+            grads.insert(slot, grad[slot * dim..(slot + 1) * dim].to_vec());
+        }
+        let mut dense = vec![0.5f32; vocab * dim];
+        let mut dense_state = AdamState::default();
+        for _ in 0..3 {
+            adam.step_slice(&mut dense_state, &mut dense, &grad);
+        }
+        let pool = fvae_pool::global();
+        let before = pool.parallelism();
+        for threads in [1usize, 2, 4] {
+            pool.set_parallelism(threads);
+            let mut table = vec![0.5f32; vocab * dim];
+            let mut state = AdamState::default();
+            for _ in 0..3 {
+                adam.step_rows(&mut state, &mut table, dim, &grads);
+            }
+            for (a, b) in table.iter().zip(&dense) {
+                assert_eq!(a.to_bits(), b.to_bits(), "sparse and dense Adam differ at {threads} threads");
+            }
+        }
+        pool.set_parallelism(before);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot beyond parameter buffer")]
+    fn sparse_rows_refuse_a_slot_outside_the_table() {
+        let mut grads = RowGrads::default();
+        grads.insert(3, vec![1.0, 1.0]);
+        Adam::new(0.1).step_rows(&mut AdamState::default(), &mut [0.0f32; 6], 2, &grads);
     }
 
     #[test]

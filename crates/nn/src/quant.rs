@@ -254,6 +254,7 @@ mod tests {
         let q = QuantizedDense::from_dense(&layer);
         let x = Matrix::glorot_uniform(5, 48, &mut rng);
         let mut scratch = QuantScratch::default();
+        let _backend = crate::test_sync::simd_backend_exclusive();
         let original = simd::active();
         let mut runs: Vec<Vec<u32>> = Vec::new();
         for backend in [simd::scalar(), simd::detected()] {

@@ -18,9 +18,17 @@ use fvae_tensor::dist::Gaussian;
 use fvae_tensor::Matrix;
 use rand::Rng;
 
-use crate::embedding::RowGrads;
-use crate::sharded::ShardedRowGrads;
-use crate::workspace::Workspace;
+use crate::sharded::RowGrads;
+
+/// From this many candidates on, the logits `H · Wcᵀ` run through the
+/// register-tiled [`Matrix::matmul_into`] on a transposed copy of the
+/// candidate panel; below it, as per-element dots
+/// ([`Matrix::matmul_transb_into`]). The tiled kernel's inner loop runs over
+/// output columns and a handful of them cannot fill it: at 256 × 1024 × 7 it
+/// takes 480–1050 µs against 90–110 µs as dots, at 256 × 128 × 180 it wins
+/// 230 µs to 320–510 µs, and the two cross between 64 and 128 columns. Which
+/// kernel runs follows the candidate count alone, never the thread count.
+const TILED_MIN_CANDIDATES: usize = 64;
 
 /// Cached state of one batched-softmax forward pass.
 #[derive(Clone, Debug, Default)]
@@ -29,6 +37,13 @@ pub struct SoftmaxBatch {
     pub probs: Matrix,
     /// Weight-table slot of each candidate column.
     pub slots: Vec<u32>,
+    /// The candidates' weight rows, gathered once per forward pass: `C × dim`
+    /// for the backward GEMMs, and transposed (`dim × C`) for the tiled
+    /// logits kernel.
+    wc: Matrix,
+    wc_t: Matrix,
+    /// The candidates' biases, parallel to `slots`.
+    bias: Vec<f32>,
 }
 
 /// Softmax output head over a dynamically growing feature vocabulary.
@@ -127,7 +142,7 @@ impl SampledSoftmaxOutput {
         candidate_ids: &[u64],
         rng: &mut impl Rng,
     ) -> SoftmaxBatch {
-        let mut out = SoftmaxBatch { probs: Matrix::zeros(0, 0), slots: Vec::new() };
+        let mut out = SoftmaxBatch::default();
         self.forward_into(h, candidate_ids, rng, &mut out);
         out
     }
@@ -136,10 +151,11 @@ impl SampledSoftmaxOutput {
     /// cache whose probability matrix and slot list are reused across steps.
     ///
     /// Candidate insertion stays serial (it consumes the RNG, so its order is
-    /// part of the determinism contract); the per-row logit + softmax work
-    /// then fans out across the global pool. Each shard owns disjoint output
-    /// rows and the per-row candidate walk matches the serial kernel, so the
-    /// probabilities are bit-identical at every thread count.
+    /// part of the determinism contract). The candidates' weight rows are then
+    /// gathered into one contiguous panel kept in `out`, the logits are a
+    /// single `H · Wcᵀ` GEMM (see [`TILED_MIN_CANDIDATES`]), and bias +
+    /// softmax fan out across the global pool one output row per shard —
+    /// bit-identical at every thread count.
     pub fn forward_into(
         &mut self,
         h: &Matrix,
@@ -154,23 +170,31 @@ impl SampledSoftmaxOutput {
             let slot = self.slot_or_insert(id, rng) as u32;
             out.slots.push(slot);
         }
-        let SoftmaxBatch { probs, slots } = out;
-        let rows = h.rows();
-        let c = slots.len();
-        let dim = self.dim;
-        let (weights, bias) = (&self.weights, &self.bias);
-        probs.resize_zeroed(rows, c);
+        let SoftmaxBatch { probs, slots, wc, wc_t, bias } = out;
+        let (rows, c, dim) = (h.rows(), slots.len(), self.dim);
+        wc.resize_zeroed(c, dim);
+        bias.clear();
+        for (j, &slot) in slots.iter().enumerate() {
+            wc.row_mut(j).copy_from_slice(self.weight_row(slot as usize));
+            bias.push(self.bias[slot as usize]);
+        }
+        if c < TILED_MIN_CANDIDATES {
+            h.matmul_transb_into(wc, probs);
+        } else {
+            wc.transpose_into(wc_t);
+            h.matmul_into(wc_t, probs);
+        }
+        let bias: &[f32] = bias;
         let pool = fvae_pool::global();
         let n_shards = fvae_pool::balanced_shards(rows, pool.parallelism());
         let base = SendPtr::new(probs.as_mut_slice().as_mut_ptr());
         pool.run(n_shards, |s| {
             for r in fvae_pool::shard_range(rows, n_shards, s, 1) {
-                let h_row = h.row(r);
+                // SAFETY: `probs` is `rows × c` and `r < rows`; shard ranges
+                // are disjoint, so this row has no other writer.
                 let row = unsafe { std::slice::from_raw_parts_mut(base.get().add(r * c), c) };
-                for (o, &slot) in row.iter_mut().zip(slots.iter()) {
-                    let slot = slot as usize;
-                    let w = &weights[slot * dim..(slot + 1) * dim];
-                    *o = fvae_tensor::ops::dot(h_row, w) + bias[slot];
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o += b;
                 }
                 fvae_tensor::ops::softmax_in_place(row);
             }
@@ -245,41 +269,15 @@ impl SampledSoftmaxOutput {
         partials.iter().sum::<f64>() as f32
     }
 
-    /// Backward pass from logit gradients.
-    ///
-    /// Returns `∂L/∂h` plus sparse weight/bias gradients keyed by slot.
-    pub fn backward(
-        &self,
-        h: &Matrix,
-        batch: &SoftmaxBatch,
-        dlogits: &Matrix,
-    ) -> (Matrix, RowGrads, Vec<(usize, f32)>) {
-        let mut dh = Matrix::zeros(0, 0);
-        let mut dw = RowGrads::default();
-        let mut db = Vec::new();
-        let mut db_dense = Vec::new();
-        self.backward_into(
-            h,
-            batch,
-            dlogits,
-            &mut dh,
-            &mut dw,
-            &mut db,
-            &mut db_dense,
-            &mut Workspace::new(),
-        );
-        (dh, dw, db)
-    }
-
-    /// [`SampledSoftmaxOutput::backward`] writing into caller-owned buffers.
-    /// The sparse weight-gradient map is drained back into `ws` before reuse.
-    /// `db_dense` is the per-candidate bias accumulator: it is caller-owned
-    /// (not pooled in `ws`) because its length follows the candidate count,
-    /// not the hidden dim — sharing the pool with the dim-sized row-gradient
-    /// vectors would let the large buffer get captured by a small request and
-    /// buried inside `dw`, forcing a fresh allocation every step.
+    /// Backward pass from logit gradients, as two GEMMs over the candidate
+    /// panel `batch` carries from [`Self::forward_into`] and one column sum:
+    /// `∂L/∂h = ∂logits · Wc`, `∂L/∂Wc = ∂logitsᵀ · H` written straight into
+    /// `dw` (whose slot list is `batch.slots` — candidates are batch-unique),
+    /// and `∂L/∂b` = the column sums of `∂logits` (`db_dense`, with its
+    /// non-zero entries listed by slot in `db`). Both GEMMs shard output rows
+    /// and replay the serial order, so the bits never follow the thread count.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_into(
+    pub fn backward_sharded_into(
         &self,
         h: &Matrix,
         batch: &SoftmaxBatch,
@@ -288,113 +286,18 @@ impl SampledSoftmaxOutput {
         dw: &mut RowGrads,
         db: &mut Vec<(usize, f32)>,
         db_dense: &mut Vec<f32>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(dlogits.shape(), batch.probs.shape(), "dlogits shape mismatch");
-        dh.resize_zeroed(h.rows(), self.dim);
-        for (_, g) in dw.drain() {
-            ws.recycle_vec(g);
-        }
-        db_dense.clear();
-        db_dense.resize(batch.slots.len(), 0.0);
-        for r in 0..h.rows() {
-            let h_row = h.row(r);
-            let d_row = dlogits.row(r);
-            let dh_row = dh.row_mut(r);
-            for ((&slot, &d), acc) in batch.slots.iter().zip(d_row.iter()).zip(db_dense.iter_mut())
-            {
-                if d == 0.0 {
-                    continue;
-                }
-                let slot = slot as usize;
-                let w = &self.weights[slot * self.dim..(slot + 1) * self.dim];
-                fvae_tensor::ops::axpy(d, w, dh_row);
-                let g = dw.entry(slot).or_insert_with(|| ws.take_vec(self.dim));
-                fvae_tensor::ops::axpy(d, h_row, g);
-                *acc += d;
-            }
-        }
-        db.clear();
-        db.extend(
-            batch
-                .slots
-                .iter()
-                .zip(db_dense.iter())
-                .filter(|&(_, &g)| g != 0.0)
-                .map(|(&slot, &g)| (slot as usize, g)),
-        );
-    }
-
-    /// Parallel [`SampledSoftmaxOutput::backward_into`] producing **the same
-    /// bits** as the serial kernel, in two output-disjoint passes:
-    ///
-    /// 1. **Row pass** (`∂L/∂h`): batch rows shard across the pool; within a
-    ///    row the candidate walk is the serial sequence.
-    /// 2. **Column pass** (`∂L/∂W`, bias accumulator): candidate *columns*
-    ///    cut into [`REDUCE_SHARDS`] fixed shards. Candidates are unique
-    ///    within a batch, so each slot's gradient lives in exactly one shard
-    ///    map — the optimizer consumes the maps directly via
-    ///    [`crate::Adam::step_rows_multi`], no merge — and for a fixed column
-    ///    the rows accumulate in ascending order, which is exactly the serial
-    ///    per-slot summation sequence.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_sharded_into(
-        &self,
-        h: &Matrix,
-        batch: &SoftmaxBatch,
-        dlogits: &Matrix,
-        dh: &mut Matrix,
-        dw: &mut ShardedRowGrads,
-        db: &mut Vec<(usize, f32)>,
-        db_dense: &mut Vec<f32>,
         pool: &ThreadPool,
     ) {
         assert_eq!(dlogits.shape(), batch.probs.shape(), "dlogits shape mismatch");
-        let rows = h.rows();
-        let dim = self.dim;
-        let ncand = batch.slots.len();
-        dh.resize_zeroed(rows, dim);
-        dw.reset();
-        db_dense.clear();
-        db_dense.resize(ncand, 0.0);
-
-        let n_shards = fvae_pool::balanced_shards(rows, pool.parallelism());
-        let base_dh = SendPtr::new(dh.as_mut_slice().as_mut_ptr());
-        pool.run(n_shards, |s| {
-            for r in fvae_pool::shard_range(rows, n_shards, s, 1) {
-                let d_row = dlogits.row(r);
-                let dh_row =
-                    unsafe { std::slice::from_raw_parts_mut(base_dh.get().add(r * dim), dim) };
-                for (&slot, &d) in batch.slots.iter().zip(d_row.iter()) {
-                    if d == 0.0 {
-                        continue;
-                    }
-                    let slot = slot as usize;
-                    let w = &self.weights[slot * dim..(slot + 1) * dim];
-                    fvae_tensor::ops::axpy(d, w, dh_row);
-                }
-            }
-        });
-
-        let base_db = SendPtr::new(db_dense.as_mut_slice().as_mut_ptr());
-        pool.run_sharded(dw.shard_slots(), |s, (map, ws)| {
-            for col in fvae_pool::shard_range(ncand, REDUCE_SHARDS, s, 1) {
-                let slot = batch.slots[col] as usize;
-                let mut acc = 0.0f32;
-                for r in 0..rows {
-                    let d = dlogits.get(r, col);
-                    if d == 0.0 {
-                        continue;
-                    }
-                    let g = map.entry(slot).or_insert_with(|| ws.take_vec(dim));
-                    fvae_tensor::ops::axpy(d, h.row(r), g);
-                    acc += d;
-                }
-                // Columns are shard-disjoint, so this write races nothing.
-                unsafe { *base_db.get().add(col) = acc };
-            }
-        });
-
+        assert_eq!(h.shape(), (dlogits.rows(), self.dim), "hidden state shape mismatch");
+        assert_eq!(
+            batch.wc.shape(),
+            (batch.slots.len(), self.dim),
+            "batch must come from this head's forward pass"
+        );
+        dlogits.matmul_into_with(&batch.wc, dh, pool);
+        dw.fill_transa_product(&batch.slots, dlogits, h, pool);
+        dlogits.col_sums_into(db_dense);
         db.clear();
         db.extend(
             batch
@@ -441,8 +344,60 @@ impl SampledSoftmaxOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::oracle::{assert_close, assert_panel_matches, assert_same_bits, MapGrads};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+
+    type BiasGrads = Vec<(usize, f32)>;
+
+    impl SampledSoftmaxOutput {
+        /// The per-(row, candidate) axpy kernel the panel GEMMs replaced,
+        /// scattering into a hash map: the differential oracle.
+        fn backward(&self, h: &Matrix, batch: &SoftmaxBatch, dlogits: &Matrix) -> (Matrix, MapGrads, BiasGrads) {
+            assert_eq!(dlogits.shape(), batch.probs.shape(), "dlogits shape mismatch");
+            let mut dh = Matrix::zeros(h.rows(), self.dim);
+            let mut dw = MapGrads::default();
+            let mut db_dense = vec![0.0f32; batch.slots.len()];
+            for r in 0..h.rows() {
+                let dh_row = dh.row_mut(r);
+                for ((&slot, &d), acc) in
+                    batch.slots.iter().zip(dlogits.row(r)).zip(db_dense.iter_mut())
+                {
+                    if d == 0.0 {
+                        continue;
+                    }
+                    let slot = slot as usize;
+                    fvae_tensor::ops::axpy(d, self.weight_row(slot), dh_row);
+                    let g = dw.entry(slot).or_insert_with(|| vec![0.0; self.dim]);
+                    fvae_tensor::ops::axpy(d, h.row(r), g);
+                    *acc += d;
+                }
+            }
+            let db = batch
+                .slots
+                .iter()
+                .zip(&db_dense)
+                .filter(|&(_, &g)| g != 0.0)
+                .map(|(&slot, &g)| (slot as usize, g))
+                .collect();
+            (dh, dw, db)
+        }
+
+        fn backward_panel(
+            &self,
+            h: &Matrix,
+            batch: &SoftmaxBatch,
+            dlogits: &Matrix,
+            threads: usize,
+        ) -> (Matrix, RowGrads, BiasGrads) {
+            let (mut dh, mut dw, mut db, mut db_dense) =
+                (Matrix::default(), RowGrads::default(), Vec::new(), Vec::new());
+            let pool = ThreadPool::new(threads);
+            self.backward_sharded_into(h, batch, dlogits, &mut dh, &mut dw, &mut db, &mut db_dense, &pool);
+            (dh, dw, db)
+        }
+    }
 
     fn setup() -> (SampledSoftmaxOutput, Matrix, Vec<u64>, StdRng) {
         let mut rng = StdRng::seed_from_u64(11);
@@ -501,14 +456,14 @@ mod tests {
                 }
                 fvae_tensor::ops::softmax_in_place(row);
             }
-            let batch = SoftmaxBatch { probs, slots };
+            let batch = SoftmaxBatch { probs, slots, ..Default::default() };
             SampledSoftmaxOutput::multinomial_loss(&batch, &targets).0
         };
 
         let batch = head.forward(&h, &ids, &mut rng);
         let (loss, dlogits) = SampledSoftmaxOutput::multinomial_loss(&batch, &targets);
         assert!(loss > 0.0);
-        let (dh, dw, db) = head.backward(&h, &batch, &dlogits);
+        let (dh, dw, db) = head.backward_panel(&h, &batch, &dlogits, 2);
 
         let eps = 1e-2;
         // Hidden-state gradient.
@@ -528,7 +483,7 @@ mod tests {
             );
         }
         // Weight gradient for a touched slot.
-        let (&slot, grad) = dw.iter().next().expect("some weight gradient");
+        let (slot, grad) = dw.iter().next().expect("some weight gradient");
         for (d, &analytic) in grad.iter().enumerate() {
             let idx = slot * 4 + d;
             let orig = head.weights[idx];
@@ -556,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backward_and_loss_match_serial_bits() {
+    fn loss_matches_serial_bits_at_any_thread_count() {
         let mut rng = StdRng::seed_from_u64(42);
         let mut head = SampledSoftmaxOutput::new(6, 0.3);
         let h = Matrix::glorot_uniform(9, 6, &mut rng);
@@ -566,14 +521,11 @@ mod tests {
             .map(|r| (0..(r % 3 + 1)).map(|j| (((r * 5 + j * 3) % 17) as u32, 1.0 + j as f32)).collect())
             .collect();
 
-        // Serial references.
         let mut dlogits_ref = Matrix::default();
         let serial_pool = ThreadPool::new(1);
         let loss_ref = SampledSoftmaxOutput::multinomial_loss_into_with(
             &batch, &targets, &mut dlogits_ref, &serial_pool,
         );
-        let (dh_ref, dw_ref, db_ref) = head.backward(&h, &batch, &dlogits_ref);
-
         for threads in [2usize, 4, 7] {
             let pool = ThreadPool::new(threads);
             let mut dlogits = Matrix::full(2, 3, 9.0);
@@ -583,26 +535,60 @@ mod tests {
             for (a, b) in dlogits.as_slice().iter().zip(dlogits_ref.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "dlogits differ at {threads} threads");
             }
+        }
+    }
 
-            let mut dh = Matrix::default();
-            let mut dw = ShardedRowGrads::default();
-            let mut db = Vec::new();
-            let mut db_dense = Vec::new();
-            head.backward_sharded_into(&h, &batch, &dlogits, &mut dh, &mut dw, &mut db, &mut db_dense, &pool);
-            for (a, b) in dh.as_slice().iter().zip(dh_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dh differs at {threads} threads");
+    proptest! {
+        /// The panel GEMMs against the per-(row, candidate) oracle over
+        /// random shapes — a single candidate, candidate counts on both sides
+        /// of `TILED_MIN_CANDIDATES`, widths off the SIMD lane count, odd
+        /// batches, rows without a target — and the same bits at every
+        /// thread count. Forward probabilities are checked against the
+        /// frozen per-element logits on the way.
+        #[test]
+        fn panel_head_matches_the_map_oracle_at_any_thread_count(
+            rows in 1usize..20,
+            dim in 1usize..21,
+            c in 1usize..100,
+            seed in 0u64..1_000_000,
+        ) {
+            let _backend = crate::test_sync::simd_backend_shared();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut head = SampledSoftmaxOutput::new(dim, 0.3);
+            let h = Matrix::from_fn(rows, dim, |_, _| rng.random_range(-1.0f32..1.0));
+            let ids: Vec<u64> = (0..c as u64).map(|i| 10 + i * 3).collect();
+            head.forward(&h, &ids, &mut rng);
+            for b in head.bias_mut() {
+                *b = rng.random_range(-0.5f32..0.5);
             }
-            assert_eq!(db, db_ref, "db differs at {threads} threads");
-            assert_eq!(dw.len(), dw_ref.len(), "dw slot count differs at {threads} threads");
-            for (slot, row_ref) in &dw_ref {
-                let row = dw
-                    .iter()
-                    .find(|(s, _)| *s == slot)
-                    .map(|(_, r)| r)
-                    .unwrap_or_else(|| panic!("slot {slot} missing at {threads} threads"));
-                for (a, b) in row.iter().zip(row_ref.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "dw[{slot}] differs at {threads} threads");
-                }
+            let batch = head.forward(&h, &ids, &mut rng);
+            let frozen = head.log_probs_over_ids(&h, &ids);
+            for (p, lp) in batch.probs.as_slice().iter().zip(frozen.as_slice()) {
+                prop_assert!((p - lp.exp()).abs() <= 1e-5, "prob {p} vs frozen {}", lp.exp());
+            }
+            let targets: Vec<Vec<(u32, f32)>> = (0..rows)
+                .map(|_| {
+                    let n = rng.random_range(0..4usize);
+                    (0..n).map(|_| (rng.random_range(0..c as u32), rng.random_range(0.5f32..2.0))).collect()
+                })
+                .collect();
+            let (_, dlogits) = SampledSoftmaxOutput::multinomial_loss(&batch, &targets);
+
+            let (dh_ref, dw_ref, db_ref) = head.backward(&h, &batch, &dlogits);
+            let (dh, dw, db) = head.backward_panel(&h, &batch, &dlogits, 1);
+            assert_close(dh.as_slice(), dh_ref.as_slice(), "dh");
+            prop_assert_eq!(dw.slots(), batch.slots.as_slice());
+            assert_panel_matches(&dw, &dw_ref);
+            prop_assert_eq!(db.len(), db_ref.len());
+            for (&(slot, g), &(slot_ref, g_ref)) in db.iter().zip(&db_ref) {
+                prop_assert_eq!(slot, slot_ref);
+                assert_close(&[g], &[g_ref], "db");
+            }
+            for threads in [2usize, 4, 7] {
+                let (dh_t, dw_t, db_t) = head.backward_panel(&h, &batch, &dlogits, threads);
+                prop_assert_eq!(dh_t.as_slice(), dh.as_slice());
+                assert_same_bits(&dw, &dw_t, "head backward across thread counts");
+                prop_assert_eq!(&db_t, &db);
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Reusable scratch buffers for the zero-allocation training hot path.
 //!
-//! Every layer's `*_into` backward pass needs short-lived temporaries (the
-//! pre-activation gradient of a dense layer, the dense bias accumulator of
-//! the softmax head, the per-slot rows of a sparse gradient). Allocating
+//! The dense layers' `*_into` backward passes need short-lived matrix
+//! temporaries (the pre-activation gradient of a dense layer). Allocating
 //! them per step dominated small-batch training cost; a [`Workspace`] keeps
 //! them on a free list instead, so after the first step every `take` is a
-//! pop + `resize` inside existing capacity.
+//! pop + `resize` inside existing capacity. (Sparse gradients need no arena:
+//! a [`crate::RowGrads`] panel owns its one contiguous buffer.)
 //!
 //! The arena also doubles as the *allocation-counting hook*: [`Workspace::allocs`]
 //! increments only when a `take` could not be served from pooled capacity,
@@ -13,11 +13,10 @@
 
 use fvae_tensor::Matrix;
 
-/// Free-list arena of matrix and vector scratch buffers.
+/// Free-list arena of matrix scratch buffers.
 #[derive(Debug, Default)]
 pub struct Workspace {
     mats: Vec<Matrix>,
-    vecs: Vec<Vec<f32>>,
     allocs: u64,
     takes: u64,
     recycles: u64,
@@ -52,7 +51,7 @@ impl Workspace {
 
     /// Buffers currently parked on the free lists.
     pub fn pooled(&self) -> usize {
-        self.mats.len() + self.vecs.len()
+        self.mats.len()
     }
 
     /// Snapshot of all arena counters.
@@ -104,39 +103,6 @@ impl Workspace {
         self.recycles += 1;
         self.mats.push(m);
     }
-
-    /// Takes a zeroed vector of the given length, same best-fit policy as
-    /// [`Workspace::take_matrix`].
-    pub fn take_vec(&mut self, len: usize) -> Vec<f32> {
-        self.takes += 1;
-        let mut fit: Option<usize> = None;
-        let mut largest: Option<usize> = None;
-        for (i, v) in self.vecs.iter().enumerate() {
-            let cap = v.capacity();
-            if cap >= len && fit.is_none_or(|j| cap < self.vecs[j].capacity()) {
-                fit = Some(i);
-            }
-            if largest.is_none_or(|j| cap > self.vecs[j].capacity()) {
-                largest = Some(i);
-            }
-        }
-        let mut v = match fit.or(largest) {
-            Some(i) => self.vecs.swap_remove(i),
-            None => Vec::new(),
-        };
-        if v.capacity() < len {
-            self.allocs += 1;
-        }
-        v.clear();
-        v.resize(len, 0.0);
-        v
-    }
-
-    /// Returns a vector to the pool for reuse.
-    pub fn recycle_vec(&mut self, v: Vec<f32>) {
-        self.recycles += 1;
-        self.vecs.push(v);
-    }
 }
 
 #[cfg(test)]
@@ -149,9 +115,6 @@ mod tests {
         let m = ws.take_matrix(3, 4);
         assert_eq!(m.shape(), (3, 4));
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-        let v = ws.take_vec(7);
-        assert_eq!(v.len(), 7);
-        assert!(v.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -161,11 +124,9 @@ mod tests {
             let mut m = ws.take_matrix(8, 8);
             m.fill(1.0);
             ws.recycle_matrix(m);
-            let v = ws.take_vec(16);
-            ws.recycle_vec(v);
         }
-        assert_eq!(ws.allocs(), 2, "one matrix + one vector allocation total");
-        assert_eq!(ws.pooled(), 2);
+        assert_eq!(ws.allocs(), 1, "one matrix allocation total");
+        assert_eq!(ws.pooled(), 1);
     }
 
     #[test]
@@ -191,19 +152,19 @@ mod tests {
     #[test]
     fn growing_past_pooled_capacity_counts_as_alloc() {
         let mut ws = Workspace::new();
-        ws.recycle_vec(Vec::with_capacity(4));
-        let v = ws.take_vec(100);
-        assert_eq!(v.len(), 100);
+        ws.recycle_matrix(Matrix::zeros(2, 2));
+        let m = ws.take_matrix(10, 10);
+        assert_eq!(m.shape(), (10, 10));
         assert_eq!(ws.allocs(), 1);
     }
 
     #[test]
     fn stats_track_takes_recycles_and_pool() {
         let mut ws = Workspace::new();
-        let m = ws.take_matrix(2, 2);
-        let v = ws.take_vec(3);
-        ws.recycle_matrix(m);
-        ws.recycle_vec(v);
+        let a = ws.take_matrix(2, 2);
+        let b = ws.take_matrix(1, 3);
+        ws.recycle_matrix(a);
+        ws.recycle_matrix(b);
         let _ = ws.take_matrix(2, 2);
         assert_eq!(
             ws.stats(),

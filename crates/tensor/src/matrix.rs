@@ -216,16 +216,27 @@ impl Matrix {
         }
     }
 
-    /// Transposed copy.
+    /// Transposed copy. Thin allocating wrapper over
+    /// [`Matrix::transpose_into`].
     pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        let mut out = Self::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Transposed copy written into `out` (reshaped in place), eight source
+    /// rows at a time so both sides stay within a few cache lines per step.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        let (rows, cols) = self.shape();
+        out.resize_zeroed(cols, rows);
+        for r0 in (0..rows).step_by(8) {
+            let r1 = (r0 + 8).min(rows);
+            for c in 0..cols {
+                for r in r0..r1 {
+                    out.data[c * rows + r] = self.data[r * cols + c];
+                }
             }
         }
-        out
     }
 
     /// Reshapes in place to `rows × cols`, zero-filling every element.
@@ -713,8 +724,16 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let mut rng = StdRng::seed_from_u64(9);
-        let a = Matrix::glorot_uniform(5, 7, &mut rng);
-        assert_eq!(a.transpose().transpose(), a);
+        // 19 rows: two full 8-row blocks of `transpose_into` and a tail.
+        let a = Matrix::glorot_uniform(19, 7, &mut rng);
+        let t = a.transpose();
+        assert_eq!(t.shape(), (7, 19));
+        for r in 0..19 {
+            for c in 0..7 {
+                assert_eq!(t.get(c, r), a.get(r, c));
+            }
+        }
+        assert_eq!(t.transpose(), a);
     }
 
     #[test]
