@@ -17,8 +17,6 @@
 //! The result: `IvfIndex` builds are byte-identical at `--threads 1/2/4`
 //! and under `FVAE_SIMD=0`, which the determinism suite asserts.
 
-use fvae_pool::SendPtr;
-
 /// Splitmix64 step: the workspace-standard cheap deterministic stream.
 #[inline]
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
@@ -116,11 +114,8 @@ fn init_plus_plus(data: &[f32], n: usize, dim: usize, k: usize, seed: u64) -> Ve
 /// any thread count because no float crosses a shard boundary.
 fn assign(data: &[f32], n: usize, dim: usize, centroids: &[f32], assignments: &mut [u32]) {
     let k = centroids.len() / dim;
-    let pool = fvae_pool::global();
-    let n_shards = fvae_pool::balanced_shards(n, pool.parallelism());
-    let out = SendPtr::new(assignments.as_mut_ptr());
-    pool.run(n_shards, |shard| {
-        for i in fvae_pool::shard_range(n, n_shards, shard, 1) {
+    fvae_pool::global().run_rows(assignments, n, 1, 1, |range, out| {
+        for (i, slot) in range.zip(out) {
             let point = &data[i * dim..(i + 1) * dim];
             let mut best = 0u32;
             let mut best_d = f32::INFINITY;
@@ -133,9 +128,7 @@ fn assign(data: &[f32], n: usize, dim: usize, centroids: &[f32], assignments: &m
                     best = c as u32;
                 }
             }
-            // SAFETY: shard ranges partition 0..n, so each slot is written
-            // by exactly one shard.
-            unsafe { *out.get().add(i) = best };
+            *slot = best;
         }
     });
 }

@@ -43,6 +43,8 @@
 //! convention of `LookalikeSystem::recall` and `EmbeddingMatcher`. Results
 //! are sorted best-first.
 
+#![forbid(unsafe_code)]
+
 pub mod flat;
 pub mod harness;
 pub mod io;

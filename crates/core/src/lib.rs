@@ -68,6 +68,8 @@
 //! assert_eq!(embeddings.rows(), dataset.n_users());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod encoder;

@@ -511,23 +511,20 @@ impl Fvae {
         dmu: &mut Matrix,
         dlogvar: &mut Matrix,
     ) -> f32 {
-        use fvae_pool::{SendPtr, REDUCE_SHARDS};
         // dKL/dμ = μ.
         dmu.resize_zeroed(mu.rows(), mu.cols());
         dmu.as_mut_slice().copy_from_slice(mu.as_slice());
         dlogvar.resize_zeroed(logvar.rows(), logvar.cols());
         let mus = mu.as_slice();
         let lvs = logvar.as_slice();
-        let n = mus.len();
-        let mut partials = [0.0f64; REDUCE_SHARDS];
-        let base_dl = SendPtr::new(dlogvar.as_mut_slice().as_mut_ptr());
-        fvae_pool::global().run_sharded(&mut partials, |s, part| {
-            for i in fvae_pool::shard_range(n, REDUCE_SHARDS, s, 1) {
+        let mut partials = [0.0f64; fvae_pool::REDUCE_SHARDS];
+        let dl = dlogvar.as_mut_slice();
+        fvae_pool::global().run_rows_reduce(dl, mus.len(), 1, &mut partials, |range, dl, part| {
+            for (i, d) in range.zip(dl) {
                 let (m, lv) = (mus[i], lvs[i]);
                 let var = lv.exp();
                 *part += 0.5 * ((m * m + var - 1.0 - lv) as f64);
-                // Element ranges are shard-disjoint.
-                unsafe { *base_dl.get().add(i) = 0.5 * (var - 1.0) };
+                *d = 0.5 * (var - 1.0);
             }
         });
         partials.iter().sum::<f64>() as f32

@@ -7,7 +7,7 @@
 //! initialized row on first sight ("randomly initialized and pushed into the
 //! hash table"), so the model tracks a growing vocabulary without rebuilds.
 
-use fvae_pool::{SendPtr, ThreadPool};
+use fvae_pool::ThreadPool;
 use fvae_sparse::DynamicHashTable;
 use fvae_tensor::dist::Gaussian;
 use fvae_tensor::Matrix;
@@ -112,6 +112,7 @@ impl EmbeddingBag {
         out: &mut Matrix,
         slots_out: &mut Vec<Vec<u32>>,
     ) {
+        assert_eq!(out.cols(), self.dim, "output width must equal the embedding dimension");
         let mut n = 0;
         for (r, (ids, vals)) in rows.enumerate() {
             assert!(r < out.rows(), "more input rows than output rows");
@@ -153,6 +154,7 @@ impl EmbeddingBag {
     ) {
         assert_eq!(ids.len(), vals.len(), "ids and values must be parallel");
         assert_eq!(ids.len(), out.rows(), "batch size mismatch");
+        assert_eq!(out.cols(), self.dim, "output width must equal the embedding dimension");
         // Phase 1 (serial): grow the table, recording slots in input order.
         for (r, (row_ids, row_vals)) in ids.iter().zip(vals.iter()).enumerate() {
             assert_eq!(row_ids.len(), row_vals.len(), "ids and values must be parallel");
@@ -170,18 +172,11 @@ impl EmbeddingBag {
         // duration, so shards only read shared state and write disjoint
         // output rows.
         let dim = self.dim;
-        let cols = out.cols();
-        let rows = ids.len();
-        let weights = &self.weights;
         let slots: &[Vec<u32>] = slots_out;
-        let n_shards = fvae_pool::balanced_shards(rows, pool.parallelism());
-        let base = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-        pool.run(n_shards, |s| {
-            for r in fvae_pool::shard_range(rows, n_shards, s, 1) {
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(r * cols), cols) };
+        pool.run_rows(out.as_mut_slice(), ids.len(), dim, 1, |range, chunk| {
+            for (r, out_row) in range.zip(chunk.chunks_exact_mut(dim)) {
                 for (&slot, &v) in slots[r].iter().zip(vals[r].iter()) {
-                    let emb = &weights[slot as usize * dim..(slot as usize + 1) * dim];
+                    let emb = self.row(slot as usize);
                     for (o, &e) in out_row.iter_mut().zip(emb.iter()) {
                         *o += v * e;
                     }
@@ -197,26 +192,7 @@ impl EmbeddingBag {
     /// global thread pool; each shard writes its own disjoint output rows.
     pub fn forward_batch_frozen(&self, rows: &[(&[u64], &[f32])]) -> Matrix {
         let mut out = Matrix::zeros(rows.len(), self.dim);
-        let dim = self.dim;
-        let n = rows.len();
-        let pool = fvae_pool::global();
-        let n_shards = fvae_pool::balanced_shards(n, pool.parallelism());
-        let base = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-        pool.run(n_shards, |s| {
-            for r in fvae_pool::shard_range(n, n_shards, s, 1) {
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(r * dim), dim) };
-                let (ids, vals) = rows[r];
-                for (&id, &v) in ids.iter().zip(vals.iter()) {
-                    if let Some(slot) = self.table.slot_of(id) {
-                        let emb = &self.weights[slot * dim..(slot + 1) * dim];
-                        for (o, &e) in out_row.iter_mut().zip(emb.iter()) {
-                            *o += v * e;
-                        }
-                    }
-                }
-            }
-        });
+        self.frozen_rows_into(rows.len(), |r| rows[r], &mut out);
         out
     }
 
@@ -229,20 +205,23 @@ impl EmbeddingBag {
     /// the output bit-identical at every thread count.
     pub fn forward_batch_frozen_into(&self, ids: &[Vec<u64>], vals: &[Vec<f32>], out: &mut Matrix) {
         assert_eq!(ids.len(), vals.len(), "ids and values must be parallel");
-        let n = ids.len();
+        out.resize_zeroed(ids.len(), self.dim);
+        self.frozen_rows_into(ids.len(), |r| (ids[r].as_slice(), vals[r].as_slice()), out);
+    }
+
+    /// The frozen forwards' pooled body: row `r` of the zeroed `n × dim`
+    /// `out` accumulates the known IDs of `row(r)`, in input order.
+    fn frozen_rows_into<'a, R>(&self, n: usize, row: R, out: &mut Matrix)
+    where
+        R: Fn(usize) -> (&'a [u64], &'a [f32]) + Sync,
+    {
         let dim = self.dim;
-        out.resize_zeroed(n, dim);
-        let pool = fvae_pool::global();
-        let n_shards = fvae_pool::balanced_shards(n, pool.parallelism());
-        let base = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-        pool.run(n_shards, |s| {
-            for r in fvae_pool::shard_range(n, n_shards, s, 1) {
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(r * dim), dim) };
-                for (&id, &v) in ids[r].iter().zip(vals[r].iter()) {
+        fvae_pool::global().run_rows(out.as_mut_slice(), n, dim, 1, |range, chunk| {
+            for (r, out_row) in range.zip(chunk.chunks_exact_mut(dim)) {
+                let (ids, vals) = row(r);
+                for (&id, &v) in ids.iter().zip(vals.iter()) {
                     if let Some(slot) = self.table.slot_of(id) {
-                        let emb = &self.weights[slot * dim..(slot + 1) * dim];
-                        for (o, &e) in out_row.iter_mut().zip(emb.iter()) {
+                        for (o, &e) in out_row.iter_mut().zip(self.row(slot)) {
                             *o += v * e;
                         }
                     }
@@ -436,7 +415,6 @@ mod tests {
 
     #[test]
     fn sharded_forward_and_backward_match_serial_bits() {
-        let _backend = crate::test_sync::simd_backend_shared();
         let pool = ThreadPool::new(4);
         let batch = 13;
         let dim = 5;
@@ -491,6 +469,33 @@ mod tests {
         assert!((grads.rows().get(0, 0) - 4.0).abs() < 1e-6);
     }
 
+    #[test]
+    #[should_panic(expected = "output width must equal the embedding dimension")]
+    fn accumulate_refuses_an_output_of_the_wrong_width() {
+        let (ids, vals) = ([1u64], [1.0f32]);
+        let mut out = Matrix::zeros(1, 2);
+        EmbeddingBag::new(3, 0.1).accumulate_batch_into(
+            std::iter::once((&ids[..], &vals[..])),
+            &mut StdRng::seed_from_u64(6),
+            &mut out,
+            &mut Vec::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "output width must equal the embedding dimension")]
+    fn sharded_accumulate_refuses_an_output_of_the_wrong_width() {
+        let mut out = Matrix::zeros(1, 4);
+        EmbeddingBag::new(3, 0.1).accumulate_batch_sharded(
+            &[vec![1]],
+            &[vec![1.0]],
+            &mut StdRng::seed_from_u64(6),
+            &mut out,
+            &mut Vec::new(),
+            &ThreadPool::new(1),
+        );
+    }
+
     proptest! {
         /// The panel kernel against the hash-map oracle over random shapes:
         /// widths off the SIMD lane count, odd batches, empty rows, features
@@ -505,7 +510,6 @@ mod tests {
             max_per_row in 0usize..6,
             seed in 0u64..1_000_000,
         ) {
-            let _backend = crate::test_sync::simd_backend_shared();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut bag = EmbeddingBag::new(dim, 0.3);
             let ids: Vec<Vec<u64>> = (0..batch)

@@ -22,6 +22,8 @@
 //! correctness is pinned by finite-difference gradient checks in each
 //! module's tests.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod activation;
 pub mod dense;
 pub mod dropout;
@@ -44,22 +46,3 @@ pub use quant::{fast_tanh, quantize_symmetric, QuantScratch, QuantizedDense};
 pub use sharded::{RowGrads, ShardedRowGrads};
 pub use softmax_out::{SampledSoftmaxOutput, SoftmaxBatch};
 pub use workspace::{Workspace, WorkspaceStats};
-
-/// The SIMD backend is process-wide state and `cargo test` runs this crate's
-/// tests on parallel threads: a test that compares bits between two kernel
-/// calls holds [`test_sync::simd_backend_shared`], the one test that switches
-/// the backend holds [`test_sync::simd_backend_exclusive`].
-#[cfg(test)]
-pub(crate) mod test_sync {
-    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-    static SIMD_BACKEND: RwLock<()> = RwLock::new(());
-
-    pub(crate) fn simd_backend_shared() -> RwLockReadGuard<'static, ()> {
-        SIMD_BACKEND.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn simd_backend_exclusive() -> RwLockWriteGuard<'static, ()> {
-        SIMD_BACKEND.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}

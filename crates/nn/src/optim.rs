@@ -7,7 +7,6 @@
 //! parameter-server trick that keeps the update cost proportional to the
 //! batch's active feature count rather than the vocabulary size.
 
-use fvae_pool::SendPtr;
 use fvae_tensor::Matrix;
 
 use crate::sharded::RowGrads;
@@ -155,40 +154,24 @@ impl Adam {
     ) {
         state.ensure_len(param.len());
         state.t += 1;
-        let n = row_grads.len();
-        if n == 0 {
+        if row_grads.is_empty() {
             return;
         }
         let (slots, grads) = (row_grads.slots(), row_grads.rows());
         assert_eq!(grads.cols(), dim, "gradient panel width mismatch");
         let corr1 = 1.0 - self.beta1.powi(state.t as i32);
         let corr2 = 1.0 - self.beta2.powi(state.t as i32);
-        let len = param.len();
-        let p = SendPtr::new(param.as_mut_ptr());
-        let m = SendPtr::new(state.m.as_mut_ptr());
-        let v = SendPtr::new(state.v.as_mut_ptr());
-        let pool = fvae_pool::global();
-        let n_shards = fvae_pool::balanced_shards(n, pool.parallelism());
-        pool.run(n_shards, |s| {
-            for i in fvae_pool::shard_range(n, n_shards, s, 1) {
-                let start = slots[i] as usize * dim;
-                assert!(start + dim <= len, "slot beyond parameter buffer");
-                // SAFETY: the range is inside `param` (checked above) and
-                // inside `m`/`v`, which `ensure_len` made at least as long.
-                // A `RowGrads` panel holds each slot once and shard ranges
-                // are disjoint, so no other shard touches these rows.
-                let (p, m, v) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(p.get().add(start), dim),
-                        std::slice::from_raw_parts_mut(m.get().add(start), dim),
-                        std::slice::from_raw_parts_mut(v.get().add(start), dim),
-                    )
-                };
+        let tables = [param, &mut state.m[..], &mut state.v[..]];
+        // SAFETY: `RowGrads` stamps every slot it holds and refuses or
+        // merges a repeat in each of its three fills (`insert`,
+        // `fill_transa_product`, `scatter_add`), so `slots` are unique.
+        unsafe {
+            fvae_pool::global().run_slot_rows(tables, dim, slots, |i, [p, m, v]| {
                 for (((p, &g), m), v) in p.iter_mut().zip(grads.row(i)).zip(m).zip(v) {
                     self.apply_one(p, g, m, v, corr1, corr2);
                 }
-            }
-        });
+            });
+        }
     }
 
     /// Lazy sparse update of scalar-per-slot parameters (output biases).

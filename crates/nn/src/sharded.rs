@@ -20,7 +20,7 @@
 //!
 //! [`Adam::step_rows`]: crate::Adam::step_rows
 
-use fvae_pool::{SendPtr, ThreadPool};
+use fvae_pool::ThreadPool;
 use fvae_tensor::Matrix;
 
 /// Sparse gradient of one table for one batch: unique slots and their
@@ -170,14 +170,8 @@ impl RowGrads {
         self.rows.resize_zeroed(n, dim);
         let (ends, entries) = (&self.ends, &self.entries);
         let axpy = fvae_tensor::simd::active().axpy;
-        let n_shards = fvae_pool::balanced_shards(n, pool.parallelism());
-        let base = SendPtr::new(self.rows.as_mut_slice().as_mut_ptr());
-        pool.run(n_shards, |s| {
-            for i in fvae_pool::shard_range(n, n_shards, s, 1) {
-                // SAFETY: `i < n` and `rows` is `n × dim`, so the row is in
-                // bounds; shard ranges are disjoint, so no other shard
-                // touches it.
-                let out = unsafe { std::slice::from_raw_parts_mut(base.get().add(i * dim), dim) };
+        pool.run_rows(self.rows.as_mut_slice(), n, dim, 1, |range, chunk| {
+            for (i, out) in range.zip(chunk.chunks_exact_mut(dim)) {
                 let start = if i == 0 { 0 } else { ends[i - 1] };
                 for &(r, v) in &entries[start..ends[i]] {
                     axpy(v, dy.row(r as usize), out);

@@ -12,7 +12,7 @@
 //! dynamic hash table as the input embeddings, so the output vocabulary also
 //! grows on demand.
 
-use fvae_pool::{SendPtr, ThreadPool, REDUCE_SHARDS};
+use fvae_pool::{ThreadPool, REDUCE_SHARDS};
 use fvae_sparse::DynamicHashTable;
 use fvae_tensor::dist::Gaussian;
 use fvae_tensor::Matrix;
@@ -185,14 +185,8 @@ impl SampledSoftmaxOutput {
             h.matmul_into(wc_t, probs);
         }
         let bias: &[f32] = bias;
-        let pool = fvae_pool::global();
-        let n_shards = fvae_pool::balanced_shards(rows, pool.parallelism());
-        let base = SendPtr::new(probs.as_mut_slice().as_mut_ptr());
-        pool.run(n_shards, |s| {
-            for r in fvae_pool::shard_range(rows, n_shards, s, 1) {
-                // SAFETY: `probs` is `rows × c` and `r < rows`; shard ranges
-                // are disjoint, so this row has no other writer.
-                let row = unsafe { std::slice::from_raw_parts_mut(base.get().add(r * c), c) };
+        fvae_pool::global().run_rows(probs.as_mut_slice(), rows, c, 1, |_, chunk| {
+            for row in chunk.chunks_exact_mut(c) {
                 for (o, &b) in row.iter_mut().zip(bias) {
                     *o += b;
                 }
@@ -246,13 +240,11 @@ impl SampledSoftmaxOutput {
         let rows = targets.len();
         dlogits.resize_zeroed(rows, c);
         let mut partials = [0.0f64; REDUCE_SHARDS];
-        let base = SendPtr::new(dlogits.as_mut_slice().as_mut_ptr());
-        pool.run_sharded(&mut partials, |s, part| {
-            for r in fvae_pool::shard_range(rows, REDUCE_SHARDS, s, 1) {
+        pool.run_rows_reduce(dlogits.as_mut_slice(), rows, c, &mut partials, |range, chunk, part| {
+            for (r, drow) in range.zip(chunk.chunks_exact_mut(c)) {
                 let row_targets = &targets[r];
                 let probs = batch.probs.row(r);
                 let n_i: f32 = row_targets.iter().map(|&(_, v)| v).sum();
-                let drow = unsafe { std::slice::from_raw_parts_mut(base.get().add(r * c), c) };
                 // d/dlogit_j of −Σ_t v_t log π_t = N_i·π_j − v_j
                 for (d, &p) in drow.iter_mut().zip(probs.iter()) {
                     *d = n_i * p;
@@ -552,7 +544,6 @@ mod tests {
             c in 1usize..100,
             seed in 0u64..1_000_000,
         ) {
-            let _backend = crate::test_sync::simd_backend_shared();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut head = SampledSoftmaxOutput::new(dim, 0.3);
             let h = Matrix::from_fn(rows, dim, |_, _| rng.random_range(-1.0f32..1.0));

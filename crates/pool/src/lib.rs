@@ -3,29 +3,32 @@
 //! The FVAE training step (Algorithm 1) is dominated by dense GEMMs and
 //! per-sample sampled-softmax work that shards trivially across cores. This
 //! crate supplies the execution substrate: a std-only pool of workers that
-//! park between jobs, a work-stealing shard counter, and the two helpers the
-//! kernels build their determinism guarantee on — [`shard_range`] (aligned,
-//! contiguous, exhaustive shard boundaries) and [`ThreadPool::run_sharded`]
-//! (one mutable slot per shard, so reductions land in per-shard accumulators
-//! that are later merged in a **fixed** order).
+//! park between jobs, a work-stealing shard counter, and the only ways the
+//! workspace writes one buffer from several shards — so the only `unsafe`
+//! that splits a buffer across threads lives here, next to its proof.
 //!
 //! # Determinism contract
 //!
 //! The pool itself never promises anything about *which* worker runs a
 //! shard — shards are claimed dynamically from an atomic counter so a slow
 //! core cannot stall the step. Bit-determinism is instead a property of how
-//! callers shape the work:
+//! the work is shaped, and each rule has one entry point:
 //!
 //! * **Output-disjoint sharding** (GEMM row blocks, per-sample rows): every
 //!   shard writes its own region and performs the same float operations in
 //!   the same order as the serial kernel, so the result is bit-identical to
 //!   serial no matter how many workers participate.
-//! * **Fixed-shard reduction** (loss/KL sums, shared-slot gradients): the
-//!   shard *count* is a compile-time constant independent of the thread
-//!   count, each shard accumulates serially in-order into its own slot, and
-//!   the slots are combined on the caller thread in fixed shard order.
-//!   Thread count then only decides how many shards run concurrently —
-//!   never the summation order, so never the bits.
+//!   [`ThreadPool::run_rows`] hands each shard a contiguous chunk of rows
+//!   (aligned, so a kernel that pairs rows never sees a pair split);
+//!   [`ThreadPool::run_slot_rows`] hands each shard the rows named by a
+//!   list of unique slots, in one or more parallel tables.
+//! * **Fixed-shard reduction** (loss/KL sums): the shard *count* is the
+//!   constant [`REDUCE_SHARDS`], independent of the thread count, each shard
+//!   accumulates serially in-order into its own partial, and the partials
+//!   are combined on the caller thread in fixed shard order. Thread count
+//!   then only decides how many shards run concurrently — never the
+//!   summation order, so never the bits. [`ThreadPool::run_rows_reduce`]
+//!   hands shard `s` its rows and `&mut partials[s]`.
 //!
 //! # Sizing and control
 //!
@@ -40,6 +43,8 @@
 //! on the caller's stack and shard ranges are computed arithmetically, so
 //! pooled kernels preserve the workspace crates' zero-steady-state-allocation
 //! invariant.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -58,10 +63,10 @@ pub const MIN_GLOBAL_CAPACITY: usize = 4;
 const MAX_GLOBAL_CAPACITY: usize = 64;
 
 /// Number of fixed reduction shards used by deterministic accumulations
-/// (loss sums, KL, shared-slot sparse gradients). Constant by design: the
-/// reduction tree must not depend on the thread count. 8 saturates the
-/// useful parallelism of batch-sized reductions while keeping the serial
-/// merge negligible.
+/// (loss sums, KL; see [`ThreadPool::run_rows_reduce`]). Constant by
+/// design: the reduction tree must not depend on the thread count. 8
+/// saturates the useful parallelism of batch-sized reductions while keeping
+/// the serial merge negligible.
 pub const REDUCE_SHARDS: usize = 8;
 
 thread_local! {
@@ -71,30 +76,27 @@ thread_local! {
     static IN_POOL_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A raw pointer that may cross threads. Used by kernels that hand each
-/// shard a disjoint region of one output buffer; the caller is responsible
-/// for the disjointness that makes this sound.
-pub struct SendPtr<T>(*mut T);
+/// The base pointer of a buffer the entry points below split into disjoint
+/// pieces, one per shard. Private: every dereference is one of the
+/// documented `SAFETY` blocks in this file.
+struct SendPtr<T>(*mut T);
 
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for SendPtr<T> {}
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: a `SendPtr` is only dereferenced inside `ThreadPool::run` shards,
+// each of which touches elements no other shard touches, while the buffer's
+// `&mut` borrow is held by the blocked caller. Handing `&mut T` to another
+// thread needs exactly `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: shards share the pointer value only, never the pointee; see above.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    /// Wraps a raw pointer for cross-thread use.
-    pub fn new(ptr: *mut T) -> Self {
+    fn new(ptr: *mut T) -> Self {
         Self(ptr)
     }
 
-    /// The wrapped pointer.
-    pub fn get(self) -> *mut T {
+    // A method, not field access: a closure calling it captures the whole
+    // (`Sync`) wrapper rather than the bare pointer field.
+    fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -105,7 +107,7 @@ impl<T> SendPtr<T> {
 /// `align` (the last range absorbs the remainder). Alignment lets callers
 /// preserve register-tile pairing: a kernel that processes rows in pairs
 /// stays bit-identical to serial only if no shard boundary splits a pair.
-pub fn shard_range(n: usize, n_shards: usize, shard: usize, align: usize) -> std::ops::Range<usize> {
+fn shard_range(n: usize, n_shards: usize, shard: usize, align: usize) -> std::ops::Range<usize> {
     debug_assert!(shard < n_shards.max(1));
     let align = align.max(1);
     let blocks = n.div_ceil(align);
@@ -120,7 +122,7 @@ pub fn shard_range(n: usize, n_shards: usize, shard: usize, align: usize) -> std
 /// per active thread so a slow core sheds load, capped by the number of
 /// work units. Any value is bit-equivalent for disjoint writes; this only
 /// tunes balance.
-pub fn balanced_shards(units: usize, parallelism: usize) -> usize {
+fn balanced_shards(units: usize, parallelism: usize) -> usize {
     (parallelism * 4).min(units).max(1)
 }
 
@@ -255,8 +257,9 @@ struct Slot {
 #[derive(Clone, Copy)]
 struct JobRef(*const Job<'static>);
 
-// The pointer is only dereferenced while the caller blocks in `run`, which
-// outlives every adoption (see the protocol on `Slot`).
+// SAFETY: the pointer is only dereferenced while the caller blocks in `run`,
+// which outlives every adoption (see the protocol on `Slot`), and `Job` is
+// shared only through `&` — its `func` is `Sync`, its counters atomic.
 unsafe impl Send for JobRef {}
 
 struct Job<'a> {
@@ -393,9 +396,10 @@ impl ThreadPool {
         }
         self.shared.parallel_jobs.fetch_add(1, Ordering::Relaxed);
         let job = Job {
-            // Erase the borrow lifetime: `run` does not return until the
-            // slot is cleared and every adopted worker has exited, so no
-            // worker can observe the job after this frame unwinds.
+            // SAFETY: erases the borrow lifetime only. `run` does not
+            // return until the slot is cleared and every adopted worker has
+            // exited, so no worker can observe the job after this frame
+            // unwinds.
             func: unsafe {
                 std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
             },
@@ -473,19 +477,130 @@ impl ThreadPool {
         handle
     }
 
-    /// [`ThreadPool::run`] over one mutable slot per shard: shard `s`
-    /// receives `&mut slots[s]`. This is the fixed-shard reduction
-    /// primitive — accumulate into per-shard slots here, then combine them
-    /// on the calling thread in slot order.
-    pub fn run_sharded<T: Send, F: Fn(usize, &mut T) + Sync>(&self, slots: &mut [T], f: F) {
-        let base = SendPtr::new(slots.as_mut_ptr());
+    /// Output-disjoint rows (DESIGN §10, rule 1): `out` is a
+    /// `rows × width` row-major buffer, and `f(range, chunk)` runs once per
+    /// non-empty shard with `chunk` the rows `range` of `out`.
+    ///
+    /// The shards are a few per active thread ([`ThreadPool::parallelism`]),
+    /// capped by the `rows.div_ceil(align)` row blocks, with every boundary
+    /// a multiple of `align` rows, so a kernel that walks rows in tiles of
+    /// `align` keeps its serial tile pairing. A shard that replays the
+    /// serial kernel on its chunk then yields bits independent of the
+    /// thread count. Panics, before any shard runs, unless
+    /// `out.len() == rows * width`.
+    pub fn run_rows<T, F>(&self, out: &mut [T], rows: usize, width: usize, align: usize, f: F)
+    where
+        T: Send,
+        F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+    {
+        let n_shards = balanced_shards(rows.div_ceil(align.max(1)), self.parallelism());
+        self.run_chunks(out, rows, width, align, n_shards, |_, range, chunk| f(range, chunk));
+    }
+
+    /// Fixed-shard reduction (DESIGN §10, rule 2): [`ThreadPool::run_rows`]
+    /// over exactly [`REDUCE_SHARDS`] unaligned shards, whatever the thread
+    /// count, where shard `s` also receives `&mut partials[s]`. Accumulate
+    /// in row order into the partial, then fold `partials` on the caller in
+    /// index order: the summation tree, and with it the bits, never follows
+    /// the thread count. An empty shard leaves its partial untouched.
+    pub fn run_rows_reduce<T, P, F>(
+        &self,
+        out: &mut [T],
+        rows: usize,
+        width: usize,
+        partials: &mut [P; REDUCE_SHARDS],
+        f: F,
+    ) where
+        T: Send,
+        P: Send,
+        F: Fn(std::ops::Range<usize>, &mut [T], &mut P) + Sync,
+    {
+        let parts = SendPtr::new(partials.as_mut_ptr());
+        self.run_chunks(out, rows, width, 1, REDUCE_SHARDS, |s, range, chunk| {
+            // SAFETY: `s < REDUCE_SHARDS == partials.len()`, and `run`
+            // executes each shard index exactly once, so this is the only
+            // reference to `partials[s]` while the caller is blocked.
+            f(range, chunk, unsafe { &mut *parts.get().add(s) });
+        });
+    }
+
+    /// Output-disjoint rows scattered by slot (DESIGN §10, rule 1): `tables`
+    /// are `N` parallel row-major tables of row width `width`, and
+    /// `f(i, rows)` runs once per entry `i` of `slots`, with `rows[k]` the
+    /// row `slots[i]` of `tables[k]`. Entries are split into balanced
+    /// contiguous shards, as in [`ThreadPool::run_rows`]. Panics, before any
+    /// shard runs, if a slot lies beyond any table.
+    ///
+    /// # Safety
+    ///
+    /// No slot may appear twice in `slots`. Two entries naming one slot
+    /// would hand two shards `&mut` to the same rows.
+    pub unsafe fn run_slot_rows<T, const N: usize, F>(
+        &self,
+        tables: [&mut [T]; N],
+        width: usize,
+        slots: &[u32],
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, [&mut [T]; N]) + Sync,
+    {
+        let len = tables.iter().map(|t| t.len()).min().unwrap_or(usize::MAX);
+        let table_rows = len.checked_div(width).unwrap_or(usize::MAX);
+        for &slot in slots {
+            assert!(
+                (slot as usize) < table_rows,
+                "slot beyond parameter buffer: slot {slot}, tables of {table_rows} rows"
+            );
+        }
+        let bases = tables.map(|t| SendPtr::new(t.as_mut_ptr()));
         let n = slots.len();
-        self.run(n, move |s| {
-            debug_assert!(s < n);
-            // Sound: each shard index is claimed exactly once, so every
-            // `&mut` handed out aliases a distinct element.
-            let item = unsafe { &mut *base.get().add(s) };
-            f(s, item);
+        let n_shards = balanced_shards(n, self.parallelism());
+        self.run(n_shards, |s| {
+            for i in shard_range(n, n_shards, s, 1) {
+                let start = slots[i] as usize * width;
+                let rows = std::array::from_fn(|k| {
+                    // SAFETY: `start + width <= tables[k].len()` (asserted
+                    // above). Shard ranges partition the entries and the
+                    // caller guarantees slots are unique, so no other entry,
+                    // on this shard or another, reaches this row.
+                    unsafe { std::slice::from_raw_parts_mut(bases[k].get().add(start), width) }
+                });
+                f(i, rows);
+            }
+        });
+    }
+
+    /// The one contiguous-chunk split behind [`ThreadPool::run_rows`] and
+    /// [`ThreadPool::run_rows_reduce`]: `f(shard, range, chunk)` per
+    /// non-empty `shard_range(rows, n_shards, shard, align)`.
+    fn run_chunks<T, F>(
+        &self,
+        out: &mut [T],
+        rows: usize,
+        width: usize,
+        align: usize,
+        n_shards: usize,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, std::ops::Range<usize>, &mut [T]) + Sync,
+    {
+        assert_eq!(rows.checked_mul(width), Some(out.len()), "row buffer must be rows × width");
+        let base = SendPtr::new(out.as_mut_ptr());
+        self.run(n_shards, |s| {
+            let range = shard_range(rows, n_shards, s, align);
+            if range.is_empty() {
+                return;
+            }
+            // SAFETY: `shard_range` partitions `0..rows` into disjoint
+            // ranges and `run` executes each shard index exactly once, so
+            // this chunk, inside `out` (`rows * width` long, asserted
+            // above), overlaps no other shard's.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(range.start * width), range.len() * width)
+            };
+            f(s, range, chunk);
         });
     }
 }
@@ -525,9 +640,11 @@ fn worker_loop(shared: &Shared) {
                 if slot.seats > 0 {
                     if let Some(jr) = slot.job {
                         slot.seats -= 1;
-                        // Adopt under the mutex: the caller cannot observe
-                        // `active == 0` and free the job between our check
-                        // and this increment.
+                        // SAFETY: a published job is alive until its caller
+                        // clears the slot under this mutex. Adopting under
+                        // it means the caller cannot observe `active == 0`
+                        // and free the job between our check and this
+                        // increment.
                         unsafe { &*jr.0 }.active.fetch_add(1, Ordering::Relaxed);
                         break Work::Shards(jr);
                     }
@@ -540,6 +657,8 @@ fn worker_loop(shared: &Shared) {
         };
         match work {
             Work::Shards(jr) => {
+                // SAFETY: this worker counts in `active`, and the caller
+                // keeps the job alive until `active` drops back to 0.
                 let job = unsafe { &*jr.0 };
                 IN_POOL_JOB.with(|c| c.set(true));
                 job.execute_shards();
@@ -601,7 +720,6 @@ pub fn stats() -> PoolStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn every_shard_runs_exactly_once() {
@@ -664,16 +782,125 @@ mod tests {
         );
     }
 
+    const CAPACITIES: [usize; 4] = [1, 2, 4, 7];
+
     #[test]
-    fn run_sharded_hands_out_disjoint_slots() {
-        let pool = ThreadPool::new(4);
-        let mut slots = vec![0u64; REDUCE_SHARDS];
-        pool.run_sharded(&mut slots, |s, slot| {
-            *slot = s as u64 + 1;
-        });
-        for (s, v) in slots.iter().enumerate() {
-            assert_eq!(*v, s as u64 + 1);
+    fn run_rows_writes_every_element_exactly_once() {
+        for capacity in CAPACITIES {
+            let pool = ThreadPool::new(capacity);
+            for rows in [0usize, 1, 2, 3, 7, 16, 61] {
+                for width in [0usize, 1, 3] {
+                    for align in [1usize, 2, 4] {
+                        let mut out = vec![0u32; rows * width];
+                        pool.run_rows(&mut out, rows, width, align, |range, chunk| {
+                            assert_eq!(chunk.len(), range.len() * width);
+                            for (j, x) in chunk.iter_mut().enumerate() {
+                                *x += (range.start * width + j) as u32 + 1;
+                            }
+                        });
+                        let want: Vec<u32> = (1..=(rows * width) as u32).collect();
+                        let case = format!("capacity {capacity} rows {rows} width {width} align {align}");
+                        assert_eq!(out, want, "{case}");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn run_rows_never_splits_an_aligned_row_pair() {
+        for capacity in CAPACITIES {
+            let pool = ThreadPool::new(capacity);
+            for parallelism in 1..=capacity {
+                pool.set_parallelism(parallelism);
+                for rows in [1usize, 2, 5, 8, 33] {
+                    let starts = Mutex::new(Vec::new());
+                    pool.run_rows(&mut vec![0u8; rows], rows, 1, 2, |range, _| {
+                        starts.lock().unwrap().push(range.start);
+                    });
+                    for start in starts.into_inner().unwrap() {
+                        assert_eq!(start % 2, 0, "rows {rows} at parallelism {parallelism}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_rows_refuses_a_length_mismatch_before_any_shard_runs() {
+        let pool = ThreadPool::new(4);
+        let ran = AtomicU64::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_rows(&mut [0.0f32; 11], 4, 3, 1, |_, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }));
+        assert!(result.is_err(), "11 elements are not 4 rows × 3");
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn run_rows_reduce_partials_are_identical_at_every_thread_count() {
+        // Float sums whose value depends on the order they are taken in:
+        // the partials must still agree bit for bit.
+        let rows = 101;
+        let run = |pool: &ThreadPool| {
+            let mut out = vec![0.0f32; rows * 2];
+            let mut partials = [0.0f32; REDUCE_SHARDS];
+            pool.run_rows_reduce(&mut out, rows, 2, &mut partials, |range, chunk, part| {
+                for (r, row) in range.zip(chunk.chunks_exact_mut(2)) {
+                    let v = 1.0 / (r as f32 + 0.3);
+                    *part += v;
+                    row.fill(v);
+                }
+            });
+            (out, partials.map(f32::to_bits))
+        };
+        let want = run(&ThreadPool::new(1));
+        for capacity in CAPACITIES {
+            assert_eq!(run(&ThreadPool::new(capacity)), want, "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn run_slot_rows_hands_each_listed_row_to_one_shard() {
+        for capacity in CAPACITIES {
+            let pool = ThreadPool::new(capacity);
+            let (width, slots) = (3usize, [9u32, 0, 4, 7, 2]);
+            let mut a = vec![0u32; 10 * width];
+            let mut b = vec![0u32; 12 * width];
+            // SAFETY: the slots are distinct.
+            unsafe {
+                pool.run_slot_rows([&mut a[..], &mut b[..]], width, &slots, |i, [ra, rb]| {
+                    ra.fill(i as u32 + 1);
+                    rb.fill(slots[i] + 100);
+                });
+            }
+            for slot in 0..10u32 {
+                let at = slot as usize * width..(slot as usize + 1) * width;
+                let i = slots.iter().position(|&s| s == slot);
+                let (wa, wb) = i.map_or((0, 0), |i| (i as u32 + 1, slot + 100));
+                assert!(a[at.clone()].iter().all(|&x| x == wa), "capacity {capacity} slot {slot}");
+                assert!(b[at].iter().all(|&x| x == wb), "capacity {capacity} slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_slot_rows_refuses_a_slot_beyond_any_table_before_any_shard_runs() {
+        let pool = ThreadPool::new(4);
+        let ran = AtomicU64::new(0);
+        let (mut long, mut short) = (vec![0.0f32; 8], vec![0.0f32; 6]);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: the slots are distinct.
+            unsafe {
+                pool.run_slot_rows([&mut long[..], &mut short[..]], 2, &[0, 3], |_, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        }));
+        assert!(result.is_err(), "slot 3 is past the 3-row table");
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
     #[test]

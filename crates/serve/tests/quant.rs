@@ -13,32 +13,15 @@
 //! The int8 path also carries a *stronger* reproducibility contract than
 //! f32 serving: served bytes are bit-identical across pool parallelism
 //! **and** across SIMD backends (integer accumulation is associative), which
-//! the second test pins by forcing scalar vs detected dispatch.
+//! `quant_backends.rs` pins by forcing scalar vs detected dispatch.
 
 mod common;
 
-use common::{raw_rows, tiny_dataset, trained_model};
+use common::{
+    fixtures_dir, int8_config, raw_rows, read_fixture_requests, serve_all, tiny_dataset, trained_model,
+};
 use fvae_core::checkpoint::export_model_snapshot;
-use fvae_serve::{read_frame, Client, EmbedOutcome, FieldRow, Message, QuantMode, ServeConfig, Server};
-use std::path::{Path, PathBuf};
-
-fn fixtures_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-fn read_fixture_requests() -> Vec<Vec<FieldRow>> {
-    let path = fixtures_dir().join("requests.bin");
-    let mut file = std::fs::File::open(&path).expect("fixture requests.bin");
-    let mut scratch = Vec::new();
-    let mut out = Vec::new();
-    while let Some(msg) = read_frame(&mut file, &mut scratch).expect("valid fixture frame") {
-        match msg {
-            Message::EmbedRequest { fields, .. } => out.push(fields),
-            other => panic!("fixture holds non-request frame {other:?}"),
-        }
-    }
-    out
-}
+use fvae_serve::{Client, EmbedOutcome, Server};
 
 fn read_fixture_expected() -> (usize, usize, Vec<f32>) {
     let bytes = std::fs::read(fixtures_dir().join("expected.f32le")).expect("fixture expected.f32le");
@@ -48,25 +31,6 @@ fn read_fixture_expected() -> (usize, usize, Vec<f32>) {
         bytes[8..].chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
     assert_eq!(vals.len(), rows * dim);
     (rows, dim, vals)
-}
-
-fn int8_config(dir: &Path) -> ServeConfig {
-    let mut cfg = ServeConfig::new(dir);
-    cfg.batch_size = 4;
-    cfg.cache_capacity = 0; // every request exercises the quantized encoder
-    cfg.quant = QuantMode::Int8;
-    cfg
-}
-
-fn serve_all(server: &Server, requests: &[Vec<FieldRow>]) -> Vec<Vec<f32>> {
-    let mut client = Client::connect(server.addr()).expect("connect");
-    requests
-        .iter()
-        .map(|fields| match client.embed(fields).expect("embed") {
-            EmbedOutcome::Embedding { values, .. } => values,
-            other => panic!("unexpected outcome {other:?}"),
-        })
-        .collect()
 }
 
 fn cosine(a: &[f32], b: &[f32]) -> f32 {
@@ -133,36 +97,6 @@ fn int8_serve_matches_f32_goldens_and_preserves_topk_neighbors() {
             );
         }
     }
-}
-
-#[test]
-fn int8_serve_is_bit_identical_across_threads_and_simd_backends() {
-    use fvae_tensor::simd;
-    let requests = read_fixture_requests();
-
-    let mut reference: Option<Vec<Vec<u32>>> = None;
-    let original = simd::active();
-    for backend in [simd::scalar(), simd::detected()] {
-        simd::force(backend);
-        for threads in [1usize, 2, 4] {
-            fvae_pool::set_parallelism(threads);
-            let server = Server::start(int8_config(&fixtures_dir())).expect("start int8 server");
-            let served: Vec<Vec<u32>> = serve_all(&server, &requests)
-                .into_iter()
-                .map(|row| row.into_iter().map(f32::to_bits).collect())
-                .collect();
-            drop(server);
-            match &reference {
-                None => reference = Some(served),
-                Some(want) => assert_eq!(
-                    &served, want,
-                    "int8 serve not bit-identical on backend {} at {threads} threads",
-                    backend.name
-                ),
-            }
-        }
-    }
-    simd::force(original);
 }
 
 #[test]

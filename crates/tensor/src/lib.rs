@@ -18,6 +18,8 @@
 //! datasets here are small enough that accumulation error is negligible
 //! (verified by the gradient-check tests in `fvae-nn`).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod dist;
 pub mod linalg;
 pub mod matrix;

@@ -4,7 +4,7 @@
 //! mini-batches as `batch × dim` matrices, so row-major storage keeps each
 //! sample contiguous and lets the GEMM kernels below run down cache lines.
 
-use fvae_pool::{SendPtr, ThreadPool};
+use fvae_pool::ThreadPool;
 use rand::{Rng, RngExt};
 
 use crate::dist::Gaussian;
@@ -277,45 +277,28 @@ impl Matrix {
     /// skipped, which preserves the fast path for sparse multi-hot inputs
     /// (the embedding-bag ablation's densified baseline).
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.resize_zeroed(m, n);
-        if m * k * n < PAR_MIN_FLOPS {
-            self.matmul_range(other, &mut out.data, 0, m);
-        } else {
-            self.matmul_pooled(other, out, fvae_pool::global());
+        if self.rows * self.cols * other.cols >= PAR_MIN_FLOPS {
+            return self.matmul_into_with(other, out, fvae_pool::global());
         }
+        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
+        out.resize_zeroed(self.rows, other.cols);
+        self.matmul_range(other, &mut out.data, 0, self.rows);
     }
 
     /// [`Matrix::matmul_into`] on an explicit pool, always dispatching
     /// through it (no serial-size shortcut). The parity proptests use this
     /// to pin the sharded path against the serial kernel at arbitrary
     /// thread counts.
+    ///
+    /// Output rows are sharded with boundaries aligned to the 2-row output
+    /// tile, so every shard reproduces the serial kernel's tile pairing —
+    /// and with it the all-zero-tile skip decisions — exactly: the result
+    /// is bit-identical to serial for any shard count.
     pub fn matmul_into_with(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        out.resize_zeroed(self.rows, other.cols);
-        self.matmul_pooled(other, out, pool);
-    }
-
-    /// Row-sharded dispatch. Shard boundaries are aligned to the 2-row
-    /// output tile, so every shard reproduces the serial kernel's tile
-    /// pairing — and with it the all-zero-tile skip decisions — exactly:
-    /// the result is bit-identical to serial for any shard count.
-    fn matmul_pooled(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         let (m, n) = (self.rows, other.cols);
-        let n_shards = fvae_pool::balanced_shards(m.div_ceil(2), pool.parallelism());
-        let base = SendPtr::new(out.data.as_mut_ptr());
-        pool.run(n_shards, |s| {
-            let r = fvae_pool::shard_range(m, n_shards, s, 2);
-            if r.is_empty() {
-                return;
-            }
-            // Shards own disjoint row ranges of the output.
-            let rows = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(r.start * n), (r.end - r.start) * n)
-            };
-            self.matmul_range(other, rows, r.start, r.end);
-        });
+        out.resize_zeroed(m, n);
+        pool.run_rows(&mut out.data, m, n, 2, |r, rows| self.matmul_range(other, rows, r.start, r.end));
     }
 
     /// Output rows `i0..i1` of `self · other`, written into `out_rows` (the
@@ -410,38 +393,23 @@ impl Matrix {
     /// so each output element is one [`crate::ops::dot`] — which carries the
     /// 8-lane unrolled reduction.
     pub fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_transb inner dimension mismatch");
-        let (m, n) = (self.rows, other.rows);
-        out.resize_zeroed(m, n);
-        if m * self.cols * n < PAR_MIN_FLOPS {
-            self.matmul_transb_range(other, &mut out.data, 0, m);
-        } else {
-            self.matmul_transb_pooled(other, out, fvae_pool::global());
+        if self.rows * self.cols * other.rows >= PAR_MIN_FLOPS {
+            return self.matmul_transb_into_with(other, out, fvae_pool::global());
         }
+        assert_eq!(self.cols, other.cols, "matmul_transb inner dimension mismatch");
+        out.resize_zeroed(self.rows, other.rows);
+        self.matmul_transb_range(other, &mut out.data, 0, self.rows);
     }
 
     /// [`Matrix::matmul_transb_into`] on an explicit pool (no serial-size
-    /// shortcut); see [`Matrix::matmul_into_with`].
+    /// shortcut); see [`Matrix::matmul_into_with`]. Output rows are
+    /// sharded; every output element is one independent dot product, so
+    /// any row partition is bit-identical to serial.
     pub fn matmul_transb_into_with(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         assert_eq!(self.cols, other.cols, "matmul_transb inner dimension mismatch");
-        out.resize_zeroed(self.rows, other.rows);
-        self.matmul_transb_pooled(other, out, pool);
-    }
-
-    /// Row-sharded dispatch. Every output element is one independent dot
-    /// product, so any row partition is bit-identical to serial.
-    fn matmul_transb_pooled(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         let (m, n) = (self.rows, other.rows);
-        let n_shards = fvae_pool::balanced_shards(m, pool.parallelism());
-        let base = SendPtr::new(out.data.as_mut_ptr());
-        pool.run(n_shards, |s| {
-            let r = fvae_pool::shard_range(m, n_shards, s, 1);
-            if r.is_empty() {
-                return;
-            }
-            let rows = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(r.start * n), (r.end - r.start) * n)
-            };
+        out.resize_zeroed(m, n);
+        pool.run_rows(&mut out.data, m, n, 1, |r, rows| {
             self.matmul_transb_range(other, rows, r.start, r.end);
         });
     }
@@ -478,40 +446,24 @@ impl Matrix {
     /// once per row. Zero coefficients skip their update, which matters for
     /// post-ReLU/dropout activations.
     pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "matmul_transa inner dimension mismatch");
-        let (m, n) = (self.cols, other.cols);
-        out.resize_zeroed(m, n);
-        if self.rows * m * n < PAR_MIN_FLOPS {
-            self.matmul_transa_range(other, &mut out.data, 0, m);
-        } else {
-            self.matmul_transa_pooled(other, out, fvae_pool::global());
+        if self.rows * self.cols * other.cols >= PAR_MIN_FLOPS {
+            return self.matmul_transa_into_with(other, out, fvae_pool::global());
         }
+        assert_eq!(self.rows, other.rows, "matmul_transa inner dimension mismatch");
+        out.resize_zeroed(self.cols, other.cols);
+        self.matmul_transa_range(other, &mut out.data, 0, self.cols);
     }
 
     /// [`Matrix::matmul_transa_into`] on an explicit pool (no serial-size
-    /// shortcut); see [`Matrix::matmul_into_with`].
+    /// shortcut); see [`Matrix::matmul_into_with`]. Sharded over *output*
+    /// rows: every shard streams all batch-row pairs in the same serial
+    /// order, so each output element accumulates its rank-2 updates in
+    /// exactly the serial sequence — bit-identical for any shard count.
     pub fn matmul_transa_into_with(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         assert_eq!(self.rows, other.rows, "matmul_transa inner dimension mismatch");
-        out.resize_zeroed(self.cols, other.cols);
-        self.matmul_transa_pooled(other, out, pool);
-    }
-
-    /// Sharded over *output* rows: every shard streams all batch-row pairs
-    /// in the same serial order, so each output element accumulates its
-    /// rank-2 updates in exactly the serial sequence — bit-identical for
-    /// any shard count.
-    fn matmul_transa_pooled(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         let (m, n) = (self.cols, other.cols);
-        let n_shards = fvae_pool::balanced_shards(m, pool.parallelism());
-        let base = SendPtr::new(out.data.as_mut_ptr());
-        pool.run(n_shards, |s| {
-            let r = fvae_pool::shard_range(m, n_shards, s, 1);
-            if r.is_empty() {
-                return;
-            }
-            let rows = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(r.start * n), (r.end - r.start) * n)
-            };
+        out.resize_zeroed(m, n);
+        pool.run_rows(&mut out.data, m, n, 1, |r, rows| {
             self.matmul_transa_range(other, rows, r.start, r.end);
         });
     }
@@ -562,41 +514,25 @@ impl Matrix {
 
     /// Matrix–vector product written into `out` (resized to `rows`).
     pub fn matvec_into(&self, v: &[f32], out: &mut Vec<f32>) {
+        if self.rows * self.cols >= PAR_MIN_FLOPS {
+            return self.matvec_into_with(v, out, fvae_pool::global());
+        }
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         out.clear();
         // resize-then-fill (not extend) so an `m × 0` matrix still yields
         // `m` zeros even though its row iterator is empty.
         out.resize(self.rows, 0.0);
-        if self.rows * self.cols < PAR_MIN_FLOPS {
-            self.matvec_range(v, out, 0, self.rows);
-        } else {
-            self.matvec_pooled(v, out, fvae_pool::global());
-        }
+        self.matvec_range(v, out, 0, self.rows);
     }
 
     /// [`Matrix::matvec_into`] on an explicit pool (no serial-size
-    /// shortcut); see [`Matrix::matmul_into_with`].
+    /// shortcut); see [`Matrix::matmul_into_with`]. Output elements are
+    /// sharded, one independent dot each.
     pub fn matvec_into_with(&self, v: &[f32], out: &mut Vec<f32>, pool: &ThreadPool) {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         out.clear();
         out.resize(self.rows, 0.0);
-        self.matvec_pooled(v, out, pool);
-    }
-
-    /// Row-sharded dispatch: one independent dot per output element.
-    fn matvec_pooled(&self, v: &[f32], out: &mut [f32], pool: &ThreadPool) {
-        let m = self.rows;
-        let n_shards = fvae_pool::balanced_shards(m, pool.parallelism());
-        let base = SendPtr::new(out.as_mut_ptr());
-        pool.run(n_shards, |s| {
-            let r = fvae_pool::shard_range(m, n_shards, s, 1);
-            if r.is_empty() {
-                return;
-            }
-            let rows =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.end - r.start) };
-            self.matvec_range(v, rows, r.start, r.end);
-        });
+        pool.run_rows(out, self.rows, 1, 1, |r, rows| self.matvec_range(v, rows, r.start, r.end));
     }
 
     /// Output elements `i0..i1` of `self · v` into the slice covering

@@ -4,7 +4,7 @@
 //! GEMM register tiles, and the int8 serving dot — funnels through a
 //! [`Kernels`] vtable selected **once per process**:
 //!
-//! * x86_64 with AVX2+FMA detected at runtime → [`struct@AVX2`] (8-lane fused
+//! * x86_64 with AVX2+FMA detected at runtime → `AVX2` (8-lane fused
 //!   multiply-add, 32-lane accumulator tree for reductions),
 //! * aarch64 → [`struct@NEON`] (4-lane FMA; NEON is baseline on aarch64, no
 //!   runtime probe needed),
@@ -53,9 +53,10 @@ pub type Fused1x4Fn = fn(&[f32; 4], &[f32], &[f32], &[f32], &[f32], &mut [f32]);
 /// Signature of the [`Kernels::dot_i8x4`] shared-RHS quantized tile.
 pub type DotI8x4Fn = fn(&[i16], &[i16], &[i16], &[i16], &[i8]) -> [i32; 4];
 
-/// The dispatched micro-kernel set. All slice arguments of one call have
-/// equal lengths (checked by `debug_assert` in each backend); zero-length
-/// calls are valid no-ops (dot products return 0).
+/// The dispatched micro-kernel set. All slice arguments of one call must
+/// have equal lengths: every backend asserts it and panics alike on a
+/// mismatch (the SIMD bodies index raw pointers by that length).
+/// Zero-length calls are valid no-ops (dot products return 0).
 pub struct Kernels {
     /// Backend name: `"scalar"`, `"avx2"`, or `"neon"`.
     pub name: &'static str,
@@ -152,6 +153,13 @@ pub fn force(k: &'static Kernels) {
     ACTIVE.store(k as *const Kernels as *mut Kernels, Ordering::Release);
 }
 
+/// The precondition every kernel asserts before touching memory: all slice
+/// arguments of the call have the same length.
+#[inline(always)]
+fn assert_same_len<const N: usize>(lens: [usize; N]) {
+    assert!(lens.iter().all(|&l| l == lens[0]), "kernel slice lengths differ: {lens:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference backend
 // ---------------------------------------------------------------------------
@@ -176,7 +184,7 @@ pub static SCALAR: Kernels = Kernels {
 /// pairwise so its adds stay independent too. This exact lane structure and
 /// reduction order *is* the scalar numeric reference — do not reorder.
 pub fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_same_len([a.len(), b.len()]);
     let mut acc = [0.0f32; 8];
     let a_chunks = a.chunks_exact(8);
     let b_chunks = b.chunks_exact(8);
@@ -200,7 +208,7 @@ pub fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
 /// Plain element-wise loop: no loop-carried dependency, so the compiler
 /// already emits packed multiply-adds at the target's default width.
 pub fn scalar_axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_same_len([x.len(), y.len()]);
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
     }
@@ -215,7 +223,7 @@ fn scalar_fused2x4(
     out0: &mut [f32],
     out1: &mut [f32],
 ) {
-    debug_assert!([b0.len(), b1.len(), b2.len(), b3.len(), out1.len()].iter().all(|&l| l == out0.len()));
+    assert_same_len([out0.len(), out1.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
     for (((((o0, o1), &v0), &v1), &v2), &v3) in
         out0.iter_mut().zip(out1.iter_mut()).zip(b0).zip(b1).zip(b2).zip(b3)
     {
@@ -225,7 +233,7 @@ fn scalar_fused2x4(
 }
 
 fn scalar_fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f32]) {
-    debug_assert!(b.len() == out0.len() && b.len() == out1.len());
+    assert_same_len([out0.len(), out1.len(), b.len()]);
     for ((o0, o1), &v) in out0.iter_mut().zip(out1.iter_mut()).zip(b) {
         *o0 += c0 * v;
         *o1 += c1 * v;
@@ -233,14 +241,14 @@ fn scalar_fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f3
 }
 
 fn scalar_fused1x4(c: &[f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], out: &mut [f32]) {
-    debug_assert!([b0.len(), b1.len(), b2.len(), b3.len()].iter().all(|&l| l == out.len()));
+    assert_same_len([out.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
     for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
         *o += c[0] * v0 + c[1] * v1 + c[2] * v2 + c[3] * v3;
     }
 }
 
 fn scalar_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
-    debug_assert!(b0.len() == out.len() && b1.len() == out.len());
+    assert_same_len([out.len(), b0.len(), b1.len()]);
     for ((o, &x0), &x1) in out.iter_mut().zip(b0).zip(b1) {
         *o += c0 * x0 + c1 * x1;
     }
@@ -249,7 +257,7 @@ fn scalar_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
 /// i8×i8 dot with exact i32 accumulation (associative — every backend
 /// agrees bit-for-bit).
 pub fn scalar_dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_same_len([a.len(), b.len()]);
     let mut acc = 0i32;
     for (&x, &y) in a.iter().zip(b.iter()) {
         acc += i32::from(x) * i32::from(y);
@@ -261,8 +269,8 @@ pub fn scalar_dot_i8(a: &[i8], b: &[i8]) -> i32 {
 /// i16 by the caller). Exact i32 accumulation, so the loop structure is
 /// immaterial to the result — four plain dots suffice as the reference.
 pub fn scalar_dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i32; 4] {
+    assert_same_len([w.len(), x0.len(), x1.len(), x2.len(), x3.len()]);
     fn one(x: &[i16], w: &[i8]) -> i32 {
-        debug_assert_eq!(x.len(), w.len());
         let mut acc = 0i32;
         for (&a, &b) in x.iter().zip(w.iter()) {
             acc += i32::from(a) * i32::from(b);
@@ -277,10 +285,11 @@ pub fn scalar_dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8])
 // ---------------------------------------------------------------------------
 
 /// AVX2+FMA kernels: 8-lane fused multiply-add, 4×8-lane accumulator tree
-/// for `dot`. Selected only when `is_x86_feature_detected!` confirms both
-/// features, so the `target_feature` contract always holds at the call.
+/// for `dot`. Private, and returned by [`detected`] only when
+/// `is_x86_feature_detected!` confirms both features, so the
+/// `target_feature` contract always holds at the call.
 #[cfg(target_arch = "x86_64")]
-pub static AVX2: Kernels = Kernels {
+static AVX2: Kernels = Kernels {
     name: "avx2",
     dot: avx2_dot,
     axpy: avx2_axpy,
@@ -294,10 +303,13 @@ pub static AVX2: Kernels = Kernels {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! `unsafe` inner bodies carrying `#[target_feature]`. The safe
-    //! wrappers in the parent module are only reachable through
-    //! [`super::AVX2`], which [`super::detected`] installs strictly after
-    //! the runtime feature probe succeeds.
+    //! `unsafe` inner bodies carrying `#[target_feature]`. Each has the same
+    //! two-part contract: the CPU supports AVX2 and FMA, and every slice
+    //! argument has the same length (the loops index raw pointers by it).
+    //! The safe wrappers in the parent module discharge both: they are only
+    //! reachable through the private `AVX2` table, which
+    //! [`super::detected`] returns strictly after the runtime feature probe
+    //! succeeds, and each asserts the lengths before the call.
     use core::arch::x86_64::*;
 
     /// Horizontal sum of an 8-lane register: cross-lane fold 8→4, then an
@@ -318,7 +330,6 @@ mod avx2 {
     /// remainder runs one 8-lane chain, then scalar.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
         let n = a.len();
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
         let mut acc0 = _mm256_setzero_ps();
@@ -348,7 +359,6 @@ mod avx2 {
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len());
         let n = y.len();
         let va = _mm256_set1_ps(alpha);
         let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
@@ -383,7 +393,6 @@ mod avx2 {
         out1: &mut [f32],
     ) {
         let n = out0.len();
-        debug_assert!([b0.len(), b1.len(), b2.len(), b3.len(), out1.len()].iter().all(|&l| l == n));
         let vc: [__m256; 8] = [
             _mm256_set1_ps(c[0]),
             _mm256_set1_ps(c[1]),
@@ -426,7 +435,6 @@ mod avx2 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f32]) {
         let n = out0.len();
-        debug_assert!(b.len() == n && out1.len() == n);
         let v0 = _mm256_set1_ps(c0);
         let v1 = _mm256_set1_ps(c1);
         let bp = b.as_ptr();
@@ -455,7 +463,6 @@ mod avx2 {
         out: &mut [f32],
     ) {
         let n = out.len();
-        debug_assert!([b0.len(), b1.len(), b2.len(), b3.len()].iter().all(|&l| l == n));
         let vc0 = _mm256_set1_ps(c[0]);
         let vc1 = _mm256_set1_ps(c[1]);
         let vc2 = _mm256_set1_ps(c[2]);
@@ -481,7 +488,6 @@ mod avx2 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
         let n = out.len();
-        debug_assert!(b0.len() == n && b1.len() == n);
         let v0 = _mm256_set1_ps(c0);
         let v1 = _mm256_set1_ps(c1);
         let (p0, p1) = (b0.as_ptr(), b1.as_ptr());
@@ -505,7 +511,6 @@ mod avx2 {
     /// the result is bit-identical to the scalar reference.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        debug_assert_eq!(a.len(), b.len());
         let n = a.len();
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
         let mut acc0 = _mm256_setzero_si256();
@@ -548,7 +553,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i32; 4] {
         let n = w.len();
-        debug_assert!(x0.len() == n && x1.len() == n && x2.len() == n && x3.len() == n);
         let (p0, p1, p2, p3, pw) = (x0.as_ptr(), x1.as_ptr(), x2.as_ptr(), x3.as_ptr(), w.as_ptr());
         let mut acc = [_mm256_setzero_si256(); 4];
         let mut i = 0usize;
@@ -579,14 +583,21 @@ mod avx2 {
     }
 }
 
-// Safe wrappers: reachable only through `AVX2`, which is installed strictly
-// after the runtime feature probe succeeds.
+// Safe wrappers: reachable only through the private `AVX2` table, which
+// `detected` returns strictly after the runtime feature probe succeeds. Each
+// asserts the length precondition before entering the `unsafe` body.
 #[cfg(target_arch = "x86_64")]
 fn avx2_dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_same_len([a.len(), b.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::dot(a, b) }
 }
 #[cfg(target_arch = "x86_64")]
 fn avx2_axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+    assert_same_len([x.len(), y.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::axpy(alpha, x, y) }
 }
 #[cfg(target_arch = "x86_64")]
@@ -599,26 +610,44 @@ fn avx2_fused2x4(
     out0: &mut [f32],
     out1: &mut [f32],
 ) {
+    assert_same_len([out0.len(), out1.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::fused2x4(c, b0, b1, b2, b3, out0, out1) }
 }
 #[cfg(target_arch = "x86_64")]
 fn avx2_fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f32]) {
+    assert_same_len([out0.len(), out1.len(), b.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::fused2x1(c0, c1, b, out0, out1) }
 }
 #[cfg(target_arch = "x86_64")]
 fn avx2_fused1x4(c: &[f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], out: &mut [f32]) {
+    assert_same_len([out.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::fused1x4(c, b0, b1, b2, b3, out) }
 }
 #[cfg(target_arch = "x86_64")]
 fn avx2_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
+    assert_same_len([out.len(), b0.len(), b1.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::fused1x2(c0, c1, b0, b1, out) }
 }
 #[cfg(target_arch = "x86_64")]
 fn avx2_dot_i8(a: &[i8], b: &[i8]) -> i32 {
+    assert_same_len([a.len(), b.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::dot_i8(a, b) }
 }
 #[cfg(target_arch = "x86_64")]
 fn avx2_dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i32; 4] {
+    assert_same_len([w.len(), x0.len(), x1.len(), x2.len(), x3.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
     unsafe { avx2::dot_i8x4(x0, x1, x2, x3, w) }
 }
 
@@ -643,14 +672,16 @@ pub static NEON: Kernels = Kernels {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     //! NEON is part of the aarch64 baseline, so these need no runtime
-    //! probe; the `unsafe` blocks only assert slice-derived pointer
-    //! validity.
+    //! probe; each function asserts the length precondition, after which
+    //! its `unsafe` block only reads and writes below the shared length.
     use core::arch::aarch64::*;
 
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        super::assert_same_len([a.len(), b.len()]);
         let n = a.len();
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut acc0 = vdupq_n_f32(0.0);
             let mut acc1 = vdupq_n_f32(0.0);
@@ -674,9 +705,11 @@ mod neon {
     }
 
     pub(super) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len());
+        super::assert_same_len([x.len(), y.len()]);
         let n = y.len();
         let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let va = vdupq_n_f32(alpha);
             let mut i = 0usize;
@@ -703,9 +736,11 @@ mod neon {
         out1: &mut [f32],
     ) {
         let n = out0.len();
-        debug_assert!([b0.len(), b1.len(), b2.len(), b3.len(), out1.len()].iter().all(|&l| l == n));
+        super::assert_same_len([out0.len(), out1.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
         let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
         let (q0, q1) = (out0.as_mut_ptr(), out1.as_mut_ptr());
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut j = 0usize;
             while j + 4 <= n {
@@ -737,9 +772,11 @@ mod neon {
 
     pub(super) fn fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f32]) {
         let n = out0.len();
-        debug_assert!(b.len() == n && out1.len() == n);
+        super::assert_same_len([out0.len(), out1.len(), b.len()]);
         let bp = b.as_ptr();
         let (q0, q1) = (out0.as_mut_ptr(), out1.as_mut_ptr());
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut j = 0usize;
             while j + 4 <= n {
@@ -765,9 +802,11 @@ mod neon {
         out: &mut [f32],
     ) {
         let n = out.len();
-        debug_assert!([b0.len(), b1.len(), b2.len(), b3.len()].iter().all(|&l| l == n));
+        super::assert_same_len([out.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
         let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
         let q = out.as_mut_ptr();
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut j = 0usize;
             while j + 4 <= n {
@@ -788,9 +827,11 @@ mod neon {
 
     pub(super) fn fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
         let n = out.len();
-        debug_assert!(b0.len() == n && b1.len() == n);
+        super::assert_same_len([out.len(), b0.len(), b1.len()]);
         let (p0, p1) = (b0.as_ptr(), b1.as_ptr());
         let q = out.as_mut_ptr();
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut j = 0usize;
             while j + 4 <= n {
@@ -808,9 +849,11 @@ mod neon {
     }
 
     pub(super) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        debug_assert_eq!(a.len(), b.len());
+        super::assert_same_len([a.len(), b.len()]);
         let n = a.len();
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut acc = vdupq_n_s32(0);
             let mut i = 0usize;
@@ -833,8 +876,10 @@ mod neon {
     /// i32 accumulation.
     pub(super) fn dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i32; 4] {
         let n = w.len();
-        debug_assert!(x0.len() == n && x1.len() == n && x2.len() == n && x3.len() == n);
+        super::assert_same_len([w.len(), x0.len(), x1.len(), x2.len(), x3.len()]);
         let (p0, p1, p2, p3, pw) = (x0.as_ptr(), x1.as_ptr(), x2.as_ptr(), x3.as_ptr(), w.as_ptr());
+        // SAFETY: NEON is baseline on aarch64, and every lane access
+        // stays below `n`, the length all slices share (asserted above).
         unsafe {
             let mut acc = [vdupq_n_s32(0); 4];
             let mut i = 0usize;
@@ -936,14 +981,5 @@ mod tests {
         let want = 4096 * 127 * 127;
         assert_eq!(scalar_dot_i8(&a, &b), want);
         assert_eq!((detected().dot_i8)(&a, &b), want);
-    }
-
-    #[test]
-    fn force_overrides_and_restores_dispatch() {
-        let original = active();
-        force(scalar());
-        assert_eq!(active().name, "scalar");
-        force(original);
-        assert_eq!(active().name, original.name);
     }
 }
