@@ -65,7 +65,11 @@ fn bench_first_layer(c: &mut Criterion) {
                 .collect();
             let mut rng = StdRng::seed_from_u64(2);
             bag.forward_batch(&rows, &mut rng); // materialize
-            b.iter(|| black_box(bag.forward_batch_frozen(&rows)))
+            let mut out = Matrix::default();
+            b.iter(|| {
+                bag.forward_batch_frozen_into(&ids, &vals, &mut out);
+                black_box(out.as_slice());
+            })
         });
         group.bench_with_input(BenchmarkId::new("dense_matmul", vocab), &vocab, |b, _| {
             let mut rng = StdRng::seed_from_u64(3);

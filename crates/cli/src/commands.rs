@@ -339,6 +339,17 @@ fn embed(args: &Args) -> Result<String, String> {
     // frozen forward `fvae serve` runs — so offline artifacts and online
     // replies come from one code path.
     let encoder = model.encoder();
+    if let Some(picks) = &fields {
+        let n_fields = encoder.n_fields();
+        for (i, &k) in picks.iter().enumerate() {
+            if k >= n_fields {
+                return Err(format!("flag --fields: field {k} is out of range ({n_fields} fields)"));
+            }
+            if picks[..i].contains(&k) {
+                return Err(format!("flag --fields: field {k} is listed twice"));
+            }
+        }
+    }
     let mut input = InputRows::default();
     let mut scratch = EncoderScratch::default();
     let mut embeddings = fvae_tensor::Matrix::default();
@@ -1081,6 +1092,41 @@ mod tests {
         let out = run(&args(&format!("similar --store {store_path} --user 5 --k 3")))
             .expect("similar");
         assert_eq!(out.lines().count(), 4);
+    }
+
+    /// Runs `fvae embed --fields {fields}` on a fresh sc-small dataset and
+    /// 1-epoch model; returns the error and whether a store was written.
+    fn embed_with_fields(name: &str, fields: &str) -> (String, bool) {
+        let ds = tmp(&format!("{name}_ds.bin"));
+        let model = tmp(&format!("{name}_model.bin"));
+        let store = tmp(&format!("{name}_store.bin"));
+        let _ = std::fs::remove_file(&store);
+        run(&args(&format!("generate --preset sc-small --users 64 --seed 13 --out {ds}")))
+            .expect("generate");
+        run(&args(&format!(
+            "train --data {ds} --out {model} --epochs 1 --latent 8 --batch 32 --quiet true"
+        )))
+        .expect("train");
+        let err = run(&args(&format!(
+            "embed --data {ds} --model {model} --out {store} --fields {fields}"
+        )))
+        .expect_err("a bad field list must be refused");
+        (err, std::path::Path::new(&store).exists())
+    }
+
+    #[test]
+    fn embed_refuses_a_field_out_of_range() {
+        let (err, written) = embed_with_fields("fields_range", "0,9"); // sc-small has 4 fields
+        assert!(err.starts_with("flag --fields:") && err.contains("field 9"), "got: {err}");
+        assert!(!written, "no store may be written");
+    }
+
+    #[test]
+    fn embed_refuses_a_field_listed_twice() {
+        // Listed twice, field 0 would count twice in the L2 norm.
+        let (err, written) = embed_with_fields("fields_twice", "0,0");
+        assert!(err.starts_with("flag --fields:") && err.contains("field 0"), "got: {err}");
+        assert!(!written, "no store may be written");
     }
 
     #[test]

@@ -1,33 +1,45 @@
-//! Inference-only encoder split out of the full model.
+//! The encoder: the `q(z|x)` half of the FVAE and its one forward pass.
 //!
-//! Online serving (and the offline evaluation drivers) only ever need the
-//! encoder half of the FVAE: per-field embedding bags, the first-layer bias
-//! and tanh, the optional extra MLP, and the `(μ, log σ²)` head. [`Encoder`]
-//! carries exactly those parameters — no decoder trunk, no softmax heads, no
-//! optimizer or gradient buffers — together with a reusable forward scratch,
-//! so a long-running server (or a loop that embeds one user per call) pays
-//! zero steady-state allocations.
+//! [`Encoder`] holds the parameters of the encoder half: per-field
+//! embedding bags, the first-layer bias, the optional extra MLP, and the
+//! `(μ, log σ²)` head. [`Fvae`] owns one as its encoder, so training updates
+//! these very parameters; [`Fvae::encoder`] clones it and
+//! `Encoder::from(Fvae)` moves it out for serving, leaving the decoder
+//! trunk, the softmax heads and every optimizer buffer behind.
 //!
-//! Every float operation replays the [`Fvae::embed_users`] sequence exactly,
-//! so encoder output is bit-identical to the offline path at any thread
-//! count (the PR-4 determinism contract extended across serving).
+//! [`Encoder::encode_into`] is the crate's only frozen forward.
+//! [`Fvae::encode`] / [`Fvae::embed_users`], the offline store fill, the
+//! evaluation drivers and the f32 server all call it, and
+//! [`crate::QuantizedEncoder`] runs its sparse front. Offline and served
+//! embeddings are therefore one function of the same bytes, bit-identical
+//! at any thread count. The forward reuses an [`EncoderScratch`], so a
+//! long-running server (or a loop that embeds one user per call) pays zero
+//! steady-state allocations.
 
 use fvae_data::MultiFieldDataset;
 use fvae_nn::{Dense, EmbeddingBag, Mlp};
 use fvae_tensor::Matrix;
+use rand::Rng;
 
-use crate::model::{Fvae, LOGVAR_CLAMP};
+use crate::model::Fvae;
 
-/// Inference-only encoder: the parameters of the `q(z|x)` half of an
-/// [`Fvae`], detached from training state.
+/// Bound on the predicted log-variance, keeping `exp` finite.
+pub(crate) const LOGVAR_CLAMP: f32 = 8.0;
+
+/// The parameters of the `q(z|x)` half of an [`Fvae`]. Its shape — field
+/// count, first-layer width, latent dimensionality — is read off the
+/// parameters themselves.
+#[derive(Clone)]
 pub struct Encoder {
-    pub(crate) n_fields: usize,
-    pub(crate) latent_dim: usize,
-    pub(crate) enc_hidden: usize,
+    /// One embedding bag per field — summed, they form the first encoder
+    /// layer over the concatenated multi-hot input.
     pub(crate) bags: Vec<EmbeddingBag>,
-    pub(crate) enc_bias: Vec<f32>,
-    pub(crate) enc_extra: Option<Mlp>,
-    pub(crate) enc_head: Dense,
+    /// Bias of the first encoder layer.
+    pub(crate) bias: Vec<f32>,
+    /// Optional extra encoder hidden layers.
+    pub(crate) extra: Option<Mlp>,
+    /// μ / log σ² head.
+    pub(crate) head: Dense,
 }
 
 /// Reusable forward buffers for [`Encoder::encode_into`]. All matrices are
@@ -43,8 +55,8 @@ pub struct EncoderScratch {
 }
 
 /// Batched sparse encoder input: per field, one `(ids, vals)` row per user,
-/// already L2-normalized across fields. Nested vectors are reused across
-/// batches (reshaped in place), mirroring the training-side `BatchInput`.
+/// already L2-normalized across fields (and dropout-masked, when training
+/// fills it). Nested vectors are reused across batches (reshaped in place).
 #[derive(Default)]
 pub struct InputRows {
     pub(crate) n_fields: usize,
@@ -75,10 +87,28 @@ impl InputRows {
         self.n_fields
     }
 
+    /// Field `k`'s `(ids, vals)` rows of the current batch.
+    pub(crate) fn field(&self, k: usize) -> (&[Vec<u64>], &[Vec<f32>]) {
+        (&self.ids[k][..self.rows], &self.vals[k][..self.rows])
+    }
+
+    /// Row `r` of field `k`, emptied. Rows are filled in order, so a batch
+    /// longer than any before grows each field by one row at a time.
+    pub(crate) fn row_mut(&mut self, k: usize, r: usize) -> (&mut Vec<u64>, &mut Vec<f32>) {
+        if self.ids[k].len() <= r {
+            self.ids[k].push(Vec::new());
+            self.vals[k].push(Vec::new());
+        }
+        let (ids, vals) = (&mut self.ids[k][r], &mut self.vals[k][r]);
+        ids.clear();
+        vals.clear();
+        (ids, vals)
+    }
+
     /// Appends one user's raw per-field `(ids, weights)` rows, applying the
-    /// same L2 normalization over all fields as the offline input builder
-    /// (fields are visited in index order, per-field squared sums are added
-    /// in that order — the exact float sequence of `embed_users`).
+    /// same L2 normalization over all fields as
+    /// [`InputRows::fill_from_dataset`] (fields are visited in index order,
+    /// per-field squared sums are added in that order).
     pub fn push_row<'a>(&mut self, mut field: impl FnMut(usize) -> (&'a [u64], &'a [f32])) {
         let r = self.rows;
         let mut sq = 0.0f32;
@@ -88,25 +118,20 @@ impl InputRows {
         }
         let inv_norm = if sq > 0.0 { 1.0 / sq.sqrt() } else { 0.0 };
         for k in 0..self.n_fields {
-            if self.ids[k].len() <= r {
-                self.ids[k].push(Vec::new());
-                self.vals[k].push(Vec::new());
-            }
             let (ids, vals) = field(k);
-            let id_row = &mut self.ids[k][r];
-            id_row.clear();
+            let (id_row, val_row) = self.row_mut(k, r);
             id_row.extend_from_slice(ids);
-            let val_row = &mut self.vals[k][r];
-            val_row.clear();
             val_row.extend(vals.iter().map(|&v| v * inv_norm));
         }
         self.rows += 1;
     }
 
-    /// Fills the batch from dataset users, replaying the offline frozen
-    /// input builder exactly: the L2 norm runs over `fields` in the order
-    /// given (all fields when `None`), unpicked fields contribute empty
-    /// rows.
+    /// Fills the batch from dataset users, the one inference-time dataset
+    /// input builder: the L2 norm runs over `fields` in the order given (all
+    /// fields when `None`), unpicked fields contribute empty rows.
+    ///
+    /// Panics when a picked field is out of range or picked twice (it would
+    /// count twice in the norm).
     pub fn fill_from_dataset(
         &mut self,
         ds: &MultiFieldDataset,
@@ -117,6 +142,13 @@ impl InputRows {
         self.reset(n_fields);
         let all: Vec<usize> = (0..n_fields).collect();
         let picks: &[usize] = fields.unwrap_or(&all);
+        for (i, &k) in picks.iter().enumerate() {
+            assert!(
+                k < n_fields,
+                "picked field {k} is out of range for {n_fields} fields"
+            );
+            assert!(!picks[..i].contains(&k), "field {k} is picked twice");
+        }
         for &u in users {
             let r = self.rows;
             let mut sq = 0.0f32;
@@ -126,14 +158,7 @@ impl InputRows {
             }
             let inv_norm = if sq > 0.0 { 1.0 / sq.sqrt() } else { 0.0 };
             for k in 0..n_fields {
-                if self.ids[k].len() <= r {
-                    self.ids[k].push(Vec::new());
-                    self.vals[k].push(Vec::new());
-                }
-                let id_row = &mut self.ids[k][r];
-                let val_row = &mut self.vals[k][r];
-                id_row.clear();
-                val_row.clear();
+                let (id_row, val_row) = self.row_mut(k, r);
                 if !picks.contains(&k) {
                     continue;
                 }
@@ -146,30 +171,29 @@ impl InputRows {
     }
 }
 
-impl Encoder {
-    /// Builds an encoder by cloning the inference parameters out of a model
-    /// (the model stays usable — the evaluation drivers keep it around for
-    /// the decoder).
-    pub fn from_model(model: &Fvae) -> Self {
-        Self {
-            n_fields: model.cfg.n_fields,
-            latent_dim: model.cfg.latent_dim,
-            enc_hidden: model.cfg.enc_hidden,
-            bags: model.bags.clone(),
-            enc_bias: model.enc_bias.clone(),
-            enc_extra: model.enc_extra.clone(),
-            enc_head: model.enc_head.clone(),
+/// Splits the head output into `(μ, clamped log σ²)`.
+pub(crate) fn split_stats_into(stats: &Matrix, mu: &mut Matrix, logvar: &mut Matrix) {
+    let (batch, d) = (stats.rows(), stats.cols() / 2);
+    mu.resize_zeroed(batch, d);
+    logvar.resize_zeroed(batch, d);
+    for r in 0..batch {
+        let row = stats.row(r);
+        mu.row_mut(r).copy_from_slice(&row[..d]);
+        for (lv, &s) in logvar.row_mut(r).iter_mut().zip(row[d..].iter()) {
+            *lv = s.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP);
         }
     }
+}
 
+impl Encoder {
     /// Number of input fields the encoder expects per request.
     pub fn n_fields(&self) -> usize {
-        self.n_fields
+        self.bags.len()
     }
 
     /// Latent dimensionality `D` of the served embedding.
     pub fn latent_dim(&self) -> usize {
-        self.latent_dim
+        self.head.out_dim() / 2
     }
 
     /// Total features tracked by the input hash tables.
@@ -177,8 +201,79 @@ impl Encoder {
         self.bags.iter().map(EmbeddingBag::vocab_len).sum()
     }
 
+    /// The frozen sparse front: every field's bag (unknown IDs skipped)
+    /// summed into `x0`, then the first-layer bias, then `act` — `tanh` for
+    /// the f32 forward, `fast_tanh` for the int8 one. Generic, so neither
+    /// pays an indirect call per element.
+    pub(crate) fn front_into(
+        &self,
+        input: &InputRows,
+        field_out: &mut Matrix,
+        x0: &mut Matrix,
+        act: impl Fn(f32) -> f32,
+    ) {
+        assert_eq!(input.n_fields, self.n_fields(), "field count mismatch");
+        x0.resize_zeroed(input.rows, self.bias.len());
+        for (k, bag) in self.bags.iter().enumerate() {
+            let (ids, vals) = input.field(k);
+            bag.forward_batch_frozen_into(ids, vals, field_out);
+            x0.add_assign(field_out);
+        }
+        self.bias_then(x0, act);
+    }
+
+    /// The training front: like [`Encoder::front_into`] with `tanh`, but
+    /// inserting unseen IDs (drawing their initial rows from `rng`) and
+    /// recording each field's per-row slot lists for the backward pass.
+    /// Every bag accumulates directly into `x0`, so no per-field output
+    /// temporary exists.
+    pub(crate) fn front_train_into(
+        &mut self,
+        input: &InputRows,
+        rng: &mut impl Rng,
+        x0: &mut Matrix,
+        slots: &mut Vec<Vec<Vec<u32>>>,
+    ) {
+        x0.resize_zeroed(input.rows, self.bias.len());
+        slots.resize_with(self.bags.len(), Vec::new);
+        slots.truncate(self.bags.len());
+        let pool = fvae_pool::global();
+        for (k, bag) in self.bags.iter_mut().enumerate() {
+            // Serial ID insertion (RNG order preserved) + pooled row
+            // accumulation — bit-identical to the serial path.
+            let (ids, vals) = input.field(k);
+            bag.accumulate_batch_sharded(ids, vals, rng, x0, &mut slots[k], pool);
+        }
+        self.bias_then(x0, f32::tanh);
+    }
+
+    fn bias_then(&self, x0: &mut Matrix, act: impl Fn(f32) -> f32) {
+        for r in 0..x0.rows() {
+            for (v, &b) in x0.row_mut(r).iter_mut().zip(self.bias.iter()) {
+                *v += b;
+            }
+        }
+        x0.map_inplace(act);
+    }
+
+    /// The dense rest of the forward: the extra MLP (its activations land in
+    /// `acts`, which stays empty without one), then the head into `stats`.
+    pub(crate) fn stats_into(&self, x0: &Matrix, acts: &mut Vec<Matrix>, stats: &mut Matrix) {
+        let h = match &self.extra {
+            Some(mlp) => {
+                mlp.forward_cached_into(x0, acts);
+                acts.last().expect("non-empty MLP")
+            }
+            None => {
+                acts.clear();
+                x0
+            }
+        };
+        self.head.forward_into(h, stats);
+    }
+
     /// Encodes a batch to `(μ, clamped log σ²)`, reusing `scratch` across
-    /// calls. Bit-identical to [`Fvae::encode`] on the same input.
+    /// calls.
     pub fn encode_into(
         &self,
         input: &InputRows,
@@ -186,42 +281,9 @@ impl Encoder {
         mu: &mut Matrix,
         logvar: &mut Matrix,
     ) {
-        assert_eq!(input.n_fields, self.n_fields, "field count mismatch");
-        let batch = input.rows;
-        scratch.x0.resize_zeroed(batch, self.enc_hidden);
-        for (k, bag) in self.bags.iter().enumerate() {
-            bag.forward_batch_frozen_into(
-                &input.ids[k][..batch],
-                &input.vals[k][..batch],
-                &mut scratch.field_out,
-            );
-            scratch.x0.add_assign(&scratch.field_out);
-        }
-        for r in 0..batch {
-            let row = scratch.x0.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(self.enc_bias.iter()) {
-                *v += b;
-            }
-        }
-        scratch.x0.map_inplace(f32::tanh);
-        let h: &Matrix = match &self.enc_extra {
-            Some(mlp) => {
-                mlp.forward_cached_into(&scratch.x0, &mut scratch.acts);
-                scratch.acts.last().expect("non-empty MLP")
-            }
-            None => &scratch.x0,
-        };
-        self.enc_head.forward_into(h, &mut scratch.stats);
-        let d = self.latent_dim;
-        mu.resize_zeroed(batch, d);
-        logvar.resize_zeroed(batch, d);
-        for r in 0..batch {
-            let row = scratch.stats.row(r);
-            mu.row_mut(r).copy_from_slice(&row[..d]);
-            for (lv, &s) in logvar.row_mut(r).iter_mut().zip(row[d..].iter()) {
-                *lv = s.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP);
-            }
-        }
+        self.front_into(input, &mut scratch.field_out, &mut scratch.x0, f32::tanh);
+        self.stats_into(&scratch.x0, &mut scratch.acts, &mut scratch.stats);
+        split_stats_into(&scratch.stats, mu, logvar);
     }
 
     /// The served representation: the posterior mean `μ` only (log σ² lands
@@ -232,8 +294,8 @@ impl Encoder {
         scratch.logvar = logvar;
     }
 
-    /// Drop-in replacement for [`Fvae::embed_users`] with reusable buffers:
-    /// fills `input` from the dataset and writes `μ` into `out`.
+    /// [`Fvae::embed_users`] with reusable buffers: fills `input` from the
+    /// dataset and writes `μ` into `out`.
     pub fn embed_users_into(
         &self,
         ds: &MultiFieldDataset,
@@ -243,7 +305,7 @@ impl Encoder {
         scratch: &mut EncoderScratch,
         out: &mut Matrix,
     ) {
-        input.fill_from_dataset(ds, users, fields, self.n_fields);
+        input.fill_from_dataset(ds, users, fields, self.n_fields());
         self.embed_into(input, scratch, out);
     }
 }
@@ -252,22 +314,15 @@ impl Encoder {
 /// training state — the serving-side constructor.
 impl From<Fvae> for Encoder {
     fn from(model: Fvae) -> Self {
-        Self {
-            n_fields: model.cfg.n_fields,
-            latent_dim: model.cfg.latent_dim,
-            enc_hidden: model.cfg.enc_hidden,
-            bags: model.bags,
-            enc_bias: model.enc_bias,
-            enc_extra: model.enc_extra,
-            enc_head: model.enc_head,
-        }
+        model.enc
     }
 }
 
 impl Fvae {
-    /// Clones this model's inference parameters into an [`Encoder`].
+    /// Clones this model's encoder (the model stays usable — the evaluation
+    /// drivers keep it around for the decoder).
     pub fn encoder(&self) -> Encoder {
-        Encoder::from_model(self)
+        self.enc.clone()
     }
 }
 
@@ -293,10 +348,14 @@ mod tests {
     }
 
     fn trained_model(ds: &MultiFieldDataset) -> Fvae {
+        trained_model_with(ds, vec![12])
+    }
+
+    fn trained_model_with(ds: &MultiFieldDataset, extra: Vec<usize>) -> Fvae {
         let mut cfg = FvaeConfig::for_dataset(ds);
         cfg.latent_dim = 8;
         cfg.enc_hidden = 16;
-        cfg.enc_extra_hidden = vec![12];
+        cfg.enc_extra_hidden = extra;
         cfg.dec_hidden = vec![16];
         cfg.batch_size = 16;
         let mut model = Fvae::new(cfg);
@@ -308,18 +367,25 @@ mod tests {
     #[test]
     fn encoder_embeds_bit_identical_to_model() {
         let ds = tiny_ds();
-        let model = trained_model(&ds);
-        let enc = model.encoder();
-        let users: Vec<usize> = (0..20).collect();
-        for fields in [None, Some(&[0usize][..]), Some(&[1usize, 0][..])] {
-            let offline = model.embed_users(&ds, &users, fields);
-            let mut input = InputRows::default();
-            let mut scratch = EncoderScratch::default();
-            let mut mu = Matrix::default();
-            enc.embed_users_into(&ds, &users, fields, &mut input, &mut scratch, &mut mu);
-            assert_eq!(mu.shape(), offline.shape());
-            for (a, b) in mu.as_slice().iter().zip(offline.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "fields {fields:?}");
+        // Depth 1 and depth 2 extra MLPs: the second chains hidden layers.
+        for extra in [vec![12], vec![12, 10]] {
+            let model = trained_model_with(&ds, extra.clone());
+            let enc = model.encoder();
+            let users: Vec<usize> = (0..20).collect();
+            for fields in [None, Some(&[0usize][..]), Some(&[1usize, 0][..])] {
+                let offline = model.embed_users(&ds, &users, fields);
+                let mut input = InputRows::default();
+                let mut scratch = EncoderScratch::default();
+                let mut mu = Matrix::default();
+                enc.embed_users_into(&ds, &users, fields, &mut input, &mut scratch, &mut mu);
+                assert_eq!(mu.shape(), offline.shape());
+                for (a, b) in mu.as_slice().iter().zip(offline.as_slice()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "extra {extra:?} fields {fields:?}"
+                    );
+                }
             }
         }
     }
@@ -397,6 +463,22 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "user {u} after scratch reuse");
             }
         }
+    }
+
+    #[test]
+    fn logvar_is_clamped() {
+        let stats = Matrix::full(2, 16, 100.0);
+        let (mut mu, mut logvar) = (Matrix::default(), Matrix::default());
+        split_stats_into(&stats, &mut mu, &mut logvar);
+        assert_eq!(mu.shape(), (2, 8));
+        assert!(logvar.as_slice().iter().all(|&v| v <= LOGVAR_CLAMP));
+    }
+
+    #[test]
+    #[should_panic(expected = "field 0 is picked twice")]
+    fn a_field_picked_twice_is_refused() {
+        // Picked twice, it would count twice in the L2 norm.
+        InputRows::default().fill_from_dataset(&tiny_ds(), &[0], Some(&[0, 0]), 2);
     }
 
     #[test]

@@ -21,22 +21,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::config::FvaeConfig;
-
-/// Bound on the predicted log-variance, keeping `exp` finite.
-pub(crate) const LOGVAR_CLAMP: f32 = 8.0;
+use crate::encoder::{Encoder, EncoderScratch, InputRows};
 
 /// Field-aware Variational Autoencoder.
 pub struct Fvae {
     pub(crate) cfg: FvaeConfig,
-    /// One embedding bag per field — summed, they form the first encoder
-    /// layer over the concatenated multi-hot input.
-    pub(crate) bags: Vec<EmbeddingBag>,
-    /// Bias of the first encoder layer.
-    pub(crate) enc_bias: Vec<f32>,
-    /// Optional extra encoder hidden layers.
-    pub(crate) enc_extra: Option<Mlp>,
-    /// μ / log σ² head.
-    pub(crate) enc_head: Dense,
+    /// The `q(z|x)` half: embedding bags, first-layer bias, extra MLP and
+    /// the μ / log σ² head.
+    pub(crate) enc: Encoder,
     /// Shared decoder trunk.
     pub(crate) trunk: Mlp,
     /// One batched-softmax head per field.
@@ -45,14 +37,6 @@ pub struct Fvae {
     pub(crate) rng: StdRng,
     /// Global training step (drives KL annealing).
     pub(crate) step: u64,
-}
-
-/// Sparse batch input: `ids[field][row]` / `vals[field][row]`, already
-/// normalized (and dropout-masked during training).
-#[derive(Default)]
-pub(crate) struct BatchInput {
-    pub ids: Vec<Vec<Vec<u64>>>,
-    pub vals: Vec<Vec<Vec<f32>>>,
 }
 
 impl Clone for Fvae {
@@ -64,10 +48,7 @@ impl Clone for Fvae {
     fn clone(&self) -> Self {
         Self {
             cfg: self.cfg.clone(),
-            bags: self.bags.clone(),
-            enc_bias: self.enc_bias.clone(),
-            enc_extra: self.enc_extra.clone(),
-            enc_head: self.enc_head.clone(),
+            enc: self.enc.clone(),
             trunk: self.trunk.clone(),
             heads: self.heads.clone(),
             rng: StdRng::seed_from_u64(self.cfg.seed ^ self.step.wrapping_mul(0x9e3779b9)),
@@ -84,8 +65,8 @@ impl Fvae {
         let bags = (0..cfg.n_fields)
             .map(|_| EmbeddingBag::new(cfg.enc_hidden, cfg.init_std))
             .collect();
-        let enc_bias = vec![0.0; cfg.enc_hidden];
-        let enc_extra = if cfg.enc_extra_hidden.is_empty() {
+        let bias = vec![0.0; cfg.enc_hidden];
+        let extra = if cfg.enc_extra_hidden.is_empty() {
             None
         } else {
             let mut dims = vec![cfg.enc_hidden];
@@ -93,7 +74,7 @@ impl Fvae {
             Some(Mlp::new(&dims, Activation::Tanh, Activation::Tanh, &mut rng))
         };
         let enc_in = *cfg.enc_extra_hidden.last().unwrap_or(&cfg.enc_hidden);
-        let enc_head = Dense::new(enc_in, 2 * cfg.latent_dim, Activation::Identity, &mut rng);
+        let head = Dense::new(enc_in, 2 * cfg.latent_dim, Activation::Identity, &mut rng);
         let mut trunk_dims = vec![cfg.latent_dim];
         trunk_dims.extend_from_slice(&cfg.dec_hidden);
         let trunk = Mlp::new(&trunk_dims, Activation::Tanh, Activation::Tanh, &mut rng);
@@ -101,7 +82,8 @@ impl Fvae {
         let heads = (0..cfg.n_fields)
             .map(|_| SampledSoftmaxOutput::new(head_dim, cfg.init_std))
             .collect();
-        Self { cfg, bags, enc_bias, enc_extra, enc_head, trunk, heads, rng, step: 0 }
+        let enc = Encoder { bags, bias, extra, head };
+        Self { cfg, enc, trunk, heads, rng, step: 0 }
     }
 
     /// The configuration the model was built with.
@@ -116,146 +98,57 @@ impl Fvae {
 
     /// Total features currently tracked by the input hash tables.
     pub fn input_vocab_len(&self) -> usize {
-        self.bags.iter().map(EmbeddingBag::vocab_len).sum()
+        self.enc.input_vocab_len()
     }
 
-    /// Assembles normalized sparse inputs for `users` — optionally restricted
-    /// to `fields` (fold-in) and with input dropout (training only) — into a
-    /// caller-owned [`BatchInput`] whose nested row vectors are reshaped in
-    /// place, so a training loop reuses all of their capacity across steps.
+    /// Assembles the training batch for `users` into a caller-owned
+    /// [`InputRows`] (reshaped in place, so a training loop reuses all of
+    /// its capacity across steps): inputs L2-normalized over the fields
+    /// this user keeps, with structured field dropout and per-feature input
+    /// dropout drawn from the model RNG.
     pub(crate) fn build_input_into(
         &mut self,
         ds: &MultiFieldDataset,
         users: &[usize],
-        fields: Option<&[usize]>,
-        dropout: bool,
-        input: &mut BatchInput,
+        input: &mut InputRows,
     ) {
         let n_fields = self.cfg.n_fields;
-        let n_picks = fields.map_or(n_fields, <[usize]>::len);
-        let is_picked = |k: usize| fields.is_none_or(|f| f.contains(&k));
         let p = self.cfg.dropout;
         let keep_scale = if p > 0.0 { 1.0 / (1.0 - p) } else { 1.0 };
-        input.ids.resize_with(n_fields, Vec::new);
-        input.vals.resize_with(n_fields, Vec::new);
-        for k in 0..n_fields {
-            input.ids[k].resize_with(users.len(), Vec::new);
-            input.vals[k].resize_with(users.len(), Vec::new);
-        }
+        input.reset(n_fields);
         for (r, &u) in users.iter().enumerate() {
             // Structured field dropout: with probability `field_dropout`,
-            // hide one random field of this user entirely (training only).
-            let masked_field: Option<usize> = if dropout
-                && self.cfg.field_dropout > 0.0
-                && n_picks > 1
+            // hide one random field of this user entirely.
+            let masked_field: Option<usize> = if self.cfg.field_dropout > 0.0
+                && n_fields > 1
                 && self.rng.random::<f32>() < self.cfg.field_dropout
             {
-                let pick = self.rng.random_range(0..n_picks);
-                Some(fields.map_or(pick, |f| f[pick]))
+                Some(self.rng.random_range(0..n_fields))
             } else {
                 None
             };
             // L2 norm over the *used* fields of this user.
             let mut sq = 0.0f32;
-            for k in 0..n_fields {
-                if !is_picked(k) || masked_field == Some(k) {
-                    continue;
-                }
+            for k in (0..n_fields).filter(|&k| masked_field != Some(k)) {
                 let (_, vs) = ds.user_field(u, k);
                 sq += vs.iter().map(|v| v * v).sum::<f32>();
             }
             let inv_norm = if sq > 0.0 { 1.0 / sq.sqrt() } else { 0.0 };
             for k in 0..n_fields {
-                input.ids[k][r].clear();
-                input.vals[k][r].clear();
-                if !is_picked(k) || masked_field == Some(k) {
+                let (id_row, val_row) = input.row_mut(k, r);
+                if masked_field == Some(k) {
                     continue;
                 }
                 let (ix, vs) = ds.user_field(u, k);
                 for (&i, &v) in ix.iter().zip(vs.iter()) {
-                    if dropout && p > 0.0 && self.rng.random::<f32>() < p {
+                    if p > 0.0 && self.rng.random::<f32>() < p {
                         continue;
                     }
-                    input.ids[k][r].push(i as u64);
-                    input.vals[k][r].push(v * inv_norm * if dropout { keep_scale } else { 1.0 });
+                    id_row.push(u64::from(i));
+                    val_row.push(v * inv_norm * keep_scale);
                 }
             }
-        }
-    }
-
-    /// First encoder layer during training (inserts unseen IDs). Writes the
-    /// post-tanh activation and the per-field slot lists for backprop into
-    /// caller-owned buffers. Every bag accumulates directly into the shared
-    /// `x0`, so no per-field output temporary exists.
-    pub(crate) fn encode_layer0_train_into(
-        &mut self,
-        input: &BatchInput,
-        x0: &mut Matrix,
-        slots: &mut Vec<Vec<Vec<u32>>>,
-    ) {
-        let batch = input.ids[0].len();
-        x0.resize_zeroed(batch, self.cfg.enc_hidden);
-        slots.resize_with(self.cfg.n_fields, Vec::new);
-        slots.truncate(self.cfg.n_fields);
-        let rng = &mut self.rng;
-        let pool = fvae_pool::global();
-        for (k, bag) in self.bags.iter_mut().enumerate() {
-            // Serial ID insertion (RNG order preserved) + pooled row
-            // accumulation — bit-identical to the serial path.
-            bag.accumulate_batch_sharded(&input.ids[k], &input.vals[k], rng, x0, &mut slots[k], pool);
-        }
-        for r in 0..batch {
-            let row = x0.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(self.enc_bias.iter()) {
-                *v += b;
-            }
-        }
-        x0.map_inplace(f32::tanh);
-    }
-
-    /// First encoder layer at inference (never inserts; unknown IDs skipped).
-    fn encode_layer0_frozen(&self, input: &BatchInput) -> Matrix {
-        let batch = input.ids[0].len();
-        let mut x0 = Matrix::zeros(batch, self.cfg.enc_hidden);
-        for k in 0..self.cfg.n_fields {
-            let rows: Vec<(&[u64], &[f32])> = input.ids[k]
-                .iter()
-                .zip(input.vals[k].iter())
-                .map(|(i, v)| (i.as_slice(), v.as_slice()))
-                .collect();
-            let out = self.bags[k].forward_batch_frozen(&rows);
-            x0.add_assign(&out);
-        }
-        for r in 0..batch {
-            let row = x0.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(self.enc_bias.iter()) {
-                *v += b;
-            }
-        }
-        x0.map_inplace(f32::tanh);
-        x0
-    }
-
-    /// Splits the head output into `(μ, clamped log σ²)`.
-    pub(crate) fn split_stats(&self, stats: &Matrix) -> (Matrix, Matrix) {
-        let mut mu = Matrix::zeros(0, 0);
-        let mut logvar = Matrix::zeros(0, 0);
-        self.split_stats_into(stats, &mut mu, &mut logvar);
-        (mu, logvar)
-    }
-
-    /// [`Fvae::split_stats`] writing into caller-owned buffers.
-    pub(crate) fn split_stats_into(&self, stats: &Matrix, mu: &mut Matrix, logvar: &mut Matrix) {
-        let d = self.cfg.latent_dim;
-        let batch = stats.rows();
-        mu.resize_zeroed(batch, d);
-        logvar.resize_zeroed(batch, d);
-        for r in 0..batch {
-            let row = stats.row(r);
-            mu.row_mut(r).copy_from_slice(&row[..d]);
-            for (lv, &s) in logvar.row_mut(r).iter_mut().zip(row[d..].iter()) {
-                *lv = s.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP);
-            }
+            input.rows += 1;
         }
     }
 
@@ -284,54 +177,19 @@ impl Fvae {
     }
 
     /// Encodes users to their latent Gaussians `(μ, log σ²)` without
-    /// mutating the model. `fields` restricts the fold-in input.
+    /// mutating the model, through [`Encoder::encode_into`]. `fields`
+    /// restricts the fold-in input.
     pub fn encode(
         &self,
         ds: &MultiFieldDataset,
         users: &[usize],
         fields: Option<&[usize]>,
     ) -> (Matrix, Matrix) {
-        // `build_input` needs &mut only for dropout RNG; inference takes the
-        // dropout-free path, so reconstruct the input here without RNG.
-        let input = self.build_input_frozen(ds, users, fields);
-        let x0 = self.encode_layer0_frozen(&input);
-        let h = match &self.enc_extra {
-            Some(mlp) => mlp.forward(&x0),
-            None => x0,
-        };
-        let stats = self.enc_head.forward(&h);
-        self.split_stats(&stats)
-    }
-
-    fn build_input_frozen(
-        &self,
-        ds: &MultiFieldDataset,
-        users: &[usize],
-        fields: Option<&[usize]>,
-    ) -> BatchInput {
-        let all: Vec<usize> = (0..self.cfg.n_fields).collect();
-        let picks: Vec<usize> = fields.unwrap_or(&all).to_vec();
-        let mut ids = vec![Vec::with_capacity(users.len()); self.cfg.n_fields];
-        let mut vals = vec![Vec::with_capacity(users.len()); self.cfg.n_fields];
-        for &u in users {
-            let mut sq = 0.0f32;
-            for &k in &picks {
-                let (_, vs) = ds.user_field(u, k);
-                sq += vs.iter().map(|v| v * v).sum::<f32>();
-            }
-            let inv_norm = if sq > 0.0 { 1.0 / sq.sqrt() } else { 0.0 };
-            for k in 0..self.cfg.n_fields {
-                if !picks.contains(&k) {
-                    ids[k].push(Vec::new());
-                    vals[k].push(Vec::new());
-                    continue;
-                }
-                let (ix, vs) = ds.user_field(u, k);
-                ids[k].push(ix.iter().map(|&i| i as u64).collect());
-                vals[k].push(vs.iter().map(|&v| v * inv_norm).collect());
-            }
-        }
-        BatchInput { ids, vals }
+        let mut input = InputRows::default();
+        input.fill_from_dataset(ds, users, fields, self.cfg.n_fields);
+        let (mut mu, mut logvar) = (Matrix::default(), Matrix::default());
+        self.enc.encode_into(&input, &mut EncoderScratch::default(), &mut mu, &mut logvar);
+        (mu, logvar)
     }
 
     /// User embeddings: the posterior mean `μ` (the paper serves μ as the
@@ -383,10 +241,10 @@ impl Fvae {
         let inv_n = 1.0 / n;
 
         // Dense groups.
-        for (i, b) in self.enc_bias.iter_mut().enumerate() {
+        for (i, b) in self.enc.bias.iter_mut().enumerate() {
             let mut acc = *b;
             for o in others {
-                acc += o.enc_bias[i];
+                acc += o.enc.bias[i];
             }
             *b = acc * inv_n;
         }
@@ -407,19 +265,19 @@ impl Fvae {
                 *v = acc * inv_n;
             }
         };
-        avg_dense(&mut self.enc_head, others.iter().map(|o| &o.enc_head).collect());
+        avg_dense(&mut self.enc.head, others.iter().map(|o| &o.enc.head).collect());
         for layer_idx in 0..self.trunk.layers().len() {
             let theirs: Vec<&Dense> =
                 others.iter().map(|o| &o.trunk.layers()[layer_idx]).collect();
             avg_dense(&mut self.trunk.layers_mut()[layer_idx], theirs);
         }
-        if let Some(depth) = self.enc_extra.as_ref().map(|e| e.layers().len()) {
+        if let Some(depth) = self.enc.extra.as_ref().map(|e| e.layers().len()) {
             for layer_idx in 0..depth {
                 let theirs: Vec<&Dense> = others
                     .iter()
-                    .map(|o| &o.enc_extra.as_ref().expect("same architecture").layers()[layer_idx])
+                    .map(|o| &o.enc.extra.as_ref().expect("same architecture").layers()[layer_idx])
                     .collect();
-                if let Some(extra) = self.enc_extra.as_mut() {
+                if let Some(extra) = self.enc.extra.as_mut() {
                     avg_dense(&mut extra.layers_mut()[layer_idx], theirs);
                 }
             }
@@ -428,7 +286,7 @@ impl Fvae {
         // ID-aligned sparse tables.
         use fvae_sparse::FastHashMap;
         for k in 0..self.cfg.n_fields {
-            let dim = self.bags[k].dim();
+            let dim = self.enc.bags[k].dim();
             let mut acc: FastHashMap<u64, (Vec<f32>, u32)> = FastHashMap::default();
             let mut absorb = |bag: &EmbeddingBag| {
                 for (id, slot) in bag.table().iter() {
@@ -439,9 +297,9 @@ impl Fvae {
                     e.1 += 1;
                 }
             };
-            absorb(&self.bags[k]);
+            absorb(&self.enc.bags[k]);
             for o in others {
-                absorb(&o.bags[k]);
+                absorb(&o.enc.bags[k]);
             }
             let mut ids: Vec<u64> = acc.keys().copied().collect();
             ids.sort_unstable();
@@ -449,7 +307,7 @@ impl Fvae {
                 let (mut row, count) = acc.remove(&id).expect("present");
                 let inv = 1.0 / count as f32;
                 row.iter_mut().for_each(|v| *v *= inv);
-                self.bags[k].set_row(id, &row, &mut self.rng);
+                self.enc.bags[k].set_row(id, &row, &mut self.rng);
             }
 
             let hdim = self.heads[k].dim();
@@ -483,8 +341,8 @@ impl Fvae {
     /// synchronous all-reduce each step) — the communication volume of the
     /// Fig. 10 cost model.
     pub fn dense_param_count(&self) -> usize {
-        let mut n = self.enc_bias.len() + self.enc_head.param_count() + self.trunk.param_count();
-        if let Some(mlp) = &self.enc_extra {
+        let mut n = self.enc.bias.len() + self.enc.head.param_count() + self.trunk.param_count();
+        if let Some(mlp) = &self.enc.extra {
             n += mlp.param_count();
         }
         n
@@ -569,15 +427,6 @@ mod tests {
         assert_eq!(mu.shape(), (10, 8));
         assert_eq!(logvar.shape(), (10, 8));
         assert!(mu.is_finite() && logvar.is_finite());
-    }
-
-    #[test]
-    fn logvar_is_clamped() {
-        let ds = tiny_ds();
-        let model = tiny_model(&ds);
-        let stats = Matrix::full(2, 16, 100.0);
-        let (_, logvar) = model.split_stats(&stats);
-        assert!(logvar.as_slice().iter().all(|&v| v <= LOGVAR_CLAMP));
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Int8-quantized inference encoder for serving.
 //!
-//! [`QuantizedEncoder`] mirrors [`Encoder`]'s forward pass with every dense
-//! layer replaced by an [`fvae_nn::QuantizedDense`] (per-output-unit
-//! symmetric weight scales, dynamic per-row activation scales, exact i32
-//! accumulation through the dispatched `dot_i8`/`dot_i8x4` kernels). The
-//! sparse front — embedding-bag gathers, first-layer bias, tanh — stays
-//! f32: it is a gather-and-add over a handful of rows per user, a
-//! negligible slice of encode cost next to the dense trunk, and quantizing
-//! it would burn accuracy where there is no traffic to save. The one
-//! concession is [`fast_tanh`], a rational approximation whose error
-//! vanishes below the int8 quantization step it feeds.
+//! [`QuantizedEncoder`] runs [`Encoder`]'s forward with every dense layer
+//! replaced by an [`fvae_nn::QuantizedDense`] (per-output-unit symmetric
+//! weight scales, dynamic per-row activation scales, exact i32 accumulation
+//! through the dispatched `dot_i8`/`dot_i8x4` kernels). The sparse front —
+//! embedding-bag gathers, first-layer bias, activation — is the f32
+//! encoder's own front, run over the same bags: it is a gather-and-add over
+//! a handful of rows per user, a negligible slice of encode cost next to
+//! the dense trunk, and quantizing it would burn accuracy where there is no
+//! traffic to save. The one concession is [`fast_tanh`] as its activation,
+//! a rational approximation whose error vanishes below the int8
+//! quantization step it feeds.
 //!
 //! Because the i8×i8→i32 accumulation is associative, the quantized forward
 //! is **bit-deterministic across SIMD backends and thread counts** — a
@@ -18,22 +19,19 @@
 //! parity tests (embedding cosine ≥ 0.999, identical top-k neighbor sets on
 //! the golden fixtures).
 
-use fvae_nn::{fast_tanh, EmbeddingBag, QuantScratch, QuantizedDense};
+use fvae_nn::{fast_tanh, QuantScratch, QuantizedDense};
 use fvae_tensor::Matrix;
 
 use crate::encoder::{Encoder, InputRows};
 
 /// Inference-only, int8-quantized counterpart of [`Encoder`].
 pub struct QuantizedEncoder {
-    n_fields: usize,
-    latent_dim: usize,
-    enc_hidden: usize,
-    bags: Vec<EmbeddingBag>,
-    enc_bias: Vec<f32>,
+    /// The f32 encoder whose sparse front this one runs.
+    front: Encoder,
     /// Quantized extra MLP layers, in forward order (empty when the encoder
     /// has no extra trunk).
-    enc_extra: Vec<QuantizedDense>,
-    enc_head: QuantizedDense,
+    extra: Vec<QuantizedDense>,
+    head: QuantizedDense,
 }
 
 /// Reusable forward buffers for [`QuantizedEncoder::embed_into`].
@@ -50,28 +48,24 @@ impl QuantizedEncoder {
     /// Quantizes a float encoder's dense trunk (the encoder stays usable).
     pub fn from_encoder(enc: &Encoder) -> Self {
         Self {
-            n_fields: enc.n_fields,
-            latent_dim: enc.latent_dim,
-            enc_hidden: enc.enc_hidden,
-            bags: enc.bags.clone(),
-            enc_bias: enc.enc_bias.clone(),
-            enc_extra: enc
-                .enc_extra
+            front: enc.clone(),
+            extra: enc
+                .extra
                 .as_ref()
                 .map(|mlp| mlp.layers().iter().map(QuantizedDense::from_dense).collect())
                 .unwrap_or_default(),
-            enc_head: QuantizedDense::from_dense(&enc.enc_head),
+            head: QuantizedDense::from_dense(&enc.head),
         }
     }
 
     /// Number of input fields expected per request.
     pub fn n_fields(&self) -> usize {
-        self.n_fields
+        self.front.n_fields()
     }
 
     /// Latent dimensionality `D` of the served embedding.
     pub fn latent_dim(&self) -> usize {
-        self.latent_dim
+        self.front.latent_dim()
     }
 
     /// Quantized counterpart of [`Encoder::embed_into`]: the posterior mean
@@ -82,38 +76,18 @@ impl QuantizedEncoder {
         scratch: &mut QuantizedEncoderScratch,
         mu: &mut Matrix,
     ) {
-        assert_eq!(input.n_fields, self.n_fields, "field count mismatch");
-        let batch = input.rows;
-        scratch.x0.resize_zeroed(batch, self.enc_hidden);
-        for (k, bag) in self.bags.iter().enumerate() {
-            bag.forward_batch_frozen_into(
-                &input.ids[k][..batch],
-                &input.vals[k][..batch],
-                &mut scratch.field_out,
-            );
-            scratch.x0.add_assign(&scratch.field_out);
-        }
-        for r in 0..batch {
-            let row = scratch.x0.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(self.enc_bias.iter()) {
-                *v += b;
-            }
-        }
-        scratch.x0.map_inplace(fast_tanh);
-        scratch.acts.resize_with(self.enc_extra.len(), Matrix::default);
-        for (i, layer) in self.enc_extra.iter().enumerate() {
-            if i == 0 {
-                layer.forward_into(&scratch.x0, &mut scratch.qs, &mut scratch.acts[0]);
-            } else {
-                let (done, rest) = scratch.acts.split_at_mut(i);
-                layer.forward_into(&done[i - 1], &mut scratch.qs, &mut rest[0]);
-            }
+        self.front.front_into(input, &mut scratch.field_out, &mut scratch.x0, fast_tanh);
+        scratch.acts.resize_with(self.extra.len(), Matrix::default);
+        for (i, layer) in self.extra.iter().enumerate() {
+            let (done, rest) = scratch.acts.split_at_mut(i);
+            let x = done.last().unwrap_or(&scratch.x0);
+            layer.forward_into(x, &mut scratch.qs, &mut rest[0]);
         }
         let h: &Matrix = scratch.acts.last().unwrap_or(&scratch.x0);
-        self.enc_head.forward_into(h, &mut scratch.qs, &mut scratch.stats);
-        let d = self.latent_dim;
-        mu.resize_zeroed(batch, d);
-        for r in 0..batch {
+        self.head.forward_into(h, &mut scratch.qs, &mut scratch.stats);
+        let d = self.latent_dim();
+        mu.resize_zeroed(input.rows, d);
+        for r in 0..input.rows {
             mu.row_mut(r).copy_from_slice(&scratch.stats.row(r)[..d]);
         }
     }
@@ -156,7 +130,7 @@ mod tests {
     #[test]
     fn quantized_embeddings_stay_cosine_close_to_f32() {
         let ds = tiny_ds();
-        for extra in [vec![], vec![12]] {
+        for extra in [vec![], vec![12], vec![12, 10]] {
             let enc = trained_encoder(&ds, extra.clone());
             let q = QuantizedEncoder::from_encoder(&enc);
             assert_eq!(q.latent_dim(), enc.latent_dim());

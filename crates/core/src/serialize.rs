@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{FvaeConfig, SamplingConfig};
+use crate::encoder::Encoder;
 use crate::model::Fvae;
 use crate::sampling::SamplingStrategy;
 
@@ -136,15 +137,16 @@ impl Fvae {
             + 8 * (cfg.enc_extra_hidden.len() + cfg.dec_hidden.len())
             + 4 * cfg.alpha.len()
             + cfg.sampling.sampled_fields.len();
-        let bags = self.bags.iter().map(|b| 24 + 8 * b.vocab_len() + 4 * b.weights().len());
+        let enc = &self.enc;
+        let bags = enc.bags.iter().map(|b| 24 + 8 * b.vocab_len() + 4 * b.weights().len());
         let heads = self.heads.iter().map(|h| 32 + h.vocab_len() * (12 + 4 * h.dim()));
         6 + config
             + 8
             + bags.sum::<usize>()
-            + (8 + 4 * self.enc_bias.len())
+            + (8 + 4 * enc.bias.len())
             + 1
-            + self.enc_extra.as_ref().map_or(0, mlp)
-            + dense(&self.enc_head)
+            + enc.extra.as_ref().map_or(0, mlp)
+            + dense(&enc.head)
             + mlp(&self.trunk)
             + heads.sum::<usize>()
     }
@@ -156,15 +158,16 @@ impl Fvae {
         put_header(&mut buf);
         put_config(&mut buf, &self.cfg);
         put_u64(&mut buf, self.step);
-        for bag in &self.bags {
+        let enc = &self.enc;
+        for bag in &enc.bags {
             put_embedding_bag(&mut buf, bag);
         }
-        put_f32_slice(&mut buf, &self.enc_bias);
-        put_u8(&mut buf, self.enc_extra.is_some() as u8);
-        if let Some(mlp) = &self.enc_extra {
+        put_f32_slice(&mut buf, &enc.bias);
+        put_u8(&mut buf, enc.extra.is_some() as u8);
+        if let Some(mlp) = &enc.extra {
             put_mlp(&mut buf, mlp);
         }
-        put_dense(&mut buf, &self.enc_head);
+        put_dense(&mut buf, &enc.head);
         put_mlp(&mut buf, &self.trunk);
         for head in &self.heads {
             put_softmax_head(&mut buf, head);
@@ -182,17 +185,18 @@ impl Fvae {
         let bags = (0..cfg.n_fields)
             .map(|_| get_embedding_bag(&mut r, cfg.init_std))
             .collect::<Result<Vec<_>, _>>()?;
-        let enc_bias = r.f32s()?;
-        expect_len(enc_bias.len(), &[cfg.enc_hidden], "encoder bias width mismatch")?;
-        let enc_extra = if r.u8()? != 0 { Some(get_mlp(&mut r)?) } else { None };
-        let enc_head = get_dense(&mut r)?;
+        let bias = r.f32s()?;
+        expect_len(bias.len(), &[cfg.enc_hidden], "encoder bias width mismatch")?;
+        let extra = if r.u8()? != 0 { Some(get_mlp(&mut r)?) } else { None };
+        let head = get_dense(&mut r)?;
         let trunk = get_mlp(&mut r)?;
         let heads = (0..cfg.n_fields)
             .map(|_| get_softmax_head(&mut r, cfg.init_std))
             .collect::<Result<Vec<_>, _>>()?;
         r.finish()?;
         let rng = StdRng::seed_from_u64(cfg.seed ^ step.wrapping_mul(0x9e37_79b9));
-        Ok(Self { cfg, bags, enc_bias, enc_extra, enc_head, trunk, heads, rng, step })
+        let enc = Encoder { bags, bias, extra, head };
+        Ok(Self { cfg, enc, trunk, heads, rng, step })
     }
 }
 

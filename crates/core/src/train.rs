@@ -10,7 +10,8 @@ use fvae_sparse::{FastHashMap, FastHashSet};
 use fvae_tensor::Matrix;
 
 use crate::checkpoint::{Checkpointer, ResumePoint, SnapshotError, TrainProgress};
-use crate::model::{BatchInput, Fvae};
+use crate::encoder::{split_stats_into, InputRows};
+use crate::model::Fvae;
 use crate::observe::{PhaseNs, StepCtx, TrainObserver};
 use crate::sampling::sample_candidates_into;
 
@@ -150,7 +151,7 @@ fn dur_ns(d: std::time::Duration) -> u64 {
 #[derive(Default)]
 pub(crate) struct TrainScratch {
     ws: Workspace,
-    input: BatchInput,
+    input: InputRows,
     x0: Matrix,
     slots: Vec<Vec<Vec<u32>>>,
     extra_acts: Vec<Matrix>,
@@ -239,7 +240,8 @@ impl OptStates {
             bags: (0..cfg.n_fields).map(|_| AdamState::default()).collect(),
             enc_bias: AdamState::default(),
             enc_extra: model
-                .enc_extra
+                .enc
+                .extra
                 .as_ref()
                 .map(|m| m.layers().iter().map(|_| Default::default()).collect())
                 .unwrap_or_default(),
@@ -472,17 +474,11 @@ impl Fvae {
         let sc = &mut opt.scratch;
 
         // ---- Forward: encoder -------------------------------------------
-        self.build_input_into(ds, batch_users, None, true, &mut sc.input);
+        self.build_input_into(ds, batch_users, &mut sc.input);
         let t_assembled = std::time::Instant::now();
-        self.encode_layer0_train_into(&sc.input, &mut sc.x0, &mut sc.slots);
-        match &self.enc_extra {
-            Some(mlp) => mlp.forward_cached_into(&sc.x0, &mut sc.extra_acts),
-            None => sc.extra_acts.clear(),
-        }
-        let h_enc =
-            if self.enc_extra.is_some() { sc.extra_acts.last().expect("non-empty") } else { &sc.x0 };
-        self.enc_head.forward_into(h_enc, &mut sc.stats);
-        self.split_stats_into(&sc.stats, &mut sc.mu, &mut sc.logvar);
+        self.enc.front_train_into(&sc.input, &mut self.rng, &mut sc.x0, &mut sc.slots);
+        self.enc.stats_into(&sc.x0, &mut sc.extra_acts, &mut sc.stats);
+        split_stats_into(&sc.stats, &mut sc.mu, &mut sc.logvar);
         self.reparametrize_into(&sc.mu, &sc.logvar, &mut sc.z, &mut sc.eps);
         let t_encoded = std::time::Instant::now();
 
@@ -659,7 +655,9 @@ impl Fvae {
             row[..d].copy_from_slice(sc.dmu.row(r));
             row[d..].copy_from_slice(sc.dlogvar.row(r));
         }
-        self.enc_head.backward_into(
+        // The head's input: the extra MLP's output, or `x0` without one.
+        let h_enc = sc.extra_acts.last().unwrap_or(&sc.x0);
+        self.enc.head.backward_into(
             h_enc,
             &sc.stats,
             &sc.dstats,
@@ -667,7 +665,7 @@ impl Fvae {
             &mut sc.dh_enc,
             &mut sc.ws,
         );
-        match &self.enc_extra {
+        match &self.enc.extra {
             Some(mlp) => mlp.backward_into(
                 &sc.x0,
                 &sc.extra_acts,
@@ -688,9 +686,9 @@ impl Fvae {
         sc.dx0.col_sums_into(&mut sc.bias_grad);
         sc.bag_grads.resize_with(n_fields, RowGrads::default);
         for k in 0..n_fields {
-            self.bags[k].backward_sharded_into(
+            self.enc.bags[k].backward_sharded_into(
                 &sc.slots[k],
-                &sc.input.vals[k],
+                sc.input.field(k).1,
                 &sc.dx0,
                 &mut sc.bag_grads[k],
                 fvae_pool::global(),
@@ -750,11 +748,11 @@ impl Fvae {
         } = opt;
         let adam = *adam;
         for (k, grads) in sc.bag_grads.iter().enumerate() {
-            let dim = self.bags[k].dim();
-            adam.step_rows(&mut opt_bags[k], self.bags[k].weights_mut(), dim, grads);
+            let dim = self.enc.bags[k].dim();
+            adam.step_rows(&mut opt_bags[k], self.enc.bags[k].weights_mut(), dim, grads);
         }
-        adam.step_slice(opt_enc_bias, &mut self.enc_bias, &sc.bias_grad);
-        if let Some(mlp) = self.enc_extra.as_mut() {
+        adam.step_slice(opt_enc_bias, &mut self.enc.bias, &sc.bias_grad);
+        if let Some(mlp) = self.enc.extra.as_mut() {
             for ((layer, g), (sw, sb)) in
                 mlp.layers_mut().iter_mut().zip(sc.extra_grads.iter()).zip(opt_enc_extra.iter_mut())
             {
@@ -764,7 +762,7 @@ impl Fvae {
             }
         }
         {
-            let (w, bias) = self.enc_head.params_mut();
+            let (w, bias) = self.enc.head.params_mut();
             adam.step_matrix(&mut opt_enc_head.0, w, &sc.head_g.dw);
             adam.step_slice(&mut opt_enc_head.1, bias, &sc.head_g.db);
         }
@@ -948,8 +946,8 @@ mod tests {
         let mut model = Fvae::new(tiny_cfg(&ds));
         let users: Vec<usize> = (0..ds.n_users()).collect();
         model.train_epochs(&ds, &users, 3, |_, _| {});
-        assert!(model.enc_head.params().0.is_finite());
-        assert!(model.bags.iter().all(|b| b.weights().iter().all(|v| v.is_finite())));
+        assert!(model.enc.head.params().0.is_finite());
+        assert!(model.enc.bags.iter().all(|b| b.weights().iter().all(|v| v.is_finite())));
         let (mu, logvar) = model.encode(&ds, &users[..5], None);
         assert!(mu.is_finite() && logvar.is_finite());
     }

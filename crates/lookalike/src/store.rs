@@ -8,7 +8,7 @@
 use fvae_ann::io::{read_embeddings, write_embeddings};
 use fvae_sparse::serial::DecodeError;
 use fvae_sparse::FastHashMap;
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 /// Number of lock shards; embeddings hash-shard across them so concurrent
 /// readers and the (rare) writer don't serialize on a single lock.
@@ -45,22 +45,22 @@ impl EmbeddingStore {
     /// Inserts or replaces a user's embedding. Panics on a wrong dimension.
     pub fn put(&self, user: u64, embedding: Vec<f32>) {
         assert_eq!(embedding.len(), self.dim, "embedding dim mismatch");
-        self.shard(user).write().insert(user, embedding);
+        self.shard(user).write().expect("store shard lock").insert(user, embedding);
     }
 
     /// Reads a user's embedding.
     pub fn get(&self, user: u64) -> Option<Vec<f32>> {
-        self.shard(user).read().get(&user).cloned()
+        self.shard(user).read().expect("store shard lock").get(&user).cloned()
     }
 
     /// True if the user is cached.
     pub fn contains(&self, user: u64) -> bool {
-        self.shard(user).read().contains_key(&user)
+        self.shard(user).read().expect("store shard lock").contains_key(&user)
     }
 
     /// Number of cached users.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().expect("store shard lock").len()).sum()
     }
 
     /// True when no embeddings are cached.
@@ -92,7 +92,8 @@ impl EmbeddingStore {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut entries: Vec<(u64, Vec<f32>)> = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            entries.extend(shard.read().iter().map(|(&u, e)| (u, e.clone())));
+            let shard = shard.read().expect("store shard lock");
+            entries.extend(shard.iter().map(|(&u, e)| (u, e.clone())));
         }
         entries.sort_unstable_by_key(|&(u, _)| u);
         let ids: Vec<u64> = entries.iter().map(|&(u, _)| u).collect();

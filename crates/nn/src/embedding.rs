@@ -185,41 +185,24 @@ impl EmbeddingBag {
         });
     }
 
-    /// Forward pass that never inserts; unknown IDs contribute nothing.
-    /// Used at inference time (the paper's offline embedding inference).
+    /// Forward pass that never inserts; unknown IDs contribute nothing —
+    /// the paper's offline embedding inference. Writes the `batch × dim`
+    /// output into a caller-owned matrix (reshaped in place, zero-filled),
+    /// taking the batch as parallel `Vec` slices so a serving loop hands its
+    /// reusable nested input buffers straight in: the steady-state forward
+    /// allocates nothing.
     ///
     /// Lookup is read-only (`slot_of` takes `&self`), so rows pool across the
-    /// global thread pool; each shard writes its own disjoint output rows.
-    pub fn forward_batch_frozen(&self, rows: &[(&[u64], &[f32])]) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), self.dim);
-        self.frozen_rows_into(rows.len(), |r| rows[r], &mut out);
-        out
-    }
-
-    /// [`EmbeddingBag::forward_batch_frozen`] writing into a caller-owned
-    /// output (reshaped in place, zero-filled). Taking the batch as parallel
-    /// `Vec` slices instead of row tuples lets a serving loop hand its
-    /// reusable nested input buffers straight in — no per-call row-tuple
-    /// vector, so the steady-state forward allocates nothing. The per-row
-    /// accumulation order is identical to the tuple-based kernel, keeping
-    /// the output bit-identical at every thread count.
+    /// global thread pool; each shard writes its own disjoint output rows,
+    /// accumulating each row's known IDs in input order, so the output is
+    /// bit-identical at every thread count.
     pub fn forward_batch_frozen_into(&self, ids: &[Vec<u64>], vals: &[Vec<f32>], out: &mut Matrix) {
         assert_eq!(ids.len(), vals.len(), "ids and values must be parallel");
-        out.resize_zeroed(ids.len(), self.dim);
-        self.frozen_rows_into(ids.len(), |r| (ids[r].as_slice(), vals[r].as_slice()), out);
-    }
-
-    /// The frozen forwards' pooled body: row `r` of the zeroed `n × dim`
-    /// `out` accumulates the known IDs of `row(r)`, in input order.
-    fn frozen_rows_into<'a, R>(&self, n: usize, row: R, out: &mut Matrix)
-    where
-        R: Fn(usize) -> (&'a [u64], &'a [f32]) + Sync,
-    {
         let dim = self.dim;
-        fvae_pool::global().run_rows(out.as_mut_slice(), n, dim, 1, |range, chunk| {
+        out.resize_zeroed(ids.len(), dim);
+        fvae_pool::global().run_rows(out.as_mut_slice(), ids.len(), dim, 1, |range, chunk| {
             for (r, out_row) in range.zip(chunk.chunks_exact_mut(dim)) {
-                let (ids, vals) = row(r);
-                for (&id, &v) in ids.iter().zip(vals.iter()) {
+                for (&id, &v) in ids[r].iter().zip(vals[r].iter()) {
                     if let Some(slot) = self.table.slot_of(id) {
                         for (o, &e) in out_row.iter_mut().zip(self.row(slot)) {
                             *o += v * e;
@@ -327,45 +310,12 @@ mod tests {
         let known = [1u64];
         let ones = [1.0f32];
         bag.forward_batch(&[(&known, &ones)], &mut rng);
-        let mixed = [1u64, 999];
-        let vals = [1.0f32, 1.0];
-        let out = bag.forward_batch_frozen(&[(&mixed, &vals)]);
+        let mut out = Matrix::default();
+        bag.forward_batch_frozen_into(&[vec![1, 999]], &[vec![1.0, 1.0]], &mut out);
         for (o, &w) in out.row(0).iter().zip(bag.row(0).iter()) {
             assert!((o - w).abs() < 1e-6, "unknown id must contribute nothing");
         }
         assert_eq!(bag.vocab_len(), 1, "frozen forward must not grow the vocab");
-    }
-
-    #[test]
-    fn frozen_into_matches_tuple_kernel_bits() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut bag = EmbeddingBag::new(4, 0.3);
-        let ids: Vec<Vec<u64>> =
-            (0..11).map(|r| (0..(r % 3 + 1)).map(|j| (r * 5 + j) as u64 % 7).collect()).collect();
-        let vals: Vec<Vec<f32>> = ids
-            .iter()
-            .map(|row| row.iter().map(|&id| 0.5 * id as f32 - 1.0).collect())
-            .collect();
-        // Seed the vocabulary with a subset of the IDs so some lookups miss.
-        let seen: Vec<u64> = (0..4u64).collect();
-        let ones = vec![1.0f32; seen.len()];
-        bag.forward_batch(&[(&seen, &ones)], &mut rng);
-
-        let tuples: Vec<(&[u64], &[f32])> =
-            ids.iter().zip(vals.iter()).map(|(i, v)| (i.as_slice(), v.as_slice())).collect();
-        let expect = bag.forward_batch_frozen(&tuples);
-        let mut out = Matrix::zeros(0, 0);
-        bag.forward_batch_frozen_into(&ids, &vals, &mut out);
-        assert_eq!(out.shape(), expect.shape());
-        for (a, b) in out.as_slice().iter().zip(expect.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Reuse with a smaller batch must fully overwrite stale rows.
-        bag.forward_batch_frozen_into(&ids[..3], &vals[..3], &mut out);
-        assert_eq!(out.shape(), (3, 4));
-        for (a, b) in out.as_slice().iter().zip(expect.as_slice()[..12].iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -380,8 +330,14 @@ mod tests {
         let (out, slots) = bag.forward_batch(&rows, &mut rng);
         // Loss = Σ out² → dL/dout = 2·out.
         let dy = out.map(|v| 2.0 * v);
+        let ids = vec![ids_a.to_vec(), ids_b.to_vec()];
         let vals = vec![vals_a.to_vec(), vals_b.to_vec()];
         let grads = bag.backward_panel(&slots, &vals, &dy, 2);
+        let loss = |bag: &EmbeddingBag| -> f32 {
+            let mut out = Matrix::default();
+            bag.forward_batch_frozen_into(&ids, &vals, &mut out);
+            out.as_slice().iter().map(|v| v * v).sum()
+        };
         assert_panel_matches(&grads, &bag.backward(&slots, &vals, &dy));
 
         let eps = 1e-3;
@@ -390,19 +346,9 @@ mod tests {
                 let idx = slot * 3 + d;
                 let orig = bag.weights[idx];
                 bag.weights[idx] = orig + eps;
-                let hi: f32 = bag
-                    .forward_batch_frozen(&rows)
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum();
+                let hi = loss(&bag);
                 bag.weights[idx] = orig - eps;
-                let lo: f32 = bag
-                    .forward_batch_frozen(&rows)
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum();
+                let lo = loss(&bag);
                 bag.weights[idx] = orig;
                 let numeric = (hi - lo) / (2.0 * eps);
                 assert!(

@@ -237,8 +237,10 @@ mod tests {
         put_embedding_bag(&mut buf, &bag);
         let back = get_embedding_bag(&mut Reader::new(&buf), 0.3).expect("decode");
         assert_eq!(back.vocab_len(), bag.vocab_len());
-        let before = bag.forward_batch_frozen(&[(&ids, &vals)]);
-        let after = back.forward_batch_frozen(&[(&ids, &vals)]);
+        let (ids, vals) = ([ids.to_vec()], [vals.to_vec()]);
+        let (mut before, mut after) = (Matrix::default(), Matrix::default());
+        bag.forward_batch_frozen_into(&ids, &vals, &mut before);
+        back.forward_batch_frozen_into(&ids, &vals, &mut after);
         assert_eq!(before, after);
     }
 

@@ -45,7 +45,9 @@ fn wraparound_at_exactly_capacity_keeps_everything() {
 /// torn read — fields stitched from two different writes — breaks the
 /// relation and fails the test. The ring being tiny (16 slots) versus the
 /// write volume (~40k events) maximizes writer/reader and writer/writer
-/// overlap on the same slots.
+/// overlap on the same slots. Writers pause at their midpoint until the
+/// reader has finished one drain that saw events, so the reader overlaps
+/// live traffic by construction, however the threads are scheduled.
 #[test]
 fn concurrent_drain_never_tears_a_span() {
     const STAMP: u64 = 0x5eed_beef_cafe_f00d;
@@ -54,12 +56,19 @@ fn concurrent_drain_never_tears_a_span() {
 
     let t = TraceBuffer::new(16, STAGES);
     let stop = Arc::new(AtomicBool::new(false));
+    let reader_live = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let t = t.clone();
+            let reader_live = reader_live.clone();
             thread::spawn(move || {
                 for i in 0..PER_WRITER {
+                    if i == PER_WRITER / 2 {
+                        while !reader_live.load(Relaxed) {
+                            thread::yield_now();
+                        }
+                    }
                     let id = (w as u64) * PER_WRITER + i + 1;
                     t.record(id, (id % 3) as usize, id.wrapping_mul(7), id ^ STAMP);
                 }
@@ -74,7 +83,8 @@ fn concurrent_drain_never_tears_a_span() {
             let mut drains = 0u64;
             let mut seen = 0u64;
             while !stop.load(Relaxed) {
-                for e in t.events() {
+                let events = t.events();
+                for e in &events {
                     assert_eq!(
                         e.start_ns,
                         e.trace_id.wrapping_mul(7),
@@ -89,6 +99,9 @@ fn concurrent_drain_never_tears_a_span() {
                     seen += 1;
                 }
                 drains += 1;
+                if !events.is_empty() {
+                    reader_live.store(true, Relaxed);
+                }
             }
             (drains, seen)
         })

@@ -47,12 +47,10 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// The global pool is always built with at least this much capacity, so the
 /// 1/2/4-thread parity harness is meaningful even on a single-core runner.
@@ -141,105 +139,6 @@ pub struct PoolStats {
     pub shards: u64,
 }
 
-/// Terminal state of a task submitted with [`ThreadPool::submit_waitable`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobStatus {
-    /// The task ran to completion.
-    Done,
-    /// The task panicked; the panic was contained on the worker.
-    Panicked,
-    /// The pool shut down before a worker picked the task up.
-    Cancelled,
-}
-
-struct TaskShared {
-    state: Mutex<Option<JobStatus>>,
-    cv: Condvar,
-}
-
-/// Completion handle for a task submitted with
-/// [`ThreadPool::submit_waitable`]. Cloning is cheap; every clone observes
-/// the same terminal state.
-#[derive(Clone)]
-pub struct JobHandle {
-    shared: Arc<TaskShared>,
-}
-
-impl JobHandle {
-    fn pending() -> Self {
-        Self {
-            shared: Arc::new(TaskShared { state: Mutex::new(None), cv: Condvar::new() }),
-        }
-    }
-
-    fn finished(status: JobStatus) -> Self {
-        Self {
-            shared: Arc::new(TaskShared { state: Mutex::new(Some(status)), cv: Condvar::new() }),
-        }
-    }
-
-    fn complete(shared: &TaskShared, status: JobStatus) {
-        let mut st = shared.state.lock().expect("task mutex");
-        *st = Some(status);
-        shared.cv.notify_all();
-    }
-
-    /// Blocks until the task reaches a terminal state.
-    pub fn wait(&self) -> JobStatus {
-        let mut st = self.shared.state.lock().expect("task mutex");
-        loop {
-            if let Some(s) = *st {
-                return s;
-            }
-            st = self.shared.cv.wait(st).expect("task mutex");
-        }
-    }
-
-    /// Waits at most `timeout` for the task to finish; `None` on timeout
-    /// (the task keeps running — this is the latency-bounded observer, not a
-    /// cancellation).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobStatus> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect("task mutex");
-        loop {
-            if let Some(s) = *st {
-                return Some(s);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (g, _) = self
-                .shared
-                .cv
-                .wait_timeout(st, deadline - now)
-                .expect("task mutex");
-            st = g;
-        }
-    }
-
-    /// Non-blocking status probe.
-    pub fn try_wait(&self) -> Option<JobStatus> {
-        *self.shared.state.lock().expect("task mutex")
-    }
-}
-
-struct Task {
-    run: Box<dyn FnOnce() + Send>,
-    shared: Arc<TaskShared>,
-}
-
-impl Task {
-    fn execute(self) {
-        let status = if catch_unwind(AssertUnwindSafe(self.run)).is_err() {
-            JobStatus::Panicked
-        } else {
-            JobStatus::Done
-        };
-        JobHandle::complete(&self.shared, status);
-    }
-}
-
 // The published-job slot. Workers adopt the current job under this mutex,
 // which is what makes the stack-borrowed job pointer sound: the caller
 // clears the slot (under the same mutex) and then waits for every adopted
@@ -248,9 +147,6 @@ struct Slot {
     job: Option<JobRef>,
     /// Worker seats remaining for the current job.
     seats: usize,
-    /// Fire-and-wait tasks ([`ThreadPool::submit_waitable`]); any parked
-    /// worker picks these up after sharded-job seats are served.
-    tasks: VecDeque<Task>,
     shutdown: bool,
 }
 
@@ -322,7 +218,7 @@ impl ThreadPool {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let shared = Arc::new(Shared {
-            slot: Mutex::new(Slot { job: None, seats: 0, tasks: VecDeque::new(), shutdown: false }),
+            slot: Mutex::new(Slot { job: None, seats: 0, shutdown: false }),
             work_cv: Condvar::new(),
             done: Mutex::new(()),
             done_cv: Condvar::new(),
@@ -438,43 +334,6 @@ impl ThreadPool {
         if job.panicked.load(Ordering::Relaxed) {
             panic!("fvae-pool: a shard panicked inside a pooled job");
         }
-    }
-
-    /// Submits a standalone task to run on one pool worker, returning a
-    /// [`JobHandle`] the caller can wait on — with a deadline — while the
-    /// task runs in the background. This is the latency-bounded counterpart
-    /// to the blocking [`ThreadPool::run`]: a serving loop hands off an
-    /// expensive side job (checkpoint validation, model rebuild) and keeps
-    /// answering requests, polling the handle instead of stalling.
-    ///
-    /// Tasks run after any published sharded job's seats are served, one
-    /// worker per task. A pool built with capacity 1 has no workers; the
-    /// task then runs inline on the caller before this returns (the handle
-    /// is already terminal). Panics inside the task are contained and
-    /// surface as [`JobStatus::Panicked`].
-    pub fn submit_waitable<F: FnOnce() + Send + 'static>(&self, f: F) -> JobHandle {
-        if self.workers.is_empty() {
-            let status = if catch_unwind(AssertUnwindSafe(f)).is_err() {
-                JobStatus::Panicked
-            } else {
-                JobStatus::Done
-            };
-            return JobHandle::finished(status);
-        }
-        let handle = JobHandle::pending();
-        {
-            let mut slot = self.shared.slot.lock().expect("pool mutex");
-            if slot.shutdown {
-                JobHandle::complete(&handle.shared, JobStatus::Cancelled);
-                return handle;
-            }
-            slot.tasks.push_back(Task {
-                run: Box::new(f),
-                shared: Arc::clone(&handle.shared),
-            });
-            self.shared.work_cv.notify_all();
-        }
-        handle
     }
 
     /// Output-disjoint rows (DESIGN §10, rule 1): `out` is a
@@ -615,23 +474,12 @@ impl Drop for ThreadPool {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Tasks no worker picked up must not leave their handles waiting
-        // forever.
-        let mut slot = self.shared.slot.lock().expect("pool mutex");
-        for task in slot.tasks.drain(..) {
-            JobHandle::complete(&task.shared, JobStatus::Cancelled);
-        }
     }
-}
-
-enum Work {
-    Shards(JobRef),
-    Task(Task),
 }
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let work = {
+        let jr = {
             let mut slot = shared.slot.lock().expect("pool mutex");
             loop {
                 if slot.shutdown {
@@ -646,33 +494,23 @@ fn worker_loop(shared: &Shared) {
                         // and free the job between our check and this
                         // increment.
                         unsafe { &*jr.0 }.active.fetch_add(1, Ordering::Relaxed);
-                        break Work::Shards(jr);
+                        break jr;
                     }
-                }
-                if let Some(task) = slot.tasks.pop_front() {
-                    break Work::Task(task);
                 }
                 slot = shared.work_cv.wait(slot).expect("pool mutex");
             }
         };
-        match work {
-            Work::Shards(jr) => {
-                // SAFETY: this worker counts in `active`, and the caller
-                // keeps the job alive until `active` drops back to 0.
-                let job = unsafe { &*jr.0 };
-                IN_POOL_JOB.with(|c| c.set(true));
-                job.execute_shards();
-                IN_POOL_JOB.with(|c| c.set(false));
-                job.active.fetch_sub(1, Ordering::Release);
-                // Lock-then-notify so the caller cannot miss the wakeup
-                // between its predicate check and its wait.
-                let _g = shared.done.lock().expect("pool done mutex");
-                shared.done_cv.notify_all();
-            }
-            // Tasks run with `IN_POOL_JOB` unset: a task is not a shard, so
-            // pooled kernels it calls may still fan out normally.
-            Work::Task(task) => task.execute(),
-        }
+        // SAFETY: this worker counts in `active`, and the caller keeps the
+        // job alive until `active` drops back to 0.
+        let job = unsafe { &*jr.0 };
+        IN_POOL_JOB.with(|c| c.set(true));
+        job.execute_shards();
+        IN_POOL_JOB.with(|c| c.set(false));
+        job.active.fetch_sub(1, Ordering::Release);
+        // Lock-then-notify so the caller cannot miss the wakeup between its
+        // predicate check and its wait.
+        let _g = shared.done.lock().expect("pool done mutex");
+        shared.done_cv.notify_all();
     }
 }
 
@@ -942,124 +780,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn submit_waitable_runs_and_completes() {
-        let pool = ThreadPool::new(4);
-        let hits = Arc::new(AtomicU64::new(0));
-        let handles: Vec<JobHandle> = (0..16)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                pool.submit_waitable(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        for h in &handles {
-            assert_eq!(h.wait(), JobStatus::Done);
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn submit_waitable_contains_panics() {
-        let pool = ThreadPool::new(4);
-        let h = pool.submit_waitable(|| panic!("deliberate task failure"));
-        assert_eq!(h.wait(), JobStatus::Panicked);
-        // The worker survives and keeps serving tasks and sharded jobs.
-        let ok = pool.submit_waitable(|| {});
-        assert_eq!(ok.wait(), JobStatus::Done);
-        let total = AtomicU64::new(0);
-        pool.run(4, |_| {
-            total.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn submit_waitable_timeout_observes_late_completion() {
-        let pool = ThreadPool::new(2);
-        let gate = Arc::new(AtomicBool::new(false));
-        let h = {
-            let gate = Arc::clone(&gate);
-            pool.submit_waitable(move || {
-                while !gate.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        };
-        assert_eq!(h.wait_timeout(Duration::from_millis(20)), None, "task is gated");
-        assert_eq!(h.try_wait(), None);
-        gate.store(true, Ordering::Release);
-        assert_eq!(h.wait(), JobStatus::Done);
-        assert_eq!(h.try_wait(), Some(JobStatus::Done));
-    }
-
-    #[test]
-    fn submit_waitable_on_capacity_one_runs_inline() {
-        let pool = ThreadPool::new(1);
-        let ran = Arc::new(AtomicU64::new(0));
-        let h = {
-            let ran = Arc::clone(&ran);
-            pool.submit_waitable(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "no workers: inline before return");
-        assert_eq!(h.try_wait(), Some(JobStatus::Done));
-    }
-
-    #[test]
-    fn tasks_coexist_with_sharded_jobs() {
-        let pool = ThreadPool::new(4);
-        let task_hits = Arc::new(AtomicU64::new(0));
-        let handles: Vec<JobHandle> = (0..8)
-            .map(|_| {
-                let task_hits = Arc::clone(&task_hits);
-                pool.submit_waitable(move || {
-                    task_hits.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        let shard_hits = AtomicU64::new(0);
-        for _ in 0..50 {
-            pool.run(6, |_| {
-                shard_hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for h in &handles {
-            assert_eq!(h.wait(), JobStatus::Done);
-        }
-        assert_eq!(shard_hits.load(Ordering::Relaxed), 300);
-        assert_eq!(task_hits.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn shutdown_cancels_unclaimed_tasks() {
-        let pool = ThreadPool::new(2);
-        // One worker: gate it on a slow task, queue another behind it.
-        let gate = Arc::new(AtomicBool::new(false));
-        let slow = {
-            let gate = Arc::clone(&gate);
-            pool.submit_waitable(move || {
-                while !gate.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        };
-        // Wait until the worker has adopted the slow task (queue drained),
-        // so the next submit sits behind a busy worker.
-        while !pool.shared.slot.lock().expect("pool mutex").tasks.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let queued = pool.submit_waitable(|| {});
-        gate.store(true, Ordering::Release);
-        drop(pool);
-        // The slow task finished; the queued one either ran (worker saw it
-        // before observing shutdown) or was cancelled — never left pending.
-        assert_eq!(slow.wait(), JobStatus::Done);
-        assert!(matches!(queued.wait(), JobStatus::Done | JobStatus::Cancelled));
     }
 
     #[test]

@@ -43,11 +43,10 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceEvent};
-use parking_lot::RwLock;
 
 use crate::cache::{fnv64, row_hash};
 use crate::client::{Client, ServerInfo};
@@ -584,7 +583,7 @@ impl Router {
 
     /// The committed fleet contract.
     pub fn fleet_info(&self) -> FleetInfo {
-        *self.shared.fleet.read()
+        *self.shared.fleet.read().expect("router fleet lock")
     }
 
     /// Number of shards currently marked unhealthy (or probing).
@@ -674,7 +673,7 @@ impl Handler for RouterShared {
                 route(self, decode_start, req_id, candidates, || Ok(nearest_route(req_id, k, query)))
             }
             Request::Info => {
-                let fleet = *self.fleet.read();
+                let fleet = *self.fleet.read().expect("router fleet lock");
                 let reply = Message::InfoReply {
                     n_fields: fleet.n_fields as u32,
                     latent_dim: fleet.latent_dim as u32,
@@ -713,7 +712,7 @@ fn embed_route(
     req_id: u64,
     fields: Vec<crate::protocol::FieldRow>,
 ) -> Result<(u64, Message), String> {
-    let n_fields = shared.fleet.read().n_fields;
+    let n_fields = shared.fleet.read().expect("router fleet lock").n_fields;
     if fields.len() != n_fields {
         return Err(format!("expected {n_fields} fields, got {}", fields.len()));
     }
@@ -873,7 +872,7 @@ fn forward_with_failover(
 /// identity otherwise. Serialized on the router's reload lock.
 fn coordinated_reload(shared: &RouterShared, target: Option<u64>) -> FleetReloadOutcome {
     let _serialize = shared.reload_lock.lock().expect("reload mutex");
-    let old_id = shared.fleet.read().ckpt_id;
+    let old_id = shared.fleet.read().expect("router fleet lock").ckpt_id;
     let cfg = &shared.cfg;
     // Snapshot decode can outlast a routing RPC; give reloads more room.
     let reload_timeout = cfg.rpc_timeout.max(RELOAD_TIMEOUT_FLOOR);
@@ -898,7 +897,7 @@ fn coordinated_reload(shared: &RouterShared, target: Option<u64>) -> FleetReload
         let (new_id, n) = (new_ids[0], shared.shards.len());
         let changed = new_id != old_id;
         let detail = if changed {
-            shared.fleet.write().ckpt_id = new_id;
+            shared.fleet.write().expect("router fleet lock").ckpt_id = new_id;
             shared.metrics.reloads.inc();
             format!("fleet of {n} committed {old_id:#018x} -> {new_id:#018x}")
         } else {

@@ -24,22 +24,23 @@
 //! ## Hot reload
 //!
 //! The serving model lives behind `RwLock<Arc<ModelState>>`. A reload
-//! decodes and validates the newest snapshot *off to the side* (on a
-//! [`fvae_pool::ThreadPool::submit_waitable`] task), then atomically swaps
-//! the `Arc` — in-flight batches keep the snapshot they started with, and
-//! no request is ever dropped. Checkpoint identity is the FNV-1a hash of
-//! the [`fvae_core::normalized_snapshot_bytes`], so re-exporting an
-//! identical model is recognised as a no-op and skipped. A reload that
-//! finds no usable snapshot (corrupt files, empty dir) fails loudly while
-//! the old model keeps serving.
+//! decodes and validates the newest snapshot *off to the side*, on the
+//! thread that asked for it while the batch thread keeps encoding, then
+//! atomically swaps the `Arc` — in-flight batches keep the snapshot they
+//! started with, and no request is ever dropped. Checkpoint identity is the
+//! FNV-1a hash of the [`fvae_core::normalized_snapshot_bytes`], so
+//! re-exporting an identical model is recognised as a no-op and skipped. A
+//! reload that finds no usable snapshot (corrupt files, empty dir), or
+//! whose load panics, fails loudly while the old model keeps serving.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +50,6 @@ use fvae_core::{
 };
 use fvae_obs::{Counter, Gauge, Histogram, Registry, TraceEvent};
 use fvae_tensor::Matrix;
-use parking_lot::RwLock;
 
 use crate::cache::{fnv64, row_hash, EmbedCache};
 use crate::net::{self, Handler, Net, Request};
@@ -168,7 +168,7 @@ pub enum ServeError {
     Snapshot(SnapshotError),
     /// The checkpoint directory exists but holds no snapshot files at all.
     NoCheckpoint(PathBuf),
-    /// A reload task failed; the previous model keeps serving.
+    /// A reload failed; the previous model keeps serving.
     Reload(String),
     /// `ServeConfig::batch_size` was 0: the batch thread would drain zero
     /// requests per turn and never empty the queue.
@@ -256,17 +256,36 @@ impl ServeMetrics {
 // Shared state
 // ---------------------------------------------------------------------------
 
-/// The immutable serving snapshot: encoder weights plus the identity of
-/// the checkpoint they came from. Swapped atomically on reload.
+/// The immutable serving snapshot: the encoder forward plus the identity of
+/// the checkpoint its weights came from. Swapped atomically on reload.
 struct ModelState {
-    encoder: Encoder,
-    /// Present iff the server runs in [`QuantMode::Int8`]: the snapshot's
-    /// dense trunk quantized at load time. The f32 encoder above stays the
-    /// source of truth for architecture queries (and untouched memory —
-    /// the quantized forward never reads its dense weights).
-    quant: Option<QuantizedEncoder>,
+    forward: Forward,
     ckpt_id: u64,
     path: PathBuf,
+}
+
+/// The forward a server runs, in its [`QuantMode`].
+enum Forward {
+    F32(Encoder),
+    /// The snapshot's dense trunk quantized at load time, over the f32
+    /// encoder's sparse front (the one copy of the bags).
+    Int8(QuantizedEncoder),
+}
+
+impl Forward {
+    fn n_fields(&self) -> usize {
+        match self {
+            Forward::F32(enc) => enc.n_fields(),
+            Forward::Int8(q) => q.n_fields(),
+        }
+    }
+
+    fn latent_dim(&self) -> usize {
+        match self {
+            Forward::F32(enc) => enc.latent_dim(),
+            Forward::Int8(q) => q.latent_dim(),
+        }
+    }
 }
 
 /// The immutable nearest-neighbour snapshot: an ANN index over the
@@ -307,10 +326,10 @@ fn refresh_nearest(shared: &Shared) -> Result<(), ServeError> {
     let Some(path) = &shared.cfg.embeddings else {
         return Ok(());
     };
-    let current = shared.nearest.read().as_ref().map(|s| s.index_id);
+    let current = shared.nearest().map(|s| s.index_id);
     // `None`: a byte-identical store keeps the built index.
     if let Some(state) = load_nearest_state(path, current)? {
-        *shared.nearest.write() = Some(Arc::new(state));
+        *shared.nearest.write().expect("serve nearest lock") = Some(Arc::new(state));
         shared.metrics.nearest_reloads.inc();
     }
     Ok(())
@@ -372,6 +391,18 @@ struct Shared {
     reload_lock: Mutex<()>,
 }
 
+impl Shared {
+    /// The serving model right now; a reload swaps it for later reads only.
+    fn model(&self) -> RwLockReadGuard<'_, Arc<ModelState>> {
+        self.model.read().expect("serve model lock")
+    }
+
+    /// The nearest-neighbour index right now, if a store is loaded.
+    fn nearest(&self) -> Option<Arc<NearestState>> {
+        self.nearest.read().expect("serve nearest lock").clone()
+    }
+}
+
 /// Outcome of a successful reload.
 #[derive(Clone, Debug)]
 pub struct ReloadOutcome {
@@ -410,7 +441,7 @@ impl Server {
             None => None,
             Some(path) => load_nearest_state(path, None)?.map(Arc::new),
         };
-        let dim = state.encoder.latent_dim();
+        let dim = state.forward.latent_dim();
         let (net, listener) = Net::bind(
             "serve",
             &cfg.host,
@@ -455,29 +486,29 @@ impl Server {
 
     /// Identity of the checkpoint currently being served.
     pub fn ckpt_id(&self) -> u64 {
-        self.shared.model.read().ckpt_id
+        self.shared.model().ckpt_id
     }
 
     /// Latent dimensionality of served embeddings.
     pub fn latent_dim(&self) -> usize {
-        self.shared.model.read().encoder.latent_dim()
+        self.shared.model().forward.latent_dim()
     }
 
     /// Field count requests must supply.
     pub fn n_fields(&self) -> usize {
-        self.shared.model.read().encoder.n_fields()
+        self.shared.model().forward.n_fields()
     }
 
     /// Whether the int8 quantized encoder is serving (the `--quant int8`
     /// mode; reload preserves it).
     pub fn quantized(&self) -> bool {
-        self.shared.model.read().quant.is_some()
+        matches!(self.shared.model().forward, Forward::Int8(_))
     }
 
     /// Identity of the embedding-store index currently answering
     /// `NearestRequest` frames (`None` without `--embeddings`).
     pub fn nearest_index_id(&self) -> Option<u64> {
-        self.shared.nearest.read().as_ref().map(|s| s.index_id)
+        self.shared.nearest().map(|s| s.index_id)
     }
 
     /// In-process nearest-neighbour query against the same index the
@@ -485,7 +516,7 @@ impl Server {
     /// store is loaded. The RPC path must be bit-identical to this.
     pub fn nearest(&self, query: &[f32], k: usize) -> Option<Vec<(u64, f32)>> {
         use fvae_ann::AnnIndex as _;
-        let state = Arc::clone(self.shared.nearest.read().as_ref()?);
+        let state = self.shared.nearest()?;
         Some(state.index.search(query, k).into_iter().map(|n| (n.id, n.score)).collect())
     }
 
@@ -601,92 +632,91 @@ fn load_model_state(
     };
     let (model, _resume) = snapshot.into_resume();
     let encoder = Encoder::from(model);
-    let quant = match quant {
-        QuantMode::F32 => None,
-        QuantMode::Int8 => Some(QuantizedEncoder::from_encoder(&encoder)),
+    let forward = match quant {
+        QuantMode::F32 => Forward::F32(encoder),
+        QuantMode::Int8 => Forward::Int8(QuantizedEncoder::from_encoder(&encoder)),
     };
-    Ok(ModelState { encoder, quant, ckpt_id, path })
+    Ok(ModelState { forward, ckpt_id, path })
 }
 
 /// Loads, validates, and swaps in the newest snapshot — or the one with
 /// exactly the `target` identity (a no-op when already serving), which is
 /// how the router's coordinated reload rolls every shard back when any
-/// shard's forward reload fails. The decode runs as a waitable task on the
-/// global compute pool; the swap itself is a single `Arc` store, so
-/// in-flight batches finish on the model they started with.
+/// shard's forward reload fails. The load runs on the calling thread; the
+/// swap itself is a single `Arc` store, so in-flight batches finish on the
+/// model they started with.
+///
+/// A load that panics is caught here and answered as a failed reload: the
+/// caller gets its one error, `reload_lock` is released normally (never
+/// poisoned), and the old model keeps serving.
+fn reload(shared: &Shared, target: Option<u64>) -> Result<ReloadOutcome, ServeError> {
+    contain_reload(shared, || {
+        // The embedding-store half first: it has its own no-op detection,
+        // and a failure here (store file unreadable/corrupt) fails the
+        // reload while both the old model and the old index keep serving.
+        refresh_nearest(shared)?;
+        swap_model(shared, target)
+    })
+}
+
+/// Runs one reload under `reload_lock`, turning a panic into an error and
+/// counting every error in `fvae_serve_reload_errors`.
+fn contain_reload(
+    shared: &Shared,
+    load: impl FnOnce() -> Result<ReloadOutcome, ServeError>,
+) -> Result<ReloadOutcome, ServeError> {
+    let _serialize = shared.reload_lock.lock().expect("reload mutex");
+    let outcome = catch_unwind(AssertUnwindSafe(load)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("no message");
+        Err(ServeError::Reload(format!("snapshot load panicked: {msg}")))
+    });
+    if outcome.is_err() {
+        shared.metrics.reload_errors.inc();
+    }
+    outcome
+}
+
+/// The model half of [`reload`].
 ///
 /// A snapshot whose architecture (field count or latent dim) differs from
 /// the serving setup is rejected: the embedding cache slab, pre-sized
 /// reply cells, and admitted requests are all sized for the startup
 /// architecture, so swapping one in would panic the batch thread on its
 /// next batch and wedge the server. Such a model needs a fresh process.
-fn reload(shared: &Arc<Shared>, target: Option<u64>) -> Result<ReloadOutcome, ServeError> {
-    let _serialize = shared.reload_lock.lock().expect("reload mutex");
-    // The embedding-store half first: it has its own no-op detection, and a
-    // failure here (store file unreadable/corrupt) fails the reload while
-    // both the old model and the old index keep serving.
-    if let Err(e) = refresh_nearest(shared) {
-        shared.metrics.reload_errors.inc();
-        return Err(e);
-    }
-    let (current_id, cur_fields, cur_dim) = {
-        let model = shared.model.read();
-        (model.ckpt_id, model.encoder.n_fields(), model.encoder.latent_dim())
-    };
-    if let Some(t) = target {
+fn swap_model(shared: &Shared, target: Option<u64>) -> Result<ReloadOutcome, ServeError> {
+    let current = Arc::clone(&shared.model());
+    if target == Some(current.ckpt_id) {
         // Targeted no-op resolves without touching the filesystem — the
         // identity is already known to match.
-        if t == current_id {
-            shared.metrics.reload_noops.inc();
-            let path = shared.model.read().path.clone();
-            return Ok(ReloadOutcome { changed: false, ckpt_id: current_id, path });
-        }
+        shared.metrics.reload_noops.inc();
+        return Ok(ReloadOutcome { changed: false, ckpt_id: current.ckpt_id, path: current.path.clone() });
     }
-    let result: Arc<Mutex<Option<Result<ReloadOutcome, ServeError>>>> = Arc::new(Mutex::new(None));
-    let task_result = Arc::clone(&result);
-    let task_shared = Arc::clone(shared);
-    let handle = fvae_pool::global().submit_waitable(move || {
-        let outcome = (|| {
-            // Reload re-quantizes under the startup mode: the serving
-            // numeric contract never changes across a hot swap.
-            let cfg = &task_shared.cfg;
-            let state = load_model_state(&cfg.checkpoint_dir, cfg.quant, target)?;
-            if state.ckpt_id == current_id {
-                task_shared.metrics.reload_noops.inc();
-                return Ok(ReloadOutcome { changed: false, ckpt_id: current_id, path: state.path });
-            }
-            let (new_fields, new_dim) = (state.encoder.n_fields(), state.encoder.latent_dim());
-            if new_fields != cur_fields || new_dim != cur_dim {
-                return Err(ServeError::Reload(format!(
-                    "architecture mismatch: serving {cur_fields} fields × {cur_dim} latent, \
-                     snapshot {} has {new_fields} fields × {new_dim} latent; \
-                     restart the server to change architectures",
-                    state.path.display()
-                )));
-            }
-            let out = ReloadOutcome { changed: true, ckpt_id: state.ckpt_id, path: state.path.clone() };
-            *task_shared.model.write() = Arc::new(state);
-            task_shared.metrics.reloads.inc();
-            Ok(out)
-        })();
-        *task_result.lock().expect("reload result mutex") = Some(outcome);
-    });
-    match handle.wait() {
-        fvae_pool::JobStatus::Done => {}
-        status => {
-            shared.metrics.reload_errors.inc();
-            return Err(ServeError::Reload(format!("reload task {status:?}")));
-        }
+    // Reload re-quantizes under the startup mode: the serving numeric
+    // contract never changes across a hot swap.
+    let cfg = &shared.cfg;
+    let state = load_model_state(&cfg.checkpoint_dir, cfg.quant, target)?;
+    if state.ckpt_id == current.ckpt_id {
+        shared.metrics.reload_noops.inc();
+        return Ok(ReloadOutcome { changed: false, ckpt_id: current.ckpt_id, path: state.path });
     }
-    let outcome = result
-        .lock()
-        .expect("reload result mutex")
-        .take()
-        .unwrap_or_else(|| Err(ServeError::Reload("reload task returned nothing".into())));
-    if outcome.is_err() {
-        shared.metrics.reload_errors.inc();
+    let (cur_fields, cur_dim) = (current.forward.n_fields(), current.forward.latent_dim());
+    let (new_fields, new_dim) = (state.forward.n_fields(), state.forward.latent_dim());
+    if new_fields != cur_fields || new_dim != cur_dim {
+        return Err(ServeError::Reload(format!(
+            "architecture mismatch: serving {cur_fields} fields × {cur_dim} latent, \
+             snapshot {} has {new_fields} fields × {new_dim} latent; \
+             restart the server to change architectures",
+            state.path.display()
+        )));
     }
-    outcome
+    let out = ReloadOutcome { changed: true, ckpt_id: state.ckpt_id, path: state.path.clone() };
+    *shared.model.write().expect("serve model lock") = Arc::new(state);
+    shared.metrics.reloads.inc();
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -719,12 +749,12 @@ impl Handler for Shared {
             }
             Request::Nearest { req_id, k, query } => (None, serve_nearest(self, req_id, k, &query)),
             Request::Info => {
-                let model = self.model.read();
+                let model = self.model();
                 let reply = Message::InfoReply {
-                    n_fields: model.encoder.n_fields() as u32,
-                    latent_dim: model.encoder.latent_dim() as u32,
+                    n_fields: model.forward.n_fields() as u32,
+                    latent_dim: model.forward.latent_dim() as u32,
                     ckpt_id: model.ckpt_id,
-                    quantized: model.quant.is_some(),
+                    quantized: matches!(model.forward, Forward::Int8(_)),
                 };
                 (None, reply)
             }
@@ -739,7 +769,7 @@ impl Handler for Shared {
                     Err(e) => Message::ReloadReply {
                         ok: false,
                         changed: false,
-                        ckpt_id: self.model.read().ckpt_id,
+                        ckpt_id: self.model().ckpt_id,
                         detail: e.to_string(),
                     },
                 };
@@ -756,8 +786,7 @@ fn serve_nearest(shared: &Shared, req_id: u64, k: u32, query: &[f32]) -> Message
     // Clone the Arc under the read lock, search outside it: the whole query
     // runs against one index snapshot, and a reload swapping mid-search
     // affects later queries only.
-    let state = shared.nearest.read().as_ref().map(Arc::clone);
-    let (code, msg) = match state {
+    let (code, msg) = match shared.nearest() {
         None => (
             error_code::UNAVAILABLE,
             "no embedding store loaded (start with --embeddings)".to_string(),
@@ -797,8 +826,8 @@ fn serve_embed(shared: &Arc<Shared>, trace_id: u64, req_id: u64, fields: Vec<Fie
         shared.net.error_reply(req_id, code, msg)
     };
     let (n_fields, dim, ckpt_id) = {
-        let model = shared.model.read();
-        (model.encoder.n_fields(), model.encoder.latent_dim(), model.ckpt_id)
+        let model = shared.model();
+        (model.forward.n_fields(), model.forward.latent_dim(), model.ckpt_id)
     };
     if fields.len() != n_fields {
         let msg = format!("expected {n_fields} fields, got {}", fields.len());
@@ -910,7 +939,7 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
 
         // Snapshot the model for the whole batch: a concurrent reload
         // swaps the Arc for *later* batches only.
-        let model = Arc::clone(&shared.model.read());
+        let model = Arc::clone(&shared.model());
 
         if let Some(p) = probe.as_mut() {
             p(BatchPhase::Start, n);
@@ -918,15 +947,15 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
         // Reload rejects architecture changes, so every admitted request's
         // field count matches this snapshot and every reply cell is exactly
         // `latent_dim` wide — the indexing and copies below cannot trip.
-        input.reset(model.encoder.n_fields());
+        input.reset(model.forward.n_fields());
         for p in &batch {
-            debug_assert_eq!(p.fields.len(), model.encoder.n_fields());
+            debug_assert_eq!(p.fields.len(), model.forward.n_fields());
             input.push_row(|k| (p.fields[k].0.as_slice(), p.fields[k].1.as_slice()));
         }
         let encode_start = shared.net.trace.now_ns();
-        match &model.quant {
-            Some(q) => q.embed_into(&input, &mut qscratch, &mut mu),
-            None => model.encoder.embed_into(&input, &mut scratch, &mut mu),
+        match &model.forward {
+            Forward::F32(enc) => enc.embed_into(&input, &mut scratch, &mut mu),
+            Forward::Int8(q) => q.embed_into(&input, &mut qscratch, &mut mu),
         }
         let encode_dur = shared.net.trace.now_ns().saturating_sub(encode_start);
         let form_dur = encode_start.saturating_sub(formed_start);
@@ -967,5 +996,53 @@ fn batch_loop(shared: &Arc<Shared>, mut probe: Option<BatchProbe>) {
         shared.metrics.batches.inc();
         shared.metrics.batch_size.record(n as u64);
         batch.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, EmbedOutcome};
+    use fvae_core::{export_model_snapshot, Fvae, FvaeConfig};
+    use fvae_data::{FieldSpec, TopicModelConfig};
+
+    #[test]
+    fn a_panicking_reload_is_one_error_and_the_old_model_keeps_serving() {
+        let ds = TopicModelConfig {
+            n_users: 20,
+            n_topics: 2,
+            alpha: 0.2,
+            fields: vec![FieldSpec::new("ch", 8, 2, 1.0), FieldSpec::new("tag", 12, 3, 1.0)],
+            pair_prob: 0.0,
+            seed: 3,
+        }
+        .generate();
+        let mut cfg = FvaeConfig::for_dataset(&ds);
+        cfg.latent_dim = 4;
+        cfg.enc_hidden = 8;
+        cfg.dec_hidden = vec![8];
+        let dir = std::env::temp_dir().join(format!("fvae-serve-reload-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        export_model_snapshot(&dir, &Fvae::new(cfg)).expect("export");
+        let server = Server::start(ServeConfig::new(&dir)).expect("start");
+        let served = server.ckpt_id();
+
+        let err = contain_reload(&server.shared, || panic!("deliberate load failure"))
+            .expect_err("a panicking load is a failed reload");
+        assert!(err.to_string().contains("deliberate load failure"), "got: {err}");
+        assert!(!server.shared.reload_lock.is_poisoned());
+        assert!(server.metrics_text().contains("fvae_serve_reload_errors 1"));
+
+        // The old model keeps serving, and the next reload runs normally.
+        let mut client = Client::connect(server.addr()).expect("connect");
+        match client.embed(&[(vec![1], vec![1.0]), (vec![2], vec![1.0])]).expect("embed") {
+            EmbedOutcome::Embedding { ckpt_id, .. } => assert_eq!(ckpt_id, served),
+            other => panic!("{other:?}"),
+        }
+        let report = client.reload().expect("reload rpc");
+        assert!(report.ok && !report.changed && report.ckpt_id == served, "{report:?}");
+        drop(client);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
