@@ -3,9 +3,9 @@
 //! cost.
 //!
 //! Because this crate's archetype is correctness-first, the harness is part
-//! of the library, not a test helper: the `fvae ann` CLI command, the CI
-//! smoke gate, and the committed `BENCH_ann.json` all run exactly this code
-//! over the committed fixture. [`recall_parity`] sweeps `nprobe` and reports
+//! of the library, not a test helper: the `fvae ann` CLI command (and its
+//! `--json` report) and the CI smoke gate both run exactly this code over
+//! the committed fixture. [`recall_parity`] sweeps `nprobe` and reports
 //! per-point recall@k against [`FlatIndex`], mean distance evaluations per
 //! query (as an absolute count and as a fraction of the corpus, the number
 //! the ≤ 20 % acceptance budget is written against), and p50/p99 query

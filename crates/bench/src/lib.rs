@@ -1,1 +1,3 @@
-//! Bench crate: criterion benches in benches/, per-table/figure regenerators in src/bin/.
+//! Bench crate: one regeneration binary per paper table and figure in
+//! src/bin/ (plus `ablations` and `all_experiments`). Performance is
+//! measured by the `ladder` benchmark, not here.

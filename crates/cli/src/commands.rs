@@ -66,7 +66,7 @@ pub fn usage() -> String {
      \x20           saved log offset)\n\
      \x20 ann       --store STORE | --synth N [--dim D] [--clusters C] [--seed S]\n\
      \x20           [--k K] [--queries Q] [--nprobes 1,2,4,...] [--out-index IDX]\n\
-     \x20           [--json BENCH_ann.json]\n\
+     \x20           [--json FILE]\n\
      \x20           (recall@k parity harness: sweeps nprobe, judging the IVF-PQ\n\
      \x20           index against the exhaustive flat scan on the same corpus)\n\
      \x20 serve     --checkpoint-dir DIR [--port P] [--host H] [--threads T]\n\
@@ -88,7 +88,7 @@ pub fn usage() -> String {
      \x20           (SPEC: fields split by '|', entries by ',', each ID:WEIGHT)\n\
      \x20 loadgen   --addr HOST:PORT [--qps Q] [--duration-ms MS] [--connections C]\n\
      \x20           [--distinct-rows R] [--ids-per-field N] [--id-space S]\n\
-     \x20           [--seed SEED] [--json BENCH_serve_latency.json]\n\
+     \x20           [--seed SEED] [--json FILE]\n\
      \x20           [--bench NAME] [--shards N]\n\
      \x20           (open-loop: latency is charged from the send *schedule*,\n\
      \x20           so a stalled server cannot hide its own backlog)\n\
@@ -536,7 +536,7 @@ fn similar(args: &Args) -> Result<String, String> {
 }
 
 /// What a parity sweep ran over: the corpus, its shape, and the sweep's
-/// query plan — the identifying half of a `BENCH_ann.json` report.
+/// query plan — the identifying half of an `fvae ann --json` report.
 struct AnnRun<'a> {
     source: &'a str,
     dim: usize,
@@ -545,7 +545,7 @@ struct AnnRun<'a> {
     n_queries: usize,
 }
 
-/// Serializes a parity sweep as the `BENCH_ann.json` schema: the recall/
+/// Serializes a parity sweep as the `fvae ann --json` report: the recall/
 /// cost curve plus the provenance needed to compare runs across commits.
 fn ann_report_json(
     run: &AnnRun,
@@ -932,7 +932,7 @@ fn embed_client(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// Serializes a loadgen report as the `BENCH_serve_latency.json` schema:
+/// Serializes a loadgen report as the `fvae loadgen --json` report:
 /// quantiles plus the provenance needed to compare runs across commits.
 /// `bench` names the scenario (`serve_latency`, `router_latency`, ...);
 /// `shards` records the fleet size when the target was a router.

@@ -10,8 +10,8 @@
 //! - train progress: epoch, step-in-epoch, global step, the current epoch's
 //!   shuffled user order (computed from the RNG *at epoch start*, so it
 //!   cannot be re-derived mid-epoch), and the epoch's partial loss sums,
-//! - optionally, [`Fvae::train_until`]'s early-stopping state (best snapshot,
-//!   strikes, validation history).
+//! - optionally, [`Fvae::train_until_checkpointed`]'s early-stopping state
+//!   (best snapshot, strikes, validation history).
 //!
 //! ## On-disk format
 //!
@@ -224,8 +224,8 @@ impl OptSnapshot {
     }
 }
 
-/// [`Fvae::train_until`]'s early-stopping loop state, checkpointed at
-/// validation boundaries.
+/// [`Fvae::train_until_checkpointed`]'s early-stopping loop state,
+/// checkpointed at validation boundaries.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EarlyStopState {
     /// `(validation ELBO, model bytes, epoch)` of the best point so far.

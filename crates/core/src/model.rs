@@ -227,12 +227,12 @@ impl Fvae {
     }
 
     /// Averages this model's parameters with `others` in place — the
-    /// synchronization step of the local-SGD data-parallel trainer
-    /// (`fvae-distributed`). Dense tensors average element-wise; the
-    /// dynamically grown embedding / output tables average **by feature
-    /// ID**: an ID present in `m` of the replicas gets the mean of those `m`
-    /// rows (replicas that never saw a feature carry no information about
-    /// it).
+    /// synchronization step of local-SGD data-parallel training, where each
+    /// replica trains on its own user shard. Dense tensors average
+    /// element-wise; the dynamically grown embedding / output tables average
+    /// **by feature ID**: an ID present in `m` of the replicas gets the mean
+    /// of those `m` rows (replicas that never saw a feature carry no
+    /// information about it).
     pub fn average_with(&mut self, others: &[Fvae]) {
         if others.is_empty() {
             return;
@@ -506,5 +506,109 @@ mod tests {
         let lp = model.field_log_probs(&z, 1, &feats);
         let sum: f32 = lp.row(0).iter().map(|&v| v.exp()).sum();
         assert!((sum - 1.0).abs() < 1e-3, "softmax over ids should normalize, got {sum}");
+    }
+
+    fn replica_setup() -> (MultiFieldDataset, Fvae) {
+        let ds = TopicModelConfig {
+            n_users: 80,
+            n_topics: 3,
+            alpha: 0.2,
+            fields: vec![
+                fvae_data::FieldSpec::new("ch1", 12, 3, 1.0),
+                fvae_data::FieldSpec::new("tag", 40, 5, 1.0),
+            ],
+            pair_prob: 0.0,
+            seed: 11,
+        }
+        .generate();
+        let mut cfg = FvaeConfig::for_dataset(&ds);
+        cfg.latent_dim = 8;
+        cfg.enc_hidden = 16;
+        cfg.dec_hidden = vec![16];
+        cfg.batch_size = 20;
+        cfg.sampling.rate = 1.0;
+        cfg.dropout = 0.0;
+        let model = Fvae::new(cfg);
+        (ds, model)
+    }
+
+    /// One local-SGD round: every replica clones `model`, trains one epoch
+    /// on its round-robin shard of `users`, and the replicas average.
+    fn averaged_round(
+        model: &Fvae,
+        ds: &MultiFieldDataset,
+        users: &[usize],
+        shards: usize,
+    ) -> Fvae {
+        let mut replicas: Vec<Fvae> = (0..shards)
+            .map(|s| {
+                let shard: Vec<usize> = users.iter().copied().skip(s).step_by(shards).collect();
+                let mut replica = model.clone();
+                replica.train_epochs(ds, &shard, 1, |_, _| {});
+                replica
+            })
+            .collect();
+        let mut merged = replicas.remove(0);
+        merged.average_with(&replicas);
+        merged
+    }
+
+    #[test]
+    fn averaging_identical_replicas_is_the_identity() {
+        // Replicas that start equal and train on the same users evolve
+        // identically, so their average must equal the solo run.
+        let (ds, model) = replica_setup();
+        let users: Vec<usize> = (0..40).collect();
+        let mut solo = model.clone();
+        solo.train_epochs(&ds, &users, 1, |_, _| {});
+        let mut a = model.clone();
+        a.train_epochs(&ds, &users, 1, |_, _| {});
+        let mut b = model.clone();
+        b.train_epochs(&ds, &users, 1, |_, _| {});
+        a.average_with(&[b]);
+        let e1 = solo.embed_users(&ds, &users[..5], None);
+        let e2 = a.embed_users(&ds, &users[..5], None);
+        for (x, y) in e1.as_slice().iter().zip(e2.as_slice()) {
+            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn averaging_disjoint_shards_merges_their_vocabularies() {
+        let (ds, model) = replica_setup();
+        let users: Vec<usize> = (0..ds.n_users()).collect();
+        let merged = averaged_round(&model, &ds, &users, 4);
+        assert!(
+            merged.input_vocab_len() > model.input_vocab_len(),
+            "training must grow the dynamic tables"
+        );
+        let emb = merged.embed_users(&ds, &users[..8], None);
+        assert!(emb.is_finite());
+    }
+
+    #[test]
+    fn averaged_replicas_still_learn() {
+        let (ds, model) = replica_setup();
+        let users: Vec<usize> = (0..ds.n_users()).collect();
+        let mut current = model;
+        for _ in 0..4 {
+            current = averaged_round(&current, &ds, &users, 2);
+        }
+        // Averaged training should separate topics at least weakly.
+        let emb = current.embed_users(&ds, &users, None);
+        let mut within = (0.0f64, 0usize);
+        let mut cross = (0.0f64, 0usize);
+        for i in 0..40 {
+            for j in (i + 1)..40 {
+                let c = fvae_tensor::ops::cosine_similarity(emb.row(i), emb.row(j)) as f64;
+                if ds.user_topics[i] == ds.user_topics[j] {
+                    within = (within.0 + c, within.1 + 1);
+                } else {
+                    cross = (cross.0 + c, cross.1 + 1);
+                }
+            }
+        }
+        let gap = within.0 / within.1.max(1) as f64 - cross.0 / cross.1.max(1) as f64;
+        assert!(gap > 0.0, "topic separation gap {gap}");
     }
 }

@@ -81,7 +81,7 @@ impl PhaseNs {
 /// Everything an observer sees after one optimizer step.
 #[derive(Clone, Copy, Debug)]
 pub struct StepCtx<'a> {
-    /// Epoch index (global across `train_until` bursts).
+    /// Epoch index (global across `train_until_checkpointed` bursts).
     pub epoch: usize,
     /// Step index within the epoch.
     pub step: usize,

@@ -3,18 +3,17 @@
 //! The paper tunes β "by the early stopping" (§V-D3) and Fig. 6 tracks
 //! validation AUC against training time; this module provides the
 //! infrastructure both rely on: a deterministic held-out ELBO
-//! ([`Fvae::evaluate_elbo`]) and [`Fvae::train_until`], which stops when the
-//! validation ELBO stalls and restores the best snapshot (via the model's
-//! binary serialization).
+//! ([`Fvae::evaluate_elbo`]) and [`Fvae::train_until_checkpointed`], which
+//! stops when the validation ELBO stalls and restores the best snapshot (via
+//! the model's binary serialization).
 
 use fvae_data::MultiFieldDataset;
-use fvae_nn::SampledSoftmaxOutput;
 use fvae_sparse::FastHashMap;
 use rand::rngs::StdRng;
 
 use crate::checkpoint::{self, Checkpointer, EarlyStopState, ResumePoint, SnapshotError, TrainProgress};
 use crate::model::Fvae;
-use crate::observe::{NullObserver, StepCtx, TrainObserver};
+use crate::observe::{StepCtx, TrainObserver};
 use crate::train::EpochStats;
 
 /// Early-stopping options.
@@ -34,7 +33,7 @@ impl Default for TrainOptions {
     }
 }
 
-/// Record of a [`Fvae::train_until`] run.
+/// Record of a [`Fvae::train_until_checkpointed`] run.
 #[derive(Clone, Debug, Default)]
 pub struct TrainHistory {
     /// Training statistics per epoch.
@@ -75,7 +74,7 @@ impl Fvae {
             let ids: Vec<u64> = features.iter().map(|&f| f as u64).collect();
             let col_of: FastHashMap<u32, usize> =
                 features.iter().enumerate().map(|(c, &f)| (f, c)).collect();
-            let log_probs = self.heads[k].log_probs_over_ids_public(&h, &ids);
+            let log_probs = self.heads[k].log_probs_over_ids(&h, &ids);
             let scale = (self.cfg.alpha[k] / alpha_norm) as f64;
             for (r, &u) in users.iter().enumerate() {
                 let (ix, vs) = ds.user_field(u, k);
@@ -90,38 +89,15 @@ impl Fvae {
     }
 
     /// Trains with early stopping on a validation cohort. On return, the
-    /// model holds the parameters of the best validation point.
-    pub fn train_until(
-        &mut self,
-        ds: &MultiFieldDataset,
-        train_users: &[usize],
-        val_users: &[usize],
-        options: TrainOptions,
-    ) -> TrainHistory {
-        self.train_until_observed(ds, train_users, val_users, options, &mut NullObserver)
-    }
-
-    /// [`Fvae::train_until`] with telemetry: every optimizer step and epoch
-    /// is forwarded to `observer` with epoch indices rebased to be global
-    /// across the early-stopping bursts.
-    pub fn train_until_observed(
-        &mut self,
-        ds: &MultiFieldDataset,
-        train_users: &[usize],
-        val_users: &[usize],
-        options: TrainOptions,
-        observer: &mut dyn TrainObserver,
-    ) -> TrainHistory {
-        self.train_until_checkpointed(ds, train_users, val_users, options, observer, None, None)
-            .expect("training without a checkpointer performs no I/O")
-    }
-
-    /// [`Fvae::train_until_observed`] with crash-safety: a snapshot is
-    /// written after every validation point (the early-stopping loop's
-    /// atomic unit — each burst rebuilds optimizer state, so burst
-    /// boundaries are exactly resumable), carrying the best-so-far model
-    /// bytes, strike count, and validation history. Resuming from such a
-    /// snapshot continues the run bit-identically.
+    /// model holds the parameters of the best validation point. Every
+    /// optimizer step and epoch is forwarded to `observer` with epoch
+    /// indices rebased to be global across the early-stopping bursts.
+    ///
+    /// With a `checkpointer`, a snapshot is written after every validation
+    /// point (the early-stopping loop's atomic unit — each burst rebuilds
+    /// optimizer state, so burst boundaries are exactly resumable), carrying
+    /// the best-so-far model bytes, strike count, and validation history.
+    /// Resuming from such a snapshot continues the run bit-identically.
     #[allow(clippy::too_many_arguments)]
     pub fn train_until_checkpointed(
         &mut self,
@@ -230,30 +206,11 @@ impl TrainObserver for BurstObserver<'_> {
     }
 }
 
-// A thin public wrapper is needed because `log_probs_over_ids` lives in
-// fvae-nn with `&self` access to head internals.
-trait HeadExt {
-    fn log_probs_over_ids_public(
-        &self,
-        h: &fvae_tensor::Matrix,
-        ids: &[u64],
-    ) -> fvae_tensor::Matrix;
-}
-
-impl HeadExt for SampledSoftmaxOutput {
-    fn log_probs_over_ids_public(
-        &self,
-        h: &fvae_tensor::Matrix,
-        ids: &[u64],
-    ) -> fvae_tensor::Matrix {
-        self.log_probs_over_ids(h, ids)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FvaeConfig;
+    use crate::observe::NullObserver;
     use fvae_data::{FieldSpec, SplitIndices, TopicModelConfig};
 
     fn setup() -> (MultiFieldDataset, Fvae, SplitIndices) {
@@ -292,12 +249,17 @@ mod tests {
     #[test]
     fn early_stopping_restores_best_snapshot() {
         let (ds, mut model, split) = setup();
-        let history = model.train_until(
-            &ds,
-            &split.train,
-            &split.val,
-            TrainOptions { max_epochs: 12, patience: 2, eval_every: 2 },
-        );
+        let history = model
+            .train_until_checkpointed(
+                &ds,
+                &split.train,
+                &split.val,
+                TrainOptions { max_epochs: 12, patience: 2, eval_every: 2 },
+                &mut NullObserver,
+                None,
+                None,
+            )
+            .expect("training without a checkpointer performs no I/O");
         assert!(!history.validations.is_empty());
         let best_recorded = history
             .validations
@@ -324,12 +286,17 @@ mod tests {
     fn patience_limits_training_length() {
         let (ds, mut model, split) = setup();
         // Zero-capacity patience: stop at the first non-improvement.
-        let history = model.train_until(
-            &ds,
-            &split.train,
-            &split.val,
-            TrainOptions { max_epochs: 40, patience: 1, eval_every: 1 },
-        );
+        let history = model
+            .train_until_checkpointed(
+                &ds,
+                &split.train,
+                &split.val,
+                TrainOptions { max_epochs: 40, patience: 1, eval_every: 1 },
+                &mut NullObserver,
+                None,
+                None,
+            )
+            .expect("training without a checkpointer performs no I/O");
         assert!(
             history.epochs.len() < 40 || !history.stopped_early,
             "either stopped early or ran the full budget"

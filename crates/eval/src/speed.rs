@@ -11,62 +11,48 @@
 use std::time::Instant;
 
 use fvae_baselines::MultVae;
-use fvae_core::{Fvae, PhaseNs};
+use fvae_core::Fvae;
 use fvae_data::{MultiFieldDataset, TopicModelConfig};
 use fvae_nn::Adam;
-use fvae_obs::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::context::{render_table, EvalContext};
 use crate::models::{fvae_config, LATENT_DIM};
 
-/// Users/second of FVAE training steps at the given batch size.
-pub fn fvae_throughput(ds: &MultiFieldDataset, batch_size: usize, steps: usize) -> f64 {
-    fvae_throughput_observed(ds, batch_size, steps, None)
-}
-
-/// [`fvae_throughput`] that additionally records each step's wall time and
-/// per-phase breakdown (`fvae_core_step_ns`, `fvae_core_phase_*_ns`) into
-/// `registry`, so a benchmark run ends with a Prometheus snapshot of where
-/// the time went.
-pub fn fvae_throughput_observed(
-    ds: &MultiFieldDataset,
+/// Users/second of `steps` timed training steps of `batch_size` users,
+/// after one untimed warm-up step. Both Table V columns go through here, so
+/// both pay their cold first step (dynamic-table growth, first-touch
+/// allocations) outside the timer over the same batch schedule: step `s`
+/// takes the `batch_size` users from `s·batch_size` on, wrapping around
+/// `n_users`, and the warm-up takes step 0's batch.
+fn timed_users_per_s(
+    n_users: usize,
     batch_size: usize,
     steps: usize,
-    registry: Option<&Registry>,
+    mut step: impl FnMut(&[usize]),
 ) -> f64 {
+    let batch_at = |s: usize| -> Vec<usize> {
+        let start = (s * batch_size) % n_users;
+        (0..batch_size).map(|i| (start + i) % n_users).collect()
+    };
+    step(&batch_at(0));
+    let t0 = Instant::now();
+    for s in 0..steps {
+        step(&batch_at(s));
+    }
+    (steps * batch_size) as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Users/second of FVAE training steps at the given batch size.
+pub fn fvae_throughput(ds: &MultiFieldDataset, batch_size: usize, steps: usize) -> f64 {
     let mut cfg = fvae_config(ds, 1);
     cfg.batch_size = batch_size;
     let mut model = Fvae::new(cfg);
     let mut opt = model.make_opt_states();
-    let users: Vec<usize> = (0..ds.n_users()).collect();
-    // Pre-resolved handles: the timed loop only touches atomics.
-    let handles = registry.map(|reg| {
-        let step_ns = reg.histogram("fvae_core_step_ns");
-        let phases =
-            PhaseNs::NAMES.map(|name| reg.histogram(&format!("fvae_core_phase_{name}_ns")));
-        (step_ns, phases)
-    });
-    // One warm-up step to populate the dynamic tables.
-    let warm: Vec<usize> = users.iter().copied().take(batch_size).collect();
-    model.train_single_batch(ds, &warm, &mut opt);
-    let t0 = Instant::now();
-    let mut processed = 0usize;
-    for s in 0..steps {
-        let start = (s * batch_size) % ds.n_users();
-        let batch: Vec<usize> =
-            (0..batch_size).map(|i| (start + i) % ds.n_users()).collect();
-        let stats = model.train_single_batch(ds, &batch, &mut opt);
-        processed += batch_size;
-        if let Some((step_ns, phases)) = &handles {
-            step_ns.record(stats.wall_ns);
-            for (hist, (_, ns)) in phases.iter().zip(opt.last_phases().entries()) {
-                hist.record(ns);
-            }
-        }
-    }
-    processed as f64 / t0.elapsed().as_secs_f64()
+    timed_users_per_s(ds.n_users(), batch_size, steps, |batch| {
+        model.train_single_batch(ds, batch, &mut opt);
+    })
 }
 
 /// Users/second of Mult-VAE training steps.
@@ -83,16 +69,9 @@ pub fn multvae_throughput(
     let adam = Adam::new(model.lr);
     let (mut enc_opt, mut dec_opt) = model.make_opts();
     let mut rng = StdRng::seed_from_u64(3);
-    let t0 = Instant::now();
-    let mut processed = 0usize;
-    for s in 0..steps {
-        let start = (s * batch_size) % ds.n_users();
-        let batch: Vec<usize> =
-            (0..batch_size).map(|i| (start + i) % ds.n_users()).collect();
-        model.train_batch_timed(ds, &batch, &adam, &mut enc_opt, &mut dec_opt, &mut rng);
-        processed += batch_size;
-    }
-    processed as f64 / t0.elapsed().as_secs_f64()
+    timed_users_per_s(ds.n_users(), batch_size, steps, |batch| {
+        model.train_batch_timed(ds, batch, &adam, &mut enc_opt, &mut dec_opt, &mut rng);
+    })
 }
 
 /// Regenerates Table V. Writes `table5.csv`.
@@ -134,6 +113,21 @@ pub fn table5(ctx: &EvalContext) -> std::io::Result<String> {
 mod tests {
     use super::*;
     use fvae_data::FieldSpec;
+
+    #[test]
+    fn the_warm_up_step_is_not_timed() {
+        // A 200 ms first step counted into 3 one-user steps would cap the
+        // rate at 3 users / 0.2 s = 15/s.
+        let mut calls = 0;
+        let rate = timed_users_per_s(10, 1, 3, |_| {
+            if calls == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(200));
+            }
+            calls += 1;
+        });
+        assert_eq!(calls, 4, "one warm-up step plus three timed steps");
+        assert!(rate > 1_000.0, "warm-up leaked into the timed window: {rate:.1} users/s");
+    }
 
     #[test]
     fn fvae_is_faster_than_multvae_on_a_wide_vocabulary() {

@@ -1,10 +1,11 @@
-//! Run provenance for committed benchmark artifacts: which git revision
-//! produced a number, and whether the working tree was clean when it ran.
+//! Run provenance for benchmark reports: which git revision produced a
+//! number, and whether the working tree was clean when it ran.
 //!
-//! Every `BENCH_*.json` emitter stamps [`git_rev`] and [`git_dirty`] at
-//! run time. A snapshot regenerated before committing therefore carries
-//! the parent revision plus `"dirty": true` — honest provenance — instead
-//! of silently keeping whatever revision the file was last generated at.
+//! Every JSON report — `fvae ann --json`, `fvae loadgen --json` and the
+//! `ladder` benchmark's documents — stamps [`git_rev`] and [`git_dirty`]
+//! at run time. A report produced before committing therefore carries the
+//! parent revision plus `"dirty": true` — honest provenance — instead of
+//! passing for a measurement of a clean revision.
 
 use std::process::Command;
 

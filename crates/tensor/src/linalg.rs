@@ -197,8 +197,8 @@ mod tests {
         let (vals, vecs) = jacobi_eigen(&a);
         // Check A·v = λ·v for the top eigenpair.
         let v0: Vec<f32> = (0..5).map(|r| vecs.get(r, 0)).collect();
-        let av = a.matvec(&v0);
-        for (x, &vi) in av.iter().zip(v0.iter()) {
+        let av = a.matmul(&Matrix::from_vec(5, 1, v0.clone()));
+        for (x, &vi) in av.as_slice().iter().zip(v0.iter()) {
             assert!((x - vals[0] * vi).abs() < 1e-3, "{x} vs {}", vals[0] * vi);
         }
         // Eigenvalues of a PSD matrix are non-negative (tolerate roundoff).

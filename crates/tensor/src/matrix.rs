@@ -504,47 +504,6 @@ impl Matrix {
         }
     }
 
-    /// Matrix–vector product `self · v`. Thin allocating wrapper over
-    /// [`Matrix::matvec_into`].
-    pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.matvec_into(v, &mut out);
-        out
-    }
-
-    /// Matrix–vector product written into `out` (resized to `rows`).
-    pub fn matvec_into(&self, v: &[f32], out: &mut Vec<f32>) {
-        if self.rows * self.cols >= PAR_MIN_FLOPS {
-            return self.matvec_into_with(v, out, fvae_pool::global());
-        }
-        assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
-        out.clear();
-        // resize-then-fill (not extend) so an `m × 0` matrix still yields
-        // `m` zeros even though its row iterator is empty.
-        out.resize(self.rows, 0.0);
-        self.matvec_range(v, out, 0, self.rows);
-    }
-
-    /// [`Matrix::matvec_into`] on an explicit pool (no serial-size
-    /// shortcut); see [`Matrix::matmul_into_with`]. Output elements are
-    /// sharded, one independent dot each.
-    pub fn matvec_into_with(&self, v: &[f32], out: &mut Vec<f32>, pool: &ThreadPool) {
-        assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
-        out.clear();
-        out.resize(self.rows, 0.0);
-        pool.run_rows(out, self.rows, 1, 1, |r, rows| self.matvec_range(v, rows, r.start, r.end));
-    }
-
-    /// Output elements `i0..i1` of `self · v` into the slice covering
-    /// exactly those elements.
-    fn matvec_range(&self, v: &[f32], out: &mut [f32], i0: usize, i1: usize) {
-        debug_assert_eq!(out.len(), i1 - i0);
-        let dot = crate::simd::active().dot;
-        for i in i0..i1 {
-            out[i - i0] = dot(&self.data[i * self.cols..(i + 1) * self.cols], v);
-        }
-    }
-
     /// Sum over rows, producing a length-`cols` vector. Thin allocating
     /// wrapper over [`Matrix::col_sums_into`].
     pub fn col_sums(&self) -> Vec<f32> {
@@ -681,14 +640,6 @@ mod tests {
         for (x, y) in prod.as_slice().iter().zip(a.as_slice()) {
             assert!((x - y).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn matvec_matches_matmul_column() {
-        let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let v = vec![1.0, 0.5, 2.0];
-        let got = a.matvec(&v);
-        assert_eq!(got, vec![8.0, 18.5]);
     }
 
     #[test]

@@ -90,25 +90,6 @@ proptest! {
         prop_assert_eq!(&a.matmul_transb(&b), &out);
     }
 
-    /// The 8-lane matrix-vector product matches a scalar dot per row, and
-    /// clears stale output contents.
-    #[test]
-    fn matvec_into_matches_naive(
-        m in 0usize..12, n in 0usize..40, seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(3));
-        let a = random_matrix(m, n, &mut rng);
-        let v: Vec<f32> = (0..n).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        let mut out = vec![9.0f32; 5];
-        a.matvec_into(&v, &mut out);
-        prop_assert_eq!(out.len(), m);
-        for (r, o) in out.iter().enumerate() {
-            let want: f32 = a.row(r).iter().zip(v.iter()).map(|(x, y)| x * y).sum();
-            prop_assert!((o - want).abs() <= 1e-5 * want.abs().max(1.0));
-        }
-        prop_assert_eq!(&a.matvec(&v), &out);
-    }
-
     /// Column sums match a per-column scalar loop.
     #[test]
     fn col_sums_into_matches_naive(

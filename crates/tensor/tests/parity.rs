@@ -108,29 +108,6 @@ proptest! {
         }
     }
 
-    /// `matvec_into` sharded over rows equals serial bit-for-bit.
-    #[test]
-    fn matvec_sharded_is_bit_identical(
-        m in 0usize..40, k in 0usize..24, seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(m, k, &mut rng);
-        let v: Vec<f32> = (0..k).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        let mut want = vec![9.0f32; 3];
-        a.matvec_into(&v, &mut want);
-        for (pool, &t) in pools().iter().zip(&THREADS) {
-            let mut got = vec![-3.0f32; 11];
-            a.matvec_into_with(&v, &mut got, pool);
-            prop_assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert_eq!(
-                    g.to_bits(), w.to_bits(),
-                    "element {} differs at {} threads", i, t
-                );
-            }
-        }
-    }
-
     /// Large shapes cross the dispatch threshold in the *default* entry
     /// points; the result must still match a forced single-thread pool run.
     #[test]

@@ -1,8 +1,8 @@
-//! Exhaustive tail-shape sweep for the tiled GEMM/matvec kernels.
+//! Exhaustive tail-shape sweep for the tiled GEMM kernels.
 //!
 //! The register-tiled kernels split every dimension into a main loop and a
-//! remainder: GEMM walks 2-row × 4-k tiles with per-dimension tails, matvec
-//! reduces rows through the 8-lane dot. Off-by-ones in those boundaries
+//! remainder: GEMM walks 2-row × 4-k tiles with per-dimension tails.
+//! Off-by-ones in those boundaries
 //! only bite at small or awkward shapes, so this sweep runs **every**
 //! combination of m ∈ 0..5, k ∈ 0..9, n ∈ {0, 1, 7, 8, 9, 15, 16, 17}
 //! against a naive f64 triple-loop reference — each tail interaction
@@ -79,31 +79,6 @@ fn gemm_variants_match_naive_reference_on_every_tail_shape() {
                 at.matmul_transa_into(&b, &mut out);
                 let want = naive(m, n, k, |i, p| at.row(p)[i] as f64, |p, j| b.row(p)[j] as f64);
                 assert_close(&out, &want, k, &format!("matmul_transa {m}x{k}x{n}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn matvec_matches_naive_reference_on_every_tail_shape() {
-    let mut rng = StdRng::seed_from_u64(0x7A12);
-    // matvec reduces over columns; sweep both dims through lane straddles.
-    for &m in &NS {
-        for &k in &NS {
-            let a = filled(m, k, &mut rng);
-            let v: Vec<f32> = (0..k)
-                .map(|_| if rng.random_range(0..5) == 0 { 0.0 } else { rng.random_range(-2.0f32..2.0) })
-                .collect();
-            let mut out = Vec::new();
-            a.matvec_into(&v, &mut out);
-            assert_eq!(out.len(), m, "matvec {m}x{k}: output length");
-            for (i, &got) in out.iter().enumerate() {
-                let want: f64 = a.row(i).iter().zip(&v).map(|(&x, &y)| x as f64 * y as f64).sum();
-                let tol = 1e-5 * (k as f64 + 1.0) * 4.0 + 1e-6;
-                assert!(
-                    (got as f64 - want).abs() <= tol,
-                    "matvec {m}x{k}: row {i} got {got} want {want}"
-                );
             }
         }
     }

@@ -19,9 +19,9 @@
 //! ```
 //!
 //! Crate map (bottom-up): [`tensor`] → [`sparse`] → [`nn`]/[`metrics`] →
-//! [`data`] → [`core`]/[`baselines`]/[`tsne`] → [`lookalike`]/
-//! [`distributed`] → [`eval`]. See DESIGN.md for the full inventory and the
-//! per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+//! [`data`] → [`core`]/[`baselines`]/[`tsne`] → [`lookalike`] → [`eval`].
+//! See DESIGN.md for the full inventory and the per-experiment index, and
+//! EXPERIMENTS.md for paper-vs-measured results.
 
 /// Dense f32 matrices, vector kernels, random distributions, small linalg.
 pub use fvae_tensor as tensor;
@@ -53,9 +53,6 @@ pub use fvae_lookalike as lookalike;
 
 /// Industrial matching-stage pipeline (Fig. 3): tag + embedding matchers.
 pub use fvae_matching as matching;
-
-/// Thread data-parallel training + distributed-speedup measurement.
-pub use fvae_distributed as distributed;
 
 /// Experiment drivers regenerating every table and figure.
 pub use fvae_eval as eval;
