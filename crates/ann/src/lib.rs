@@ -1,8 +1,7 @@
 //! Approximate nearest-neighbour retrieval over f32 embeddings.
 //!
-//! Both retrieval paths in this workspace — look-alike account recall and the
-//! matching-stage embedding matcher — score candidates by exhaustive −‖q−x‖²,
-//! which is linear in the corpus and a non-starter at the paper's
+//! Exhaustive retrieval — look-alike account recall scoring every candidate
+//! by −‖q−x‖² — is linear in the corpus and a non-starter at the paper's
 //! billion-scale regime. This crate supplies the sublinear substitute called
 //! for by ROADMAP item 1, following the inverted multi-index design of *Fast
 //! Variational AutoEncoder with Inverted Multi-Index for Collaborative
@@ -18,7 +17,7 @@
 //!   the whole corpus.
 //!
 //! Both implement the [`AnnIndex`] trait so call sites (look-alike recall,
-//! the ANN matcher, the `nearest` RPC in `fvae-serve`) stay agnostic.
+//! the `nearest` RPC in `fvae-serve`) stay agnostic.
 //!
 //! # Determinism contract
 //!
@@ -81,8 +80,7 @@ pub fn adaptive_ivf_config(n: usize, dim: usize) -> IvfConfig {
 /// Builds the right index for the corpus size: exhaustive [`FlatIndex`]
 /// below [`FLAT_THRESHOLD`] points, [`IvfIndex`] under
 /// [`adaptive_ivf_config`] at or above it. This is the one policy every
-/// call site (look-alike recall, the ANN matcher, the serve-side `nearest`
-/// RPC) shares.
+/// call site (look-alike recall, the serve-side `nearest` RPC) shares.
 pub fn auto_build(dim: usize, ids: &[u64], data: &[f32]) -> Result<AnyIndex, String> {
     if ids.len() < FLAT_THRESHOLD {
         Ok(AnyIndex::Flat(FlatIndex::build(dim, ids, data)?))

@@ -376,17 +376,18 @@ fn evaluate(args: &Args) -> Result<String, String> {
     let mut auc_mean = Mean::new();
     let mut map_mean = Mean::new();
     let mut ndcg_mean = Mean::new();
-    // One encoder + reusable forward buffers across the whole case loop.
+    // Reusable forward buffers across the whole case loop.
     let encoder = model.encoder();
     let mut input = InputRows::default();
     let mut scratch = EncoderScratch::default();
     let mut z = fvae_tensor::Matrix::default();
     for case in &cases {
         encoder.embed_users_into(&ds, &[case.user], Some(&channels), &mut input, &mut scratch, &mut z);
-        let scores = model.field_logits_one(z.row(0), tag_field, &case.candidates);
-        auc_mean.push(auc(&scores, &case.labels));
-        map_mean.push(average_precision(&scores, &case.labels));
-        ndcg_mean.push(ndcg_at_k(&scores, &case.labels, 10));
+        let scores = model.field_logits(&z, tag_field, &case.candidates);
+        let scores = scores.row(0);
+        auc_mean.push(auc(scores, &case.labels));
+        map_mean.push(average_precision(scores, &case.labels));
+        ndcg_mean.push(ndcg_at_k(scores, &case.labels, 10));
     }
     Ok(format!(
         "tag prediction over {} held-out users:\n  AUC     {:.4}\n  mAP     {:.4}\n  NDCG@10 {:.4}\n",

@@ -319,10 +319,10 @@ impl From<Fvae> for Encoder {
 }
 
 impl Fvae {
-    /// Clones this model's encoder (the model stays usable — the evaluation
-    /// drivers keep it around for the decoder).
-    pub fn encoder(&self) -> Encoder {
-        self.enc.clone()
+    /// Borrows this model's encoder, the `q(z|x)` half; clone it for an
+    /// owned copy, or move it out of the model with `Encoder::from`.
+    pub fn encoder(&self) -> &Encoder {
+        &self.enc
     }
 }
 
@@ -394,7 +394,7 @@ mod tests {
     fn moved_encoder_matches_cloned_encoder() {
         let ds = tiny_ds();
         let model = trained_model(&ds);
-        let cloned = model.encoder();
+        let cloned = model.encoder().clone();
         let users: Vec<usize> = (5..15).collect();
         let offline = model.embed_users(&ds, &users, None);
         let moved: Encoder = model.into();

@@ -70,6 +70,7 @@
 
 #![forbid(unsafe_code)]
 
+mod candidates;
 pub mod checkpoint;
 pub mod config;
 pub mod encoder;

@@ -43,7 +43,7 @@ impl Clone for Fvae {
     /// Clones all parameters. `StdRng` is not `Clone` in this `rand`
     /// version, so the replica gets a fresh RNG seeded from the config seed
     /// and the current step — deterministic, and identical across replicas
-    /// cloned from the same model state (which the distributed trainer's
+    /// cloned from the same model state (which the [`Fvae::average_with`]
     /// identity test relies on).
     fn clone(&self) -> Self {
         Self {
@@ -203,27 +203,13 @@ impl Fvae {
         self.encode(ds, users, fields).0
     }
 
-    /// Decoder hidden state for given latents.
-    pub fn decode_hidden(&self, z: &Matrix) -> Matrix {
-        self.trunk.forward(z)
-    }
-
-    /// Log-softmax scores of field `k` over an explicit feature-index list,
-    /// for the given latents (reconstruction evaluation, Table II).
-    pub fn field_log_probs(&self, z: &Matrix, field: usize, features: &[u32]) -> Matrix {
-        let h = self.decode_hidden(z);
-        let ids: Vec<u64> = features.iter().map(|&f| f as u64).collect();
-        self.heads[field].log_probs_over_ids(&h, &ids)
-    }
-
-    /// Raw logits of field `k` for one latent row over candidate features
-    /// (tag prediction, Tables III/IV; candidates need not be the full
-    /// vocabulary, and ranking only needs logits).
-    pub fn field_logits_one(&self, z_row: &[f32], field: usize, features: &[u32]) -> Vec<f32> {
-        let z = Matrix::from_vec(1, z_row.len(), z_row.to_vec());
-        let h = self.decode_hidden(&z);
-        let ids: Vec<u64> = features.iter().map(|&f| f as u64).collect();
-        self.heads[field].logits_for_ids(h.row(0), &ids)
+    /// The frozen decoder: `rows × candidates` logits of `field` for the
+    /// latents `z` — one trunk pass over all rows, then the head's
+    /// [`SampledSoftmaxOutput::frozen_logits`] (untrained candidates score 0).
+    /// Reconstruction callers run `log_softmax_in_place` on each row.
+    pub fn field_logits(&self, z: &Matrix, field: usize, candidates: &[u32]) -> Matrix {
+        let h = self.trunk.forward(z);
+        self.heads[field].frozen_logits(&h, candidates.iter().map(|&f| u64::from(f)))
     }
 
     /// Averages this model's parameters with `others` in place — the
@@ -283,56 +269,25 @@ impl Fvae {
             }
         }
 
-        // ID-aligned sparse tables.
-        use fvae_sparse::FastHashMap;
+        // ID-aligned sparse tables; a head row's last column is its bias.
         for k in 0..self.cfg.n_fields {
-            let dim = self.enc.bags[k].dim();
-            let mut acc: FastHashMap<u64, (Vec<f32>, u32)> = FastHashMap::default();
-            let mut absorb = |bag: &EmbeddingBag| {
-                for (id, slot) in bag.table().iter() {
-                    let e = acc.entry(id).or_insert_with(|| (vec![0.0; dim], 0));
-                    for (a, &w) in e.0.iter_mut().zip(bag.row(slot)) {
-                        *a += w;
-                    }
-                    e.1 += 1;
-                }
-            };
-            absorb(&self.enc.bags[k]);
-            for o in others {
-                absorb(&o.enc.bags[k]);
-            }
-            let mut ids: Vec<u64> = acc.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let (mut row, count) = acc.remove(&id).expect("present");
-                let inv = 1.0 / count as f32;
-                row.iter_mut().for_each(|v| *v *= inv);
+            let models = || std::iter::once(&*self).chain(others);
+            let bag_rows = mean_rows_by_id(models().flat_map(|m| {
+                let bag = &m.enc.bags[k];
+                bag.table().iter().map(move |(id, slot)| (id, bag.row(slot).to_vec()))
+            }));
+            let head_rows = mean_rows_by_id(models().flat_map(|m| {
+                let head = &m.heads[k];
+                head.table().iter().map(move |(id, slot)| {
+                    (id, [head.weight_row(slot), &[head.bias_of(slot)]].concat())
+                })
+            }));
+            for (id, row) in bag_rows {
                 self.enc.bags[k].set_row(id, &row, &mut self.rng);
             }
-
-            let hdim = self.heads[k].dim();
-            let mut hacc: FastHashMap<u64, (Vec<f32>, f32, u32)> = FastHashMap::default();
-            let mut absorb_head = |head: &SampledSoftmaxOutput| {
-                for (id, slot) in head.table().iter() {
-                    let e = hacc.entry(id).or_insert_with(|| (vec![0.0; hdim], 0.0, 0));
-                    for (a, &w) in e.0.iter_mut().zip(head.weight_row(slot)) {
-                        *a += w;
-                    }
-                    e.1 += head.bias_of(slot);
-                    e.2 += 1;
-                }
-            };
-            absorb_head(&self.heads[k]);
-            for o in others {
-                absorb_head(&o.heads[k]);
-            }
-            let mut ids: Vec<u64> = hacc.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let (mut row, bias, count) = hacc.remove(&id).expect("present");
-                let inv = 1.0 / count as f32;
-                row.iter_mut().for_each(|v| *v *= inv);
-                self.heads[k].set_row(id, &row, bias * inv, &mut self.rng);
+            for (id, row) in head_rows {
+                let (bias, w) = row.split_last().expect("a head row ends in its bias");
+                self.heads[k].set_row(id, w, *bias, &mut self.rng);
             }
         }
     }
@@ -387,6 +342,29 @@ impl Fvae {
         });
         partials.iter().sum::<f64>() as f32
     }
+}
+
+/// Element-wise means of `rows` grouped by feature id, in id order (the
+/// by-ID averaging of [`Fvae::average_with`]).
+fn mean_rows_by_id(rows: impl Iterator<Item = (u64, Vec<f32>)>) -> Vec<(u64, Vec<f32>)> {
+    let mut acc: fvae_sparse::FastHashMap<u64, (Vec<f32>, u32)> = Default::default();
+    for (id, row) in rows {
+        let e = acc.entry(id).or_insert_with(|| (vec![0.0; row.len()], 0));
+        for (a, w) in e.0.iter_mut().zip(row) {
+            *a += w;
+        }
+        e.1 += 1;
+    }
+    let mut means: Vec<(u64, Vec<f32>)> = acc
+        .into_iter()
+        .map(|(id, (mut row, count))| {
+            let inv = 1.0 / count as f32;
+            row.iter_mut().for_each(|v| *v *= inv);
+            (id, row)
+        })
+        .collect();
+    means.sort_unstable_by_key(|&(id, _)| id);
+    means
 }
 
 #[cfg(test)]
@@ -496,16 +474,34 @@ mod tests {
     }
 
     #[test]
-    fn field_log_probs_are_normalized() {
+    fn log_softmax_of_field_logits_normalizes() {
         let ds = tiny_ds();
         let mut model = tiny_model(&ds);
         let users: Vec<usize> = (0..30).collect();
         model.train_epochs(&ds, &users, 1, |_, _| {});
         let z = model.embed_users(&ds, &[3], None);
         let feats: Vec<u32> = (0..40).collect();
-        let lp = model.field_log_probs(&z, 1, &feats);
+        let mut lp = model.field_logits(&z, 1, &feats);
+        fvae_tensor::ops::log_softmax_in_place(lp.row_mut(0));
         let sum: f32 = lp.row(0).iter().map(|&v| v.exp()).sum();
         assert!((sum - 1.0).abs() < 1e-3, "softmax over ids should normalize, got {sum}");
+    }
+
+    #[test]
+    fn batched_field_logits_match_one_row_at_a_time() {
+        let ds = tiny_ds();
+        let mut model = tiny_model(&ds);
+        let users: Vec<usize> = (0..30).collect();
+        model.train_epochs(&ds, &users, 1, |_, _| {});
+        let z = model.embed_users(&ds, &users[..9], None);
+        let feats: Vec<u32> = (0..40).chain([9_999]).collect();
+        let batched = model.field_logits(&z, 1, &feats);
+        assert_eq!(batched.shape(), (9, 41));
+        for r in 0..z.rows() {
+            let one = model.field_logits(&Matrix::from_vec(1, 8, z.row(r).to_vec()), 1, &feats);
+            assert_eq!(batched.row(r), one.row(0), "row {r}");
+            assert_eq!(batched.get(r, 40), 0.0, "an untrained candidate scores 0");
+        }
     }
 
     fn replica_setup() -> (MultiFieldDataset, Fvae) {

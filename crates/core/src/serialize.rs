@@ -244,12 +244,9 @@ mod tests {
     fn roundtrip_preserves_field_scores() {
         let (ds, model) = trained_model();
         let restored = Fvae::from_bytes(&model.to_bytes()).expect("decode");
-        let z = model.embed_users(&ds, &[3], None);
+        let z = model.embed_users(&ds, &[3, 4], None);
         let cands: Vec<u32> = (0..48).collect();
-        assert_eq!(
-            model.field_logits_one(z.row(0), 1, &cands),
-            restored.field_logits_one(z.row(0), 1, &cands)
-        );
+        assert_eq!(model.field_logits(&z, 1, &cands), restored.field_logits(&z, 1, &cands));
     }
 
     #[test]

@@ -6,9 +6,9 @@ use fvae_nn::{
     Adam, AdamState, DenseGrads, GradClip, MlpGrads, RowGrads, SampledSoftmaxOutput, SoftmaxBatch,
     Workspace,
 };
-use fvae_sparse::{FastHashMap, FastHashSet};
 use fvae_tensor::Matrix;
 
+use crate::candidates::CandidateSet;
 use crate::checkpoint::{Checkpointer, ResumePoint, SnapshotError, TrainProgress};
 use crate::encoder::{split_stats_into, InputRows};
 use crate::model::Fvae;
@@ -79,13 +79,6 @@ impl StepStats {
             .u64("wall_ns", self.wall_ns)
             .f32("users_per_sec", self.users_per_sec);
     }
-
-    /// The step as a standalone JSON object string.
-    pub fn to_json(&self) -> String {
-        let mut o = fvae_obs::JsonObj::new();
-        self.write_json(&mut o);
-        o.finish()
-    }
 }
 
 /// Aggregated epoch statistics.
@@ -128,13 +121,6 @@ impl EpochStats {
             .f64("wall_secs", self.wall_secs)
             .f64("users_per_sec", self.users_per_sec);
     }
-
-    /// The epoch as a standalone JSON object string.
-    pub fn to_json(&self) -> String {
-        let mut o = fvae_obs::JsonObj::new();
-        self.write_json(&mut o);
-        o.finish()
-    }
 }
 
 /// Saturating `Duration → u64` nanoseconds.
@@ -163,13 +149,9 @@ pub(crate) struct TrainScratch {
     trunk_acts: Vec<Matrix>,
     dh_dec: Matrix,
     // Per-field batched-softmax state.
-    freq: FastHashMap<u32, f32>,
-    features: Vec<u32>,
+    cands: CandidateSet,
     freqs: Vec<f32>,
-    candidates: Vec<u32>,
-    present: FastHashSet<u32>,
-    added: FastHashSet<u32>,
-    col_of: FastHashMap<u32, u32>,
+    sampled: Vec<u32>,
     cand_ids: Vec<u64>,
     sm: SoftmaxBatch,
     targets: Vec<Vec<(u32, f32)>>,
@@ -495,38 +477,37 @@ impl Fvae {
         sc.head_dw.resize_with(n_fields, RowGrads::default);
         sc.head_db.resize_with(n_fields, Vec::new);
         for k in 0..n_fields {
-            // Batch-unique features with in-batch frequencies (the batched
-            // softmax of §IV-C2); built from the *target* rows so the loss
-            // always has support.
-            sc.freq.clear();
-            for &u in batch_users {
-                let (ix, vs) = ds.user_field(u, k);
-                for (&i, &v) in ix.iter().zip(vs.iter()) {
-                    *sc.freq.entry(i).or_insert(0.0) += v;
-                }
-            }
-            if sc.freq.is_empty() {
+            // Batch-unique features sorted by id (the batched softmax of
+            // §IV-C2); built from the *target* rows so the loss always has
+            // support.
+            sc.cands.gather(ds, batch_users, k);
+            if sc.cands.columns().is_empty() {
                 continue;
             }
-            sc.features.clear();
-            sc.features.extend(sc.freq.keys().copied());
-            sc.features.sort_unstable();
-            sc.freqs.clear();
-            sc.freqs.extend(sc.features.iter().map(|f| sc.freq[f]));
 
-            // Feature sampling (§IV-C3) on the configured sparse fields.
+            // Feature sampling (§IV-C3) on the configured sparse fields, over
+            // the features' in-batch frequencies (summed in batch-user order).
             if self.cfg.sampling.sampled_fields[k] && self.cfg.sampling.rate < 1.0 {
+                sc.freqs.clear();
+                sc.freqs.resize(sc.cands.columns().len(), 0.0);
+                for &u in batch_users {
+                    let (ix, vs) = ds.user_field(u, k);
+                    for (&i, &v) in ix.iter().zip(vs) {
+                        sc.freqs[sc.cands.column(i).expect("gathered") as usize] += v;
+                    }
+                }
                 sample_candidates_into(
-                    &sc.features,
+                    sc.cands.columns(),
                     &sc.freqs,
                     self.cfg.sampling.rate,
                     self.cfg.sampling.strategy,
                     &mut self.rng,
-                    &mut sc.candidates,
+                    &mut sc.sampled,
                 );
-            } else {
-                sc.candidates.clear();
-                sc.candidates.extend_from_slice(&sc.features);
+                sc.cands.reset(ds.field_vocab(k));
+                for &f in &sc.sampled {
+                    sc.cands.insert(f);
+                }
             }
             // Sampled-softmax uniform-negative pad: a few random vocabulary
             // features join the candidates so that rarely-batch-active
@@ -534,35 +515,25 @@ impl Fvae {
             if self.cfg.sampling.negative_pad > 0.0 {
                 use rand::RngExt as _;
                 let vocab = ds.field_vocab(k) as u32;
-                let pad =
-                    (sc.candidates.len() as f64 * self.cfg.sampling.negative_pad).ceil() as usize;
-                sc.present.clear();
-                sc.present.extend(sc.candidates.iter().copied());
-                sc.added.clear();
-                let mut guard = 0;
-                while sc.added.len() < pad && guard < pad * 20 {
+                let pad = (sc.cands.columns().len() as f64 * self.cfg.sampling.negative_pad).ceil()
+                    as usize;
+                let (mut added, mut guard) = (0, 0);
+                while added < pad && guard < pad * 20 {
                     guard += 1;
-                    let f = self.rng.random_range(0..vocab);
-                    if !sc.present.contains(&f) && sc.added.insert(f) {
-                        sc.candidates.push(f);
+                    if sc.cands.insert(self.rng.random_range(0..vocab)) {
+                        added += 1;
                     }
                 }
             }
-            total_candidates += sc.candidates.len();
-            sc.col_of.clear();
-            sc.col_of.extend(sc.candidates.iter().enumerate().map(|(c, &f)| (f, c as u32)));
+            total_candidates += sc.cands.columns().len();
             sc.cand_ids.clear();
-            sc.cand_ids.extend(sc.candidates.iter().map(|&f| f as u64));
-            {
-                // Split borrow: the heads and the RNG are distinct fields.
-                let (heads, rng) = (&mut self.heads, &mut self.rng);
-                heads[k].forward_into(
-                    sc.trunk_acts.last().expect("non-empty"),
-                    &sc.cand_ids,
-                    rng,
-                    &mut sc.sm,
-                );
-            }
+            sc.cand_ids.extend(sc.cands.columns().iter().map(|&f| u64::from(f)));
+            self.heads[k].forward_into(
+                sc.trunk_acts.last().expect("non-empty"),
+                &sc.cand_ids,
+                &mut self.rng,
+                &mut sc.sm,
+            );
 
             // Targets: the user's observed features that survived into the
             // candidate set, with their original multi-hot counts.
@@ -573,7 +544,7 @@ impl Fvae {
                 row.extend(
                     ix.iter()
                         .zip(vs.iter())
-                        .filter_map(|(&i, &v)| sc.col_of.get(&i).map(|&c| (c, v))),
+                        .filter_map(|(&i, &v)| sc.cands.column(i).map(|c| (c, v))),
                 );
             }
 
@@ -821,11 +792,6 @@ impl FvaeOptHandle {
         sc.ws.allocs()
             + sc.head_dw.iter().map(RowGrads::allocs).sum::<u64>()
             + sc.bag_grads.iter().map(RowGrads::allocs).sum::<u64>()
-    }
-
-    /// Full scratch-arena counters after the most recent step.
-    pub fn scratch_stats(&self) -> fvae_nn::WorkspaceStats {
-        self.0.scratch.ws.stats()
     }
 
     /// Per-phase wall time of the most recent step.

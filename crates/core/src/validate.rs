@@ -8,9 +8,9 @@
 //! the model's binary serialization).
 
 use fvae_data::MultiFieldDataset;
-use fvae_sparse::FastHashMap;
 use rand::rngs::StdRng;
 
+use crate::candidates::CandidateSet;
 use crate::checkpoint::{self, Checkpointer, EarlyStopState, ResumePoint, SnapshotError, TrainProgress};
 use crate::model::Fvae;
 use crate::observe::{StepCtx, TrainObserver};
@@ -54,32 +54,24 @@ impl Fvae {
     pub fn evaluate_elbo(&self, ds: &MultiFieldDataset, users: &[usize]) -> f32 {
         assert!(!users.is_empty(), "validation cohort must be non-empty");
         let (mu, logvar) = self.encode(ds, users, None);
-        let h = self.decode_hidden(&mu);
         let inv_n = 1.0 / users.len() as f32;
         let alpha_norm = self.cfg.alpha_norm();
         let mut recon = 0.0f64;
+        let mut active = CandidateSet::default();
         for k in 0..self.cfg.n_fields {
-            let mut active: FastHashMap<u32, u32> = FastHashMap::default();
-            for &u in users {
-                for &i in ds.user_field(u, k).0 {
-                    let next = active.len() as u32;
-                    active.entry(i).or_insert(next);
-                }
-            }
-            if active.is_empty() {
+            active.gather(ds, users, k);
+            if active.columns().is_empty() {
                 continue;
             }
-            let mut features: Vec<u32> = active.keys().copied().collect();
-            features.sort_unstable();
-            let ids: Vec<u64> = features.iter().map(|&f| f as u64).collect();
-            let col_of: FastHashMap<u32, usize> =
-                features.iter().enumerate().map(|(c, &f)| (f, c)).collect();
-            let log_probs = self.heads[k].log_probs_over_ids(&h, &ids);
+            let mut log_probs = self.field_logits(&mu, k, active.columns());
+            for r in 0..users.len() {
+                fvae_tensor::ops::log_softmax_in_place(log_probs.row_mut(r));
+            }
             let scale = (self.cfg.alpha[k] / alpha_norm) as f64;
             for (r, &u) in users.iter().enumerate() {
                 let (ix, vs) = ds.user_field(u, k);
                 for (&i, &v) in ix.iter().zip(vs.iter()) {
-                    let c = col_of[&i];
+                    let c = active.column(i).expect("every cohort feature is active") as usize;
                     recon += scale * v as f64 * log_probs.get(r, c) as f64;
                 }
             }

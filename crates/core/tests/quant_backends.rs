@@ -31,7 +31,7 @@ fn trained_encoder(ds: &MultiFieldDataset, extra: Vec<usize>) -> Encoder {
     let mut model = Fvae::new(cfg);
     let users: Vec<usize> = (0..40).collect();
     model.train_epochs(ds, &users, 1, |_, _| {});
-    model.encoder()
+    model.encoder().clone()
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use fvae_baselines::{
     Item2Vec, Job2Vec, Lda, MultDae, MultVae, Pca, RecVae, RepresentationModel,
 };
-use fvae_core::{Encoder, EncoderScratch, Fvae, FvaeConfig, InputRows};
+use fvae_core::{EncoderScratch, Fvae, FvaeConfig, InputRows};
 use fvae_data::MultiFieldDataset;
 use fvae_tensor::Matrix;
 use std::cell::RefCell;
@@ -26,7 +26,6 @@ pub struct FvaeModel {
     /// Configuration used at fit time.
     pub cfg: FvaeConfig,
     model: Option<Fvae>,
-    encoder: Option<Encoder>,
     buffers: RefCell<EmbedBuffers>,
 }
 
@@ -38,7 +37,7 @@ impl FvaeModel {
 
     /// Wraps with an explicit label.
     pub fn labeled(label: &'static str, cfg: FvaeConfig) -> Self {
-        Self { label, cfg, model: None, encoder: None, buffers: RefCell::default() }
+        Self { label, cfg, model: None, buffers: RefCell::default() }
     }
 
     /// The trained model, if fitted.
@@ -55,7 +54,6 @@ impl RepresentationModel for FvaeModel {
     fn fit(&mut self, ds: &MultiFieldDataset, users: &[usize]) {
         let mut model = Fvae::new(self.cfg.clone());
         model.train(ds, users, |_, _| {});
-        self.encoder = Some(model.encoder());
         self.model = Some(model);
     }
 
@@ -65,7 +63,7 @@ impl RepresentationModel for FvaeModel {
         users: &[usize],
         input_fields: Option<&[usize]>,
     ) -> Matrix {
-        let enc = self.encoder.as_ref().expect("fitted");
+        let enc = self.model.as_ref().expect("fitted").encoder();
         let mut buf = self.buffers.borrow_mut();
         let EmbedBuffers { input, scratch, .. } = &mut *buf;
         let mut out = Matrix::default();
@@ -82,16 +80,10 @@ impl RepresentationModel for FvaeModel {
         candidates: &[u32],
     ) -> Matrix {
         let model = self.model.as_ref().expect("fitted");
-        let enc = self.encoder.as_ref().expect("fitted");
         let mut buf = self.buffers.borrow_mut();
         let EmbedBuffers { input, scratch, z } = &mut *buf;
-        enc.embed_users_into(ds, users, input_fields, input, scratch, z);
-        let mut out = Matrix::zeros(users.len(), candidates.len());
-        for r in 0..users.len() {
-            let scores = model.field_logits_one(z.row(r), field, candidates);
-            out.row_mut(r).copy_from_slice(&scores);
-        }
-        out
+        model.encoder().embed_users_into(ds, users, input_fields, input, scratch, z);
+        model.field_logits(z, field, candidates)
     }
 }
 

@@ -8,10 +8,11 @@ use std::time::Instant;
 use fvae_baselines::RepresentationModel;
 use fvae_core::{Fvae, FvaeConfig, SamplingStrategy};
 use fvae_data::{tag_prediction_cases, MultiFieldDataset, SplitIndices, TagEvalCase};
-use fvae_metrics::{auc, average_precision, Mean};
+use fvae_metrics::{auc, Mean};
 
 use crate::context::{fmt_metric, render_table, EvalContext, Scale};
 use crate::models::FvaeModel;
+use crate::tagpred::evaluate_tag_prediction;
 
 /// Shared sweep environment: dataset, split, eval cases.
 pub struct SweepEnv {
@@ -66,7 +67,7 @@ impl SweepEnv {
     pub fn evaluate(&self, cfg: FvaeConfig) -> (f64, f64) {
         let mut model = FvaeModel::new(cfg);
         model.fit(&self.ds, &self.split.train);
-        self.evaluate_fitted(&model)
+        evaluate_tag_prediction(&model, &self.ds, &self.cases, &self.channel_fields, self.tag_field)
     }
 
     /// Like [`SweepEnv::evaluate`] but averaged over `seeds` training runs —
@@ -85,27 +86,10 @@ impl SweepEnv {
         (auc_acc / seeds.len() as f64, map_acc / seeds.len() as f64)
     }
 
-    fn evaluate_fitted(&self, model: &FvaeModel) -> (f64, f64) {
-        let mut auc_mean = Mean::new();
-        let mut map_mean = Mean::new();
-        for case in &self.cases {
-            let scores = model.score_field(
-                &self.ds,
-                &[case.user],
-                Some(&self.channel_fields),
-                self.tag_field,
-                &case.candidates,
-            );
-            auc_mean.push(auc(scores.row(0), &case.labels));
-            map_mean.push(average_precision(scores.row(0), &case.labels));
-        }
-        (auc_mean.mean(), map_mean.mean())
-    }
-
     /// Evaluates an already-trained raw [`Fvae`] (for the timed Fig. 6 curve).
     pub fn evaluate_raw(&self, model: &Fvae) -> f64 {
-        // One encoder + reusable buffers for the whole case loop, instead of
-        // re-allocating forward scratch inside every per-case embed call.
+        // Reusable buffers for the whole case loop, instead of re-allocating
+        // forward scratch inside every per-case embed call.
         let enc = model.encoder();
         let mut input = fvae_core::InputRows::default();
         let mut scratch = fvae_core::EncoderScratch::default();
@@ -120,8 +104,8 @@ impl SweepEnv {
                 &mut scratch,
                 &mut z,
             );
-            let scores = model.field_logits_one(z.row(0), self.tag_field, &case.candidates);
-            auc_mean.push(auc(&scores, &case.labels));
+            let scores = model.field_logits(&z, self.tag_field, &case.candidates);
+            auc_mean.push(auc(scores.row(0), &case.labels));
         }
         auc_mean.mean()
     }

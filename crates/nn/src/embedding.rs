@@ -78,7 +78,7 @@ impl EmbeddingBag {
     }
 
     /// Inserts `id` (if new) and overwrites its embedding row — used by
-    /// parameter averaging in the distributed trainer.
+    /// `Fvae::average_with`'s parameter averaging.
     pub fn set_row(&mut self, id: u64, row: &[f32], rng: &mut impl Rng) {
         assert_eq!(row.len(), self.dim, "row width mismatch");
         let slot = self.slot_or_insert(id, rng);

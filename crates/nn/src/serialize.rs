@@ -255,10 +255,7 @@ mod tests {
         put_softmax_head(&mut buf, &head);
         let back = get_softmax_head(&mut Reader::new(&buf), 0.3).expect("decode");
         assert_eq!(back.vocab_len(), head.vocab_len());
-        assert_eq!(
-            back.logits_for_ids(h.row(0), &cand),
-            head.logits_for_ids(h.row(0), &cand)
-        );
+        assert_eq!(back.frozen_logits(&h, cand), head.frozen_logits(&h, cand));
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl SampledSoftmaxOutput {
     }
 
     /// Inserts `id` (if new) and overwrites its weight row and bias — used
-    /// by parameter averaging in the distributed trainer.
+    /// by `Fvae::average_with`'s parameter averaging.
     pub fn set_row(&mut self, id: u64, row: &[f32], bias: f32, rng: &mut impl Rng) {
         assert_eq!(row.len(), self.dim, "row width mismatch");
         let slot = self.slot_or_insert(id, rng);
@@ -127,7 +127,7 @@ impl SampledSoftmaxOutput {
         })
     }
 
-    /// Logit of candidate column `c` for hidden row `h`.
+    /// Logit of the feature at `slot` for hidden row `h`.
     #[inline]
     fn logit(&self, h: &[f32], slot: usize) -> f32 {
         let w = &self.weights[slot * self.dim..(slot + 1) * self.dim];
@@ -301,34 +301,31 @@ impl SampledSoftmaxOutput {
         );
     }
 
-    /// Frozen logits for arbitrary feature IDs (evaluation / scoring).
+    /// Frozen logits of every hidden row over arbitrary feature IDs
+    /// (evaluation / scoring): `rows × ids`, each element its own
+    /// `dot(h_row, w) + b`. Each ID resolves to its slot once per call.
     /// Unknown IDs score 0 (an untrained feature is indistinguishable from
-    /// an average one under ranking metrics).
-    pub fn logits_for_ids(&self, h_row: &[f32], ids: &[u64]) -> Vec<f32> {
-        assert_eq!(h_row.len(), self.dim, "hidden dim mismatch");
-        ids.iter()
-            .map(|&id| match self.table.slot_of(id) {
-                Some(slot) => self.logit(h_row, slot),
-                None => 0.0,
-            })
-            .collect()
-    }
-
-    /// Frozen log-softmax over a fixed ID set for a batch of hidden rows
-    /// (reconstruction evaluation uses this with the full field vocabulary).
-    pub fn log_probs_over_ids(&self, h: &Matrix, ids: &[u64]) -> Matrix {
-        let mut out = Matrix::zeros(h.rows(), ids.len());
-        for r in 0..h.rows() {
-            let h_row = h.row(r);
-            let row = out.row_mut(r);
-            for (o, &id) in row.iter_mut().zip(ids.iter()) {
-                *o = match self.table.slot_of(id) {
-                    Some(slot) => self.logit(h_row, slot),
-                    None => 0.0,
-                };
-            }
-            fvae_tensor::ops::log_softmax_in_place(row);
+    /// an average one under ranking metrics). Rows fan out across the global
+    /// pool; every element is computed alone, so the bits never follow the
+    /// thread count. Callers wanting log-probabilities run
+    /// [`fvae_tensor::ops::log_softmax_in_place`] on each row.
+    pub fn frozen_logits(&self, h: &Matrix, ids: impl IntoIterator<Item = u64>) -> Matrix {
+        assert_eq!(h.cols(), self.dim, "hidden dim mismatch");
+        let slots: Vec<Option<usize>> = ids.into_iter().map(|id| self.table.slot_of(id)).collect();
+        let c = slots.len();
+        let mut out = Matrix::zeros(h.rows(), c);
+        if c == 0 {
+            return out;
         }
+        fvae_pool::global().run_rows(out.as_mut_slice(), h.rows(), c, 1, |range, chunk| {
+            for (r, row) in range.zip(chunk.chunks_exact_mut(c)) {
+                for (o, &slot) in row.iter_mut().zip(&slots) {
+                    if let Some(slot) = slot {
+                        *o = self.logit(h.row(r), slot);
+                    }
+                }
+            }
+        });
         out
     }
 }
@@ -418,7 +415,10 @@ mod tests {
         let (mut head, h, ids, mut rng) = setup();
         head.forward(&h, &ids, &mut rng); // materialize weights
         let batch = head.forward(&h, &ids, &mut rng);
-        let log_probs = head.log_probs_over_ids(&h, &ids);
+        let mut log_probs = head.frozen_logits(&h, ids.iter().copied());
+        for r in 0..3 {
+            fvae_tensor::ops::log_softmax_in_place(log_probs.row_mut(r));
+        }
         for r in 0..3 {
             for c in 0..5 {
                 assert!(
@@ -553,7 +553,10 @@ mod tests {
                 *b = rng.random_range(-0.5f32..0.5);
             }
             let batch = head.forward(&h, &ids, &mut rng);
-            let frozen = head.log_probs_over_ids(&h, &ids);
+            let mut frozen = head.frozen_logits(&h, ids.iter().copied());
+            for r in 0..rows {
+                fvae_tensor::ops::log_softmax_in_place(frozen.row_mut(r));
+            }
             for (p, lp) in batch.probs.as_slice().iter().zip(frozen.as_slice()) {
                 prop_assert!((p - lp.exp()).abs() <= 1e-5, "prob {p} vs frozen {}", lp.exp());
             }
@@ -588,9 +591,12 @@ mod tests {
     fn unknown_ids_score_zero() {
         let (mut head, h, ids, mut rng) = setup();
         head.forward(&h, &ids, &mut rng);
-        let scores = head.logits_for_ids(h.row(0), &[100, 123456]);
-        assert_eq!(scores[1], 0.0);
-        assert_ne!(scores[0], 0.0);
+        let scores = head.frozen_logits(&h, [100, 123456]);
+        assert_eq!(scores.shape(), (3, 2));
+        for r in 0..3 {
+            assert_eq!(scores.get(r, 0), head.logit(h.row(r), head.table.slot_of(100).unwrap()));
+            assert_eq!(scores.get(r, 1), 0.0);
+        }
     }
 
     #[test]

@@ -92,8 +92,8 @@ fn tag_auc(model: &Fvae, ds: &MultiFieldDataset, seed: u64) -> f64 {
     let mut mean = Mean::new();
     for case in &cases {
         encoder.embed_users_into(ds, &[case.user], Some(&channels), &mut input, &mut scratch, &mut z);
-        let scores = model.field_logits_one(z.row(0), tag_field, &case.candidates);
-        mean.push(auc(&scores, &case.labels));
+        let scores = model.field_logits(&z, tag_field, &case.candidates);
+        mean.push(auc(scores.row(0), &case.labels));
     }
     mean.mean()
 }

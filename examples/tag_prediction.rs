@@ -11,7 +11,7 @@
 use fvae_repro::baselines::{MultVae, Pca, RepresentationModel};
 use fvae_repro::data::{tag_prediction_cases, SplitIndices, TopicModelConfig};
 use fvae_repro::eval::models::{fvae_config, FvaeModel};
-use fvae_repro::metrics::{auc, average_precision, Mean};
+use fvae_repro::eval::tagpred::evaluate_tag_prediction;
 
 fn main() {
     let mut gen = TopicModelConfig::sc_small();
@@ -39,14 +39,8 @@ fn main() {
     println!("{:<10} {:>8} {:>8}", "model", "AUC", "mAP");
     for model in models.iter_mut() {
         model.fit(&dataset, &split.train);
-        let mut auc_mean = Mean::new();
-        let mut map_mean = Mean::new();
-        for case in &cases {
-            let scores =
-                model.score_field(&dataset, &[case.user], Some(&channels), tag_field, &case.candidates);
-            auc_mean.push(auc(scores.row(0), &case.labels));
-            map_mean.push(average_precision(scores.row(0), &case.labels));
-        }
-        println!("{:<10} {:>8.4} {:>8.4}", model.name(), auc_mean.mean(), map_mean.mean());
+        let (auc, map) =
+            evaluate_tag_prediction(model.as_ref(), &dataset, &cases, &channels, tag_field);
+        println!("{:<10} {:>8.4} {:>8.4}", model.name(), auc, map);
     }
 }

@@ -51,8 +51,5 @@ pub use fvae_tsne as tsne;
 /// Look-alike system + online A/B test simulator.
 pub use fvae_lookalike as lookalike;
 
-/// Industrial matching-stage pipeline (Fig. 3): tag + embedding matchers.
-pub use fvae_matching as matching;
-
 /// Experiment drivers regenerating every table and figure.
 pub use fvae_eval as eval;

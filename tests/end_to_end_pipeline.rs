@@ -6,8 +6,8 @@ use fvae_repro::baselines::RepresentationModel;
 use fvae_repro::core::{Fvae, FvaeConfig};
 use fvae_repro::data::{tag_prediction_cases, FieldSpec, SplitIndices, TopicModelConfig};
 use fvae_repro::eval::models::FvaeModel;
+use fvae_repro::eval::tagpred::evaluate_tag_prediction;
 use fvae_repro::lookalike::{Account, EmbeddingStore, LookalikeSystem};
-use fvae_repro::metrics::{auc, Mean};
 
 fn dataset() -> fvae_repro::data::MultiFieldDataset {
     TopicModelConfig {
@@ -52,16 +52,8 @@ fn full_pipeline_from_logs_to_lookalike_recall() {
     let tag_field = ds.field_index("tag").expect("tag field");
     let cases = tag_prediction_cases(&ds, &split.test, tag_field, 5);
     assert!(!cases.is_empty());
-    let mut auc_mean = Mean::new();
-    for case in &cases {
-        let scores = model.score_field(&ds, &[case.user], Some(&[0, 1]), tag_field, &case.candidates);
-        auc_mean.push(auc(scores.row(0), &case.labels));
-    }
-    assert!(
-        auc_mean.mean() > 0.6,
-        "fold-in tag prediction should clearly beat chance, got {}",
-        auc_mean.mean()
-    );
+    let (auc, _) = evaluate_tag_prediction(&model, &ds, &cases, &[0, 1], tag_field);
+    assert!(auc > 0.6, "fold-in tag prediction should clearly beat chance, got {auc}");
 
     // Online: cache embeddings, build accounts, recall.
     let store = EmbeddingStore::new(embeddings.cols());

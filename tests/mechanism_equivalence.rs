@@ -78,10 +78,11 @@ fn batched_softmax_is_exact_on_its_candidate_set() {
     let subset: Vec<u64> = vec![3, 11, 19, 42];
     let batch = head.forward(&h, &subset, &mut rng);
     // Reference: softmax over the subset's raw logits.
+    let mut logits = head.frozen_logits(&h, subset.iter().copied());
     for r in 0..5 {
-        let mut logits = head.logits_for_ids(h.row(r), &subset);
-        fvae_repro::tensor::ops::softmax_in_place(&mut logits);
-        for (c, &p) in logits.iter().enumerate() {
+        let row = logits.row_mut(r);
+        fvae_repro::tensor::ops::softmax_in_place(row);
+        for (c, &p) in row.iter().enumerate() {
             assert!((batch.probs.get(r, c) - p).abs() < 1e-5);
         }
     }
