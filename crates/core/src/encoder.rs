@@ -202,15 +202,17 @@ impl Encoder {
     }
 
     /// The frozen sparse front: every field's bag (unknown IDs skipped)
-    /// summed into `x0`, then the first-layer bias, then `act` — `tanh` for
-    /// the f32 forward, `fast_tanh` for the int8 one. Generic, so neither
-    /// pays an indirect call per element.
+    /// summed into `x0`, then the first-layer bias and `act` in one
+    /// [`Matrix::bias_then`] epilogue — `tanh` for the f32 forward,
+    /// `fast_tanh` for the int8 one. Generic, so neither pays an indirect
+    /// call per element. A serve batch (at most 32 × 128 elements) stays
+    /// under the epilogue's pool threshold and runs it serially.
     pub(crate) fn front_into(
         &self,
         input: &InputRows,
         field_out: &mut Matrix,
         x0: &mut Matrix,
-        act: impl Fn(f32) -> f32,
+        act: impl Fn(f32) -> f32 + Sync,
     ) {
         assert_eq!(input.n_fields, self.n_fields(), "field count mismatch");
         x0.resize_zeroed(input.rows, self.bias.len());
@@ -219,7 +221,7 @@ impl Encoder {
             bag.forward_batch_frozen_into(ids, vals, field_out);
             x0.add_assign(field_out);
         }
-        self.bias_then(x0, act);
+        x0.bias_then(&self.bias, act);
     }
 
     /// The training front: like [`Encoder::front_into`] with `tanh`, but
@@ -244,16 +246,7 @@ impl Encoder {
             let (ids, vals) = input.field(k);
             bag.accumulate_batch_sharded(ids, vals, rng, x0, &mut slots[k], pool);
         }
-        self.bias_then(x0, f32::tanh);
-    }
-
-    fn bias_then(&self, x0: &mut Matrix, act: impl Fn(f32) -> f32) {
-        for r in 0..x0.rows() {
-            for (v, &b) in x0.row_mut(r).iter_mut().zip(self.bias.iter()) {
-                *v += b;
-            }
-        }
-        x0.map_inplace(act);
+        x0.bias_then(&self.bias, f32::tanh);
     }
 
     /// The dense rest of the forward: the extra MLP (its activations land in

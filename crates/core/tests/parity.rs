@@ -10,10 +10,11 @@
 //! in fixed order ([`fvae_pool::REDUCE_SHARDS`]), no matter how many workers
 //! ran them.
 //!
-//! Two shapes run: the narrow one keeps every GEMM under the tensor crate's
+//! Three shapes run: the narrow one keeps every GEMM under the tensor crate's
 //! serial-size shortcut, the wide one (batch 64 × width 32 × a few hundred
 //! candidates) is large enough that the head's panel GEMMs really dispatch
-//! through the pool.
+//! through the pool, and the wider one (batch 128 × width 256) reaches the
+//! pooled bias + activation epilogue and the blocked dense GEMMs.
 
 use std::fs;
 use std::path::PathBuf;
@@ -22,6 +23,7 @@ use fvae_core::{
     normalized_snapshot_bytes, Checkpointer, Fvae, FvaeConfig, NullObserver, TrainRun,
 };
 use fvae_data::{FieldSpec, MultiFieldDataset, TopicModelConfig};
+use fvae_tensor::PAR_MIN_FLOPS;
 
 /// One dataset + config to hold parity on.
 struct Shape {
@@ -84,6 +86,28 @@ fn wide() -> Shape {
     cfg.sampling.sampled_fields = vec![false, true];
     cfg.sampling.negative_pad = 0.1;
     Shape { tag: "wide", ds, cfg, steps: 12, min_candidates: 112.0 }
+}
+
+/// Batch 128 × width 256: the first encoder layer's bias + tanh epilogue
+/// (and the trunk layer's) reaches `PAR_MIN_FLOPS` elements, so it runs on
+/// the pool, and the dense backward GEMMs span several of their row groups,
+/// column panels and L1 row blocks.
+fn wider() -> Shape {
+    let ds = dataset(512, 96, 8);
+    let mut cfg = FvaeConfig::for_dataset(&ds);
+    cfg.latent_dim = 8;
+    cfg.enc_hidden = 256;
+    cfg.dec_hidden = vec![256];
+    cfg.batch_size = 128;
+    cfg.dropout = 0.1;
+    cfg.anneal_steps = 20;
+    cfg.sampling.rate = 0.6;
+    cfg.sampling.sampled_fields = vec![false, true];
+    assert!(
+        cfg.batch_size * cfg.enc_hidden >= PAR_MIN_FLOPS,
+        "the wider shape's epilogue must reach the pool threshold"
+    );
+    Shape { tag: "wider", ds, cfg, steps: 12, min_candidates: 0.0 }
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -152,11 +176,11 @@ fn train_at(threads: usize, shape: &Shape) -> RunArtifacts {
     }
 }
 
-/// One test for both shapes: they share the global pool's parallelism, so
+/// One test for every shape: they share the global pool's parallelism, so
 /// they must not run concurrently.
 #[test]
 fn training_is_bit_identical_at_1_2_and_4_threads() {
-    for shape in [narrow(), wide()] {
+    for shape in [narrow(), wide(), wider()] {
         assert_parity(&shape);
     }
 }

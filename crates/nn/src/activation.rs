@@ -21,13 +21,17 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation in place to a whole batch.
-    pub fn apply(&self, m: &mut Matrix) {
+    /// A dense layer's epilogue over a whole batch: adds `bias` to every
+    /// row of `m`, then applies the activation, through
+    /// [`Matrix::bias_then`] (pooled from `fvae_tensor::PAR_MIN_FLOPS`
+    /// elements, with the serial bits). Each arm hands the epilogue its own
+    /// scalar function, so no element pays an indirect call.
+    pub fn apply(&self, m: &mut Matrix, bias: &[f32]) {
         match self {
-            Activation::Identity => {}
-            Activation::Tanh => m.map_inplace(f32::tanh),
-            Activation::Relu => m.map_inplace(|x| x.max(0.0)),
-            Activation::Sigmoid => m.map_inplace(fvae_tensor::ops::sigmoid),
+            Activation::Identity => m.bias_then(bias, |x| x),
+            Activation::Tanh => m.bias_then(bias, f32::tanh),
+            Activation::Relu => m.bias_then(bias, |x| x.max(0.0)),
+            Activation::Sigmoid => m.bias_then(bias, fvae_tensor::ops::sigmoid),
         }
     }
 
@@ -69,7 +73,7 @@ mod tests {
         let eps = 1e-3;
         let f = |x: f32| {
             let mut m = Matrix::from_vec(1, 1, vec![x]);
-            act.apply(&mut m);
+            act.apply(&mut m, &[0.0]);
             m.get(0, 0)
         };
         (f(x + eps) - f(x - eps)) / (2.0 * eps)
@@ -80,7 +84,7 @@ mod tests {
         for act in [Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
             for &x in &[-1.5f32, -0.3, 0.2, 1.0] {
                 let mut m = Matrix::from_vec(1, 1, vec![x]);
-                act.apply(&mut m);
+                act.apply(&mut m, &[0.0]);
                 let analytic = act.derivative_from_output(m.get(0, 0));
                 let numeric = numeric_derivative(act, x);
                 assert!(
@@ -94,7 +98,7 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let mut m = Matrix::from_vec(1, 4, vec![-2.0, -0.1, 0.0, 3.0]);
-        Activation::Relu.apply(&mut m);
+        Activation::Relu.apply(&mut m, &[0.0; 4]);
         assert_eq!(m.as_slice(), &[0.0, 0.0, 0.0, 3.0]);
         assert_eq!(Activation::Relu.derivative_from_output(3.0), 1.0);
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);

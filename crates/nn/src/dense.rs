@@ -95,13 +95,7 @@ impl Dense {
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "dense forward dim mismatch");
         x.matmul_into(&self.w, out);
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(self.b.iter()) {
-                *v += b;
-            }
-        }
-        self.act.apply(out);
+        self.act.apply(out, &self.b);
     }
 
     /// Backward pass.

@@ -7,9 +7,13 @@
 //! parameter-server trick that keeps the update cost proportional to the
 //! batch's active feature count rather than the vocabulary size.
 
-use fvae_tensor::Matrix;
+use fvae_tensor::{Matrix, PAR_MIN_FLOPS};
 
 use crate::sharded::RowGrads;
+
+/// Equal chunks a pooled dense Adam update is cut into ([`Adam::step_slice`]):
+/// enough for a few shards per thread on any pool.
+const DENSE_CHUNKS: usize = 64;
 
 /// Plain stochastic gradient descent.
 #[derive(Clone, Copy, Debug)]
@@ -120,15 +124,41 @@ impl Adam {
     }
 
     /// Dense update of a flat buffer.
+    ///
+    /// From [`PAR_MIN_FLOPS`] scalars up, the buffer is cut into
+    /// [`DENSE_CHUNKS`] equal contiguous chunks that fan out across the
+    /// global pool, and the last `len % DENSE_CHUNKS` scalars run on the
+    /// caller. Every scalar's update reads only its own gradient and
+    /// moments, so the bits are the serial ones at any thread count.
     pub fn step_slice(&self, state: &mut AdamState, param: &mut [f32], grad: &[f32]) {
         assert_eq!(param.len(), grad.len(), "adam length mismatch");
-        state.ensure_len(param.len());
+        let len = param.len();
+        state.ensure_len(len);
         state.t += 1;
         let corr1 = 1.0 - self.beta1.powi(state.t as i32);
         let corr2 = 1.0 - self.beta2.powi(state.t as i32);
-        for (i, (p, &g)) in param.iter_mut().zip(grad.iter()).enumerate() {
-            self.apply_one(p, g, &mut state.m[i], &mut state.v[i], corr1, corr2);
+        let update = |p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]| {
+            for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m).zip(v) {
+                self.apply_one(p, g, m, v, corr1, corr2);
+            }
+        };
+        let (m, v) = (&mut state.m[..len], &mut state.v[..len]);
+        if len < PAR_MIN_FLOPS {
+            return update(param, grad, m, v);
         }
+        let width = len / DENSE_CHUNKS;
+        let split = width * DENSE_CHUNKS;
+        let (param, p_tail) = param.split_at_mut(split);
+        let (m, m_tail) = m.split_at_mut(split);
+        let (v, v_tail) = v.split_at_mut(split);
+        let chunks: [u32; DENSE_CHUNKS] = std::array::from_fn(|i| i as u32);
+        // SAFETY: `chunks` is `0..DENSE_CHUNKS` in order, so no slot repeats.
+        unsafe {
+            fvae_pool::global().run_slot_rows([param, m, v], width, &chunks, |i, [p, m, v]| {
+                update(p, &grad[i * width..(i + 1) * width], m, v);
+            });
+        }
+        update(p_tail, &grad[split..], m_tail, v_tail);
     }
 
     /// Dense update of a matrix.

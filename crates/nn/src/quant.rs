@@ -178,8 +178,10 @@ impl QuantizedDense {
         // approximation is lossless here; other activations are already
         // a few ALU ops and stay exact.
         match self.act {
+            Activation::Identity => {}
             Activation::Tanh => out.map_inplace(fast_tanh),
-            act => act.apply(out),
+            Activation::Relu => out.map_inplace(|x| x.max(0.0)),
+            Activation::Sigmoid => out.map_inplace(fvae_tensor::ops::sigmoid),
         }
     }
 }

@@ -26,4 +26,4 @@ pub mod matrix;
 pub mod ops;
 pub mod simd;
 
-pub use matrix::Matrix;
+pub use matrix::{Matrix, PAR_MIN_FLOPS};

@@ -10,10 +10,24 @@ use rand::{Rng, RngExt};
 use crate::dist::Gaussian;
 
 /// Below this many multiply-adds a GEMM runs serially on the calling
-/// thread: dispatch overhead would swamp the kernel. Purely a performance
-/// threshold — the sharded kernels are bit-identical to the serial ones, so
-/// crossing it never changes results.
-const PAR_MIN_FLOPS: usize = 32 * 1024;
+/// thread: dispatch overhead would swamp the kernel. The same bound, counted
+/// in elements, gates the pooled element-wise passes ([`Matrix::bias_then`]
+/// and dense Adam in `fvae-nn`). Purely a performance threshold — the
+/// sharded kernels are bit-identical to the serial ones, so crossing it
+/// never changes results.
+pub const PAR_MIN_FLOPS: usize = 32 * 1024;
+
+/// Batch rows of `A` that share each `B` row in the `A · Bᵀ` kernel while
+/// that row sits in L1.
+const TRANSB_ROW_GROUP: usize = 4;
+
+/// `B` rows per column panel of the `A · Bᵀ` kernel: the panel stays in L2
+/// while every row group of the shard streams past it.
+const TRANSB_PANEL: usize = 64;
+
+/// Output elements per row block of the `Aᵀ · B` kernel (16 KiB of `f32`):
+/// a block stays in L1 while every batch-row pair streams past it.
+const TRANSA_BLOCK_ELEMS: usize = 4 * 1024;
 
 /// A dense, row-major `f32` matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -390,8 +404,11 @@ impl Matrix {
     ///
     /// Used in backprop for input gradients (`dX = dY · Wᵀ` with `W: in×out`
     /// stored untransposed). Both operands are traversed row-contiguously,
-    /// so each output element is one [`crate::ops::dot`] — which carries the
-    /// 8-lane unrolled reduction.
+    /// and each output element is one backend dot product of an `A` row
+    /// with a `B` row. The loops are blocked around that dot: a panel of
+    /// `B` rows stays in L2 while the shard's `A` rows pass it in small
+    /// groups, and each `B` row serves the whole group while it sits in L1,
+    /// instead of the whole of `B` streaming through L2 once per `A` row.
     pub fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
         if self.rows * self.cols * other.rows >= PAR_MIN_FLOPS {
             return self.matmul_transb_into_with(other, out, fvae_pool::global());
@@ -415,16 +432,22 @@ impl Matrix {
     }
 
     /// Output rows `i0..i1` of `self · otherᵀ` into the slice covering
-    /// exactly those rows.
+    /// exactly those rows. The blocking only orders the dot products; each
+    /// element is still written once, by one `dot` call.
     fn matmul_transb_range(&self, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) {
         let n = other.rows;
         debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
         let dot = crate::simd::active().dot;
-        for i in i0..i1 {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a_row, other.row(j));
+        for j0 in (0..n).step_by(TRANSB_PANEL) {
+            let j1 = (j0 + TRANSB_PANEL).min(n);
+            for g0 in (i0..i1).step_by(TRANSB_ROW_GROUP) {
+                let g1 = (g0 + TRANSB_ROW_GROUP).min(i1);
+                for j in j0..j1 {
+                    let b_row = other.row(j);
+                    for i in g0..g1 {
+                        out_rows[(i - i0) * n + j] = dot(self.row(i), b_row);
+                    }
+                }
             }
         }
     }
@@ -440,11 +463,13 @@ impl Matrix {
     /// `selfᵀ · other` written into `out` (resized to `m × n`).
     ///
     /// Used in backprop for weight gradients (`dW = Xᵀ · dY`). Rank-2
-    /// accumulation: each pass streams a 2-row panel of batch rows, so
-    /// every output row touched gets two fused updates per load of its
-    /// cache lines and the `other` panel is read once per pair instead of
-    /// once per row. Zero coefficients skip their update, which matters for
-    /// post-ReLU/dropout activations.
+    /// accumulation: each output row receives one fused update per pair of
+    /// batch rows, in batch order (a single `axpy` for an odd last row), and
+    /// a zero coefficient skips its update, which matters for
+    /// post-ReLU/dropout activations. The output rows are walked in blocks
+    /// small enough to stay in L1 while every batch-row pair streams past
+    /// them, so the pairs' `other` rows are re-read from L2 once per block
+    /// rather than the whole output once per pair.
     pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
         if self.rows * self.cols * other.cols >= PAR_MIN_FLOPS {
             return self.matmul_transa_into_with(other, out, fvae_pool::global());
@@ -469,38 +494,70 @@ impl Matrix {
     }
 
     /// Output rows `i0..i1` of `selfᵀ · other` into the slice covering
-    /// exactly those rows.
+    /// exactly those rows. Blocking the output rows changes only *when* a
+    /// row is updated: each row still sees every pair's `fused1x2` (and the
+    /// tail's `axpy`) in batch order, with the same zero skips.
     fn matmul_transa_range(&self, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) {
         let n = other.cols;
         debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
         let ks = crate::simd::active();
-        let mut p = 0;
-        while p + 2 <= self.rows {
-            let a0 = &self.data[p * self.cols..(p + 1) * self.cols];
-            let a1 = &self.data[(p + 1) * self.cols..(p + 2) * self.cols];
-            let b0 = &other.data[p * n..(p + 1) * n];
-            let b1 = &other.data[(p + 1) * n..(p + 2) * n];
-            for i in i0..i1 {
-                let (c0, c1) = (a0[i], a1[i]);
-                if c0 == 0.0 && c1 == 0.0 {
-                    continue;
+        let block = (TRANSA_BLOCK_ELEMS / n.max(1)).max(1);
+        for r0 in (i0..i1).step_by(block) {
+            let r1 = (r0 + block).min(i1);
+            let mut p = 0;
+            while p + 2 <= self.rows {
+                let a0 = &self.data[p * self.cols..(p + 1) * self.cols];
+                let a1 = &self.data[(p + 1) * self.cols..(p + 2) * self.cols];
+                let b0 = &other.data[p * n..(p + 1) * n];
+                let b1 = &other.data[(p + 1) * n..(p + 2) * n];
+                for i in r0..r1 {
+                    let (c0, c1) = (a0[i], a1[i]);
+                    if c0 == 0.0 && c1 == 0.0 {
+                        continue;
+                    }
+                    let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
+                    (ks.fused1x2)(c0, c1, b0, b1, out_row);
                 }
-                let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
-                (ks.fused1x2)(c0, c1, b0, b1, out_row);
+                p += 2;
             }
-            p += 2;
+            if p < self.rows {
+                let a_row = &self.data[p * self.cols..(p + 1) * self.cols];
+                let b_row = &other.data[p * n..(p + 1) * n];
+                for i in r0..r1 {
+                    let a = a_row[i];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
+                    (ks.axpy)(a, b_row, out_row);
+                }
+            }
         }
-        if p < self.rows {
-            let a_row = &self.data[p * self.cols..(p + 1) * self.cols];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for i in i0..i1 {
-                let a = a_row[i];
-                if a == 0.0 {
-                    continue;
+    }
+
+    /// Row-wise bias + activation epilogue: every element `v` of column `j`
+    /// becomes `act(v + bias[j])` — the bias add, then the activation, the
+    /// same two operations per element as a serial bias loop followed by a
+    /// map. From [`PAR_MIN_FLOPS`] elements up the rows are sharded over
+    /// the global pool (output-disjoint, so the bits are the serial ones).
+    /// Panics unless `bias.len() == cols`.
+    pub fn bias_then(&mut self, bias: &[f32], act: impl Fn(f32) -> f32 + Sync) {
+        assert_eq!(bias.len(), self.cols, "bias length must equal cols");
+        let (rows, cols) = self.shape();
+        if rows * cols == 0 {
+            return;
+        }
+        let epilogue = |chunk: &mut [f32]| {
+            for row in chunk.chunks_exact_mut(cols) {
+                for (v, &b) in row.iter_mut().zip(bias) {
+                    *v = act(*v + b);
                 }
-                let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
-                (ks.axpy)(a, b_row, out_row);
             }
+        };
+        if rows * cols >= PAR_MIN_FLOPS {
+            fvae_pool::global().run_rows(&mut self.data, rows, cols, 1, |_, chunk| epilogue(chunk));
+        } else {
+            epilogue(&mut self.data);
         }
     }
 
