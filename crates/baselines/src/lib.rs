@@ -5,10 +5,11 @@
 //! * [`Lda`] — Latent Dirichlet Allocation with batch variational Bayes,
 //! * [`Item2Vec`] — skip-gram with negative sampling over co-observed
 //!   features; a user is the average of its feature vectors,
-//! * [`MultDae`] / [`MultVae`] — denoising / variational autoencoders with a
-//!   single multinomial likelihood over the concatenated feature space
-//!   (Liang et al. [8]),
-//! * [`RecVae`] — Mult-VAE with RecVAE's composite prior and user-specific β,
+//! * [`DenseVae`] — autoencoders with a single multinomial likelihood over
+//!   the concatenated feature space: Mult-DAE / Mult-VAE (denoising, and a
+//!   Gaussian prior; Liang et al. [8]) and RecVAE (Mult-VAE with a composite
+//!   prior and user-specific β). The three differ only in the prior term,
+//!   so one type with one train step serves them all,
 //! * [`Job2Vec`] — a multi-view representation model with per-field views
 //!   and cross-view prediction (simplified from the Job2Vec paper; see the
 //!   module docs).
@@ -17,22 +18,20 @@
 //! experiment drivers rank (fit → embed → score), so Tables II–IV iterate
 //! over `Vec<Box<dyn RepresentationModel>>`.
 
+pub mod dense_vae;
 pub mod input;
 pub mod item2vec;
 pub mod job2vec;
 pub mod lda;
-pub mod multvae;
 pub mod obs;
 pub mod pca;
-pub mod recvae;
 
+pub use dense_vae::DenseVae;
 pub use item2vec::Item2Vec;
 pub use obs::FitObs;
 pub use job2vec::Job2Vec;
 pub use lda::Lda;
-pub use multvae::{MultDae, MultVae};
 pub use pca::Pca;
-pub use recvae::RecVae;
 
 use fvae_data::MultiFieldDataset;
 use fvae_tensor::Matrix;

@@ -1,11 +1,11 @@
 //! Fit-loop telemetry for the baseline models.
 //!
-//! The dense VAE family (Mult-VAE, Mult-DAE, RecVAE) can attach a shared
-//! [`Registry`] before `fit`; the loop then times every optimizer step and
-//! epoch with RAII [`Span`](fvae_obs::Span)s, so baseline and FVAE timings
-//! land in one registry and one Prometheus snapshot for Table V-style
-//! comparisons. Detached models pay nothing — the handles are `None` and the
-//! loops skip the spans entirely.
+//! The dense VAE family (`DenseVae`: Mult-VAE, Mult-DAE, RecVAE) can attach
+//! a shared [`Registry`] before `fit`; the loop then times every optimizer
+//! step and epoch with RAII [`Span`](fvae_obs::Span)s, so baseline and FVAE
+//! timings land in one registry and one Prometheus snapshot for Table
+//! V-style comparisons. Detached models pay nothing — the handles are `None`
+//! and the loops skip the spans entirely.
 
 use fvae_obs::{Counter, Histogram, Registry};
 
@@ -33,7 +33,7 @@ impl FitObs {
 
 #[cfg(test)]
 mod tests {
-    use crate::{MultDae, MultVae, RecVae, RepresentationModel};
+    use crate::{DenseVae, RepresentationModel};
     use fvae_data::{FieldSpec, TopicModelConfig};
     use fvae_obs::Registry;
 
@@ -51,19 +51,19 @@ mod tests {
         let users: Vec<usize> = (0..ds.n_users()).collect();
         let registry = Registry::new();
 
-        let mut mv = MultVae::new(4, 8, 1);
+        let mut mv = DenseVae::mult_vae(4, 8, 1);
         mv.epochs = 2;
         mv.batch_size = 30;
         mv.observe(&registry);
         mv.fit(&ds, &users);
 
-        let mut md = MultDae::new(4, 8, 1);
+        let mut md = DenseVae::mult_dae(4, 8, 1);
         md.epochs = 1;
         md.batch_size = 30;
         md.observe(&registry);
         md.fit(&ds, &users);
 
-        let mut rv = RecVae::new(4, 8, 1);
+        let mut rv = DenseVae::rec_vae(4, 8, 1);
         rv.epochs = 1;
         rv.batch_size = 30;
         rv.observe(&registry);

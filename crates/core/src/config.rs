@@ -141,10 +141,7 @@ impl FvaeConfig {
     /// The KL weight at a training step (linear annealing capped at
     /// `beta_cap`, following [8]'s annealing recipe).
     pub fn beta_at(&self, step: u64) -> f32 {
-        if self.anneal_steps == 0 {
-            return self.beta_cap;
-        }
-        self.beta_cap * ((step as f32 / self.anneal_steps as f32).min(1.0))
+        fvae_nn::linear_anneal(self.beta_cap, self.anneal_steps, step)
     }
 
     /// Validates internal consistency; called by [`crate::Fvae::new`].

@@ -2,7 +2,7 @@
 //! [`RepresentationModel`] interface.
 
 use fvae_baselines::{
-    Item2Vec, Job2Vec, Lda, MultDae, MultVae, Pca, RecVae, RepresentationModel,
+    DenseVae, Item2Vec, Job2Vec, Lda, Pca, RepresentationModel,
 };
 use fvae_core::{EncoderScratch, Fvae, FvaeConfig, InputRows};
 use fvae_data::MultiFieldDataset;
@@ -94,11 +94,11 @@ pub const LATENT_DIM: usize = 64;
 /// Builds the full Table II/III baseline roster for a million-scale dataset
 /// (everything except FVAE itself). Epoch counts scale with `epochs`.
 pub fn sc_baselines(epochs: usize) -> Vec<Box<dyn RepresentationModel>> {
-    let mut multdae = MultDae::new(LATENT_DIM, 128, 101);
+    let mut multdae = DenseVae::mult_dae(LATENT_DIM, 128, 101);
     multdae.epochs = epochs;
-    let mut multvae = MultVae::new(LATENT_DIM, 128, 102);
+    let mut multvae = DenseVae::mult_vae(LATENT_DIM, 128, 102);
     multvae.epochs = epochs;
-    let mut recvae = RecVae::new(LATENT_DIM, 128, 103);
+    let mut recvae = DenseVae::rec_vae(LATENT_DIM, 128, 103);
     recvae.epochs = epochs;
     let mut item2vec = Item2Vec::new(LATENT_DIM, 104);
     item2vec.epochs = epochs.max(2);

@@ -10,10 +10,9 @@
 
 use std::time::Instant;
 
-use fvae_baselines::MultVae;
+use fvae_baselines::DenseVae;
 use fvae_core::Fvae;
 use fvae_data::{MultiFieldDataset, TopicModelConfig};
-use fvae_nn::Adam;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,15 +61,13 @@ pub fn multvae_throughput(
     steps: usize,
     hash_bits: Option<u32>,
 ) -> f64 {
-    let mut model = MultVae::new(LATENT_DIM, 128, 1);
+    let mut model = DenseVae::mult_vae(LATENT_DIM, 128, 1);
     model.batch_size = batch_size;
     model.hash_bits = hash_bits;
     model.init_for(ds);
-    let adam = Adam::new(model.lr);
-    let (mut enc_opt, mut dec_opt) = model.make_opts();
     let mut rng = StdRng::seed_from_u64(3);
     timed_users_per_s(ds.n_users(), batch_size, steps, |batch| {
-        model.train_batch_timed(ds, batch, &adam, &mut enc_opt, &mut dec_opt, &mut rng);
+        model.train_batch_timed(ds, batch, &mut rng);
     })
 }
 

@@ -41,7 +41,7 @@ pub use dense::{Dense, DenseGrads};
 pub use dropout::Dropout;
 pub use embedding::EmbeddingBag;
 pub use mlp::{Mlp, MlpGrads};
-pub use optim::{Adam, AdamState, GradClip, Sgd};
+pub use optim::{linear_anneal, Adam, AdamState, GradClip, Sgd};
 pub use quant::{fast_tanh, quantize_symmetric, QuantScratch, QuantizedDense};
 pub use sharded::{RowGrads, ShardedRowGrads};
 pub use softmax_out::{SampledSoftmaxOutput, SoftmaxBatch};

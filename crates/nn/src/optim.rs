@@ -254,6 +254,17 @@ impl GradClip {
     }
 }
 
+/// Linear KL annealing (the recipe of Liang et al.): the weight at
+/// optimizer step `step` rises from 0 to `cap` over `anneal_steps` steps
+/// and then stays at `cap`; `anneal_steps == 0` means `cap` from the first
+/// step. FVAE and Mult-VAE both schedule their β through here.
+pub fn linear_anneal(cap: f32, anneal_steps: u64, step: u64) -> f32 {
+    if anneal_steps == 0 {
+        return cap;
+    }
+    cap * ((step as f32 / anneal_steps as f32).min(1.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

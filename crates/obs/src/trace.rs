@@ -6,17 +6,25 @@
 //! measures. The design constraints mirror the rest of this crate:
 //!
 //! * **Alloc-free hot path.** [`TraceBuffer::record`] touches only
-//!   pre-allocated atomics: one ticket `fetch_add` plus five relaxed
-//!   stores bracketed by seqlock sequence stores. No locks, no heap.
+//!   pre-allocated atomics: one ticket `fetch_add`, one compare-and-swap
+//!   that claims the slot, and four relaxed payload stores closed by a
+//!   sequence store. No locks, no spinning, no heap.
 //! * **Bounded memory.** The buffer is a power-of-two ring; when full,
 //!   new events overwrite the oldest ones. A trace is a sliding window
 //!   over the most recent activity, never an unbounded log.
+//! * **One writer per slot.** Two writers whose tickets are a ring length
+//!   apart map to the same slot. A writer claims its slot by swapping the
+//!   slot's sequence from a finished write of an *older* ticket to its own
+//!   odd in-progress value; if the slot is mid-write or already holds a
+//!   newer event, the writer drops its event instead. So payloads of two
+//!   writes never interleave, and a late writer never overwrites a newer
+//!   event.
 //! * **Tear-free drain.** Each slot carries a per-write sequence number
 //!   (seqlock protocol): a reader that races a writer observes a sequence
 //!   mismatch and skips the slot rather than stitching two different
-//!   events together. [`TraceBuffer::events`] therefore never returns a
-//!   torn span — at worst it misses the handful of slots being rewritten
-//!   at that instant.
+//!   events together. With one writer per slot, [`TraceBuffer::events`]
+//!   therefore never returns a torn span — at worst it misses the handful
+//!   of slots being rewritten at that instant.
 //!
 //! Stage names are a `&'static` table fixed at construction, so an event
 //! is four integers: trace id, stage index, start offset, duration. Times
@@ -57,10 +65,11 @@ pub struct TraceEvent {
     pub dur_ns: u64,
 }
 
-/// One ring slot. The seqlock protocol: a writer stores an odd sequence,
-/// writes the payload, then stores the (unique, even) final sequence; a
-/// reader re-checks the sequence after reading the payload and discards
-/// the slot on any mismatch.
+/// One ring slot. The seqlock protocol: a writer claims the slot by
+/// swapping an older even sequence for its odd one, writes the payload,
+/// then stores the (unique, even) final sequence; a reader re-checks the
+/// sequence after reading the payload and discards the slot on any
+/// mismatch.
 struct Slot {
     seq: AtomicU64,
     trace_id: AtomicU64,
@@ -72,9 +81,10 @@ struct Slot {
 struct TraceInner {
     epoch: Instant,
     next_id: AtomicU64,
-    /// Monotonic write ticket; `ticket & mask` is the slot index and
-    /// `2*ticket + 2` the slot's final sequence, so every write of every
-    /// slot has a globally unique even sequence value.
+    /// Monotonic write ticket; `ticket & mask` is the slot index,
+    /// `2*ticket + 1` the slot's in-progress and `2*ticket + 2` its final
+    /// sequence, so every write of every slot has a globally unique even
+    /// sequence value, and a larger one than every older ticket's.
     cursor: AtomicU64,
     mask: u64,
     slots: Box<[Slot]>,
@@ -136,7 +146,8 @@ impl TraceBuffer {
         self.inner.stages
     }
 
-    /// Total events ever recorded (≥ the number still resident).
+    /// Total [`TraceBuffer::record`] calls, events dropped to a lapping
+    /// writer included (≥ the number still resident).
     pub fn recorded(&self) -> u64 {
         self.inner.cursor.load(Ordering::Relaxed)
     }
@@ -157,23 +168,35 @@ impl TraceBuffer {
     /// Records one span event (allocation-free; overwrites the oldest
     /// event once the ring is full). `stage` indexes the table given to
     /// [`TraceBuffer::new`]; out-of-range stages are clamped to the last
-    /// entry rather than panicking a hot loop.
+    /// entry rather than panicking a hot loop. The event is dropped if its
+    /// slot is mid-write or already holds a newer event, which happens only
+    /// when writers a whole ring length apart race for one slot.
     #[inline]
     pub fn record(&self, trace_id: u64, stage: usize, start_ns: u64, dur_ns: u64) {
         let inner = &*self.inner;
         let stage = stage.min(inner.stages.len() - 1) as u64;
         let ticket = inner.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &inner.slots[(ticket & inner.mask) as usize];
+        let claim = 2 * ticket + 1;
+        // Claim the slot: only a finished (even) write of an older ticket
+        // may be replaced, and only by one writer. Acquire orders the
+        // payload stores below after the replaced write's.
+        let seen = slot.seq.load(Ordering::Relaxed);
+        if seen % 2 == 1
+            || seen > claim
+            || slot.seq.compare_exchange(seen, claim, Ordering::Acquire, Ordering::Relaxed).is_err()
+        {
+            return;
+        }
         // Seqlock write: odd marks in-progress; the paired fence orders
         // the odd store before the payload stores.
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         slot.trace_id.store(trace_id, Ordering::Relaxed);
         slot.stage.store(stage, Ordering::Relaxed);
         slot.start_ns.store(start_ns, Ordering::Relaxed);
         slot.dur_ns.store(dur_ns, Ordering::Relaxed);
         // Release: payload stores above cannot sink below this publish.
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        slot.seq.store(claim + 1, Ordering::Release);
     }
 
     /// Snapshot of the resident events, sorted by start time. Slots being

@@ -3,7 +3,7 @@
 //! writers never returns a torn span — every event read back must be one
 //! that some writer actually recorded, field-for-field.
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread;
 
@@ -122,6 +122,67 @@ fn concurrent_drain_never_tears_a_span() {
         assert_eq!(e.start_ns, e.trace_id.wrapping_mul(7));
         assert_eq!(e.dur_ns, e.trace_id ^ STAMP);
     }
+}
+
+/// Writers that lap each other: on a 2-slot ring, tickets `t` and `t + 2`
+/// land on the same slot, so with 4 writers two of them regularly hold
+/// tickets one lap apart and reach that slot at the same moment. A slot may
+/// only ever be written by one writer at a time (the later ticket drops its
+/// event rather than interleave its payload with the earlier one's), so the
+/// draining reader must never see a span stitched from two writes. Writers
+/// pause at their midpoint until the reader has seen events, so the drain
+/// overlaps live traffic however the threads are scheduled.
+#[test]
+fn lapping_writers_on_a_two_slot_ring_never_tear_a_span() {
+    const STAMP: u64 = 0x0dd_ba11_5ca1_ab1e;
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 200_000;
+
+    let t = TraceBuffer::new(2, STAGES);
+    let done = Arc::new(AtomicU64::new(0));
+    let reader_live = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let t = t.clone();
+            let done = done.clone();
+            let reader_live = reader_live.clone();
+            thread::spawn(move || {
+                for i in 0..PER_WRITER {
+                    if i == PER_WRITER / 2 {
+                        while !reader_live.load(Relaxed) {
+                            thread::yield_now();
+                        }
+                    }
+                    let id = w * PER_WRITER + i + 1;
+                    t.record(id, (id % 3) as usize, id.wrapping_mul(7), id ^ STAMP);
+                }
+                done.fetch_add(1, Relaxed);
+            })
+        })
+        .collect();
+
+    let check = |e: &fvae_obs::TraceEvent| {
+        assert_eq!(e.start_ns, e.trace_id.wrapping_mul(7), "torn span: start_ns");
+        assert_eq!(e.dur_ns, e.trace_id ^ STAMP, "torn span: dur_ns");
+        assert_eq!(e.stage, STAGES[(e.trace_id % 3) as usize], "torn span: stage");
+    };
+    let mut seen = 0u64;
+    while done.load(Relaxed) < WRITERS {
+        let events = t.events();
+        events.iter().for_each(check);
+        seen += events.len() as u64;
+        if seen > 0 {
+            reader_live.store(true, Relaxed);
+        }
+    }
+    for w in writers {
+        w.join().expect("writer");
+    }
+    assert!(seen > 0, "reader must have observed live traffic");
+    assert_eq!(t.recorded(), WRITERS * PER_WRITER);
+    let final_events = t.events();
+    assert_eq!(final_events.len(), 2, "both slots hold a finished write");
+    final_events.iter().for_each(check);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! cargo run --release --example tag_prediction
 //! ```
 
-use fvae_repro::baselines::{MultVae, Pca, RepresentationModel};
+use fvae_repro::baselines::{DenseVae, Pca, RepresentationModel};
 use fvae_repro::data::{tag_prediction_cases, SplitIndices, TopicModelConfig};
 use fvae_repro::eval::models::{fvae_config, FvaeModel};
 use fvae_repro::eval::tagpred::evaluate_tag_prediction;
@@ -28,7 +28,7 @@ fn main() {
     // cover the tag catalogue at this scaled-down data size.
     let mut fvae_cfg = fvae_config(&dataset, 14);
     fvae_cfg.sampling.rate = 0.2;
-    let mut multvae = MultVae::new(64, 128, 2);
+    let mut multvae = DenseVae::mult_vae(64, 128, 2);
     multvae.epochs = 8;
     let mut models: Vec<Box<dyn RepresentationModel>> = vec![
         Box::new(Pca::new(64, 1)),
