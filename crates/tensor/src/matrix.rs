@@ -4,10 +4,13 @@
 //! mini-batches as `batch × dim` matrices, so row-major storage keeps each
 //! sample contiguous and lets the GEMM kernels below run down cache lines.
 
+use std::ops::Range;
+
 use fvae_pool::ThreadPool;
 use rand::{Rng, RngExt};
 
 use crate::dist::Gaussian;
+use crate::simd::{TILE_M, TILE_N};
 
 /// Below this many multiply-adds a GEMM runs serially on the calling
 /// thread: dispatch overhead would swamp the kernel. The same bound, counted
@@ -18,8 +21,8 @@ use crate::dist::Gaussian;
 pub const PAR_MIN_FLOPS: usize = 32 * 1024;
 
 /// Batch rows of `A` that share each `B` row in the `A · Bᵀ` kernel while
-/// that row sits in L1.
-const TRANSB_ROW_GROUP: usize = 4;
+/// that row sits in L1: two `dot3` calls.
+const TRANSB_ROW_GROUP: usize = 6;
 
 /// `B` rows per column panel of the `A · Bᵀ` kernel: the panel stays in L2
 /// while every row group of the shard streams past it.
@@ -28,6 +31,36 @@ const TRANSB_PANEL: usize = 64;
 /// Output elements per row block of the `Aᵀ · B` kernel (16 KiB of `f32`):
 /// a block stays in L1 while every batch-row pair streams past it.
 const TRANSA_BLOCK_ELEMS: usize = 4 * 1024;
+
+/// k steps per packed `B` strip of the register-tiled GEMMs: a
+/// `TILE_K × TILE_N` strip is 16 KiB of `f32` on the stack, packed once per
+/// k block and column strip and shared by every row tile of a row chunk.
+/// A multiple of 4, so k blocks start on the `A · B` panel grid (and on the
+/// `Aᵀ · B` pair grid).
+const TILE_K: usize = 256;
+
+/// Row tiles per row chunk of the register-tiled GEMMs: their per-k-block
+/// register-path choices fit one `u64`.
+const TILE_CHUNK: usize = 64;
+
+/// Fewest row tiles a GEMM range sends through the register path: a packed
+/// `B` strip that serves a single tile costs more than the tile saves over
+/// the 2-row loops, so a range with fewer tiles runs the loops.
+const TILE_MIN: usize = 2;
+
+/// Shard alignment of the register-tiled GEMMs, in output rows: `TILE_MIN`
+/// whole tiles, so only the last shard can end off the tile grid. It is
+/// even, so `A · B` shards keep the serial 2-row pairing.
+const TILE_SHARD: usize = TILE_MIN * TILE_M;
+
+/// The two GEMMs the register tile serves, both seen as `C += A · B` over
+/// `k = other.rows` with `B = other`: `A · B` reads coefficient `(i, p)`
+/// at `self[i][p]`, `Aᵀ · B` at `self[p][i]`.
+#[derive(Clone, Copy)]
+enum Gemm {
+    AB,
+    AtB,
+}
 
 /// A dense, row-major `f32` matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -283,13 +316,15 @@ impl Matrix {
     /// `self · other` written into `out` (resized to `m × n`; its old
     /// contents are discarded, its allocation reused when large enough).
     ///
-    /// Register-tiled ikj kernel: each pass pins a 2-row tile of the output
-    /// and streams a 4-row panel of `other`, so every loaded `B` cache line
-    /// feeds 8 independent accumulator streams (2 output rows × 4 k-lanes)
-    /// before being evicted. The contiguous inner loop over output columns
-    /// autovectorizes to packed FMAs. All-zero coefficient tiles are
+    /// Register-tiled: where the backend has a `fused6x16` tile, 6 output
+    /// rows × 16 columns stay in registers against a strip of `other`
+    /// packed on the stack. Everything else runs the
+    /// 2-row loops: a pass pins 2 output rows and streams a 4-row panel of
+    /// `other`, so every loaded `B` cache line feeds 8 accumulator streams
+    /// (2 output rows × 4 k-lanes). All-zero coefficient panels are
     /// skipped, which preserves the fast path for sparse multi-hot inputs
-    /// (the embedding-bag ablation's densified baseline).
+    /// (the embedding-bag ablation's densified baseline); a tile with such
+    /// a panel runs the loops, so both paths give the loops' bits.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         if self.rows * self.cols * other.cols >= PAR_MIN_FLOPS {
             return self.matmul_into_with(other, out, fvae_pool::global());
@@ -304,60 +339,67 @@ impl Matrix {
     /// to pin the sharded path against the serial kernel at arbitrary
     /// thread counts.
     ///
-    /// Output rows are sharded with boundaries aligned to the 2-row output
-    /// tile, so every shard reproduces the serial kernel's tile pairing —
-    /// and with it the all-zero-tile skip decisions — exactly: the result
-    /// is bit-identical to serial for any shard count.
+    /// Output rows are sharded with boundaries on multiples of two register
+    /// tiles (12 rows), so every shard reproduces the serial kernel's 2-row
+    /// pairing — and with it the all-zero-panel skip decisions — exactly:
+    /// the result is bit-identical to serial for any shard count.
     pub fn matmul_into_with(&self, other: &Matrix, out: &mut Matrix, pool: &ThreadPool) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         let (m, n) = (self.rows, other.cols);
         out.resize_zeroed(m, n);
-        pool.run_rows(&mut out.data, m, n, 2, |r, rows| self.matmul_range(other, rows, r.start, r.end));
+        pool.run_rows(&mut out.data, m, n, TILE_SHARD, |r, rows| self.matmul_range(other, rows, r.start, r.end));
     }
 
     /// Output rows `i0..i1` of `self · other`, written into `out_rows` (the
     /// pre-zeroed slice covering exactly those rows). `i0` must be even (a
     /// tile boundary); only the final range may end off-tile, mirroring the
-    /// serial remainder row.
+    /// serial remainder row. Register tiles take the rows they can, and the
+    /// 2-row loops the rest.
     fn matmul_range(&self, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) {
+        debug_assert_eq!(i0 % 2, 0, "shard start must preserve 2-row tile pairing");
+        let t1 = self.tiled_range(Gemm::AB, other, out_rows, i0, i1);
+        let n = other.cols;
+        self.matmul_pairs(other, &mut out_rows[(t1 - i0) * n..], t1..i1, 0..self.cols, 0..n);
+    }
+
+    /// The 2-row loops of `self · other` over rows `i0..i1` (`i0` even;
+    /// `out_rows` covers exactly those rows at full width), restricted to
+    /// the steps `kr` and the columns `cols`. `kr.start` must be a multiple
+    /// of 4 and `kr.end` too unless it is `k`, so the panels are the
+    /// full-`k` ones: any split into k blocks and column ranges gives every
+    /// element the same kernel calls, with the same zero skips, in `k`
+    /// order.
+    fn matmul_pairs(&self, other: &Matrix, out_rows: &mut [f32], rows: Range<usize>, kr: Range<usize>, cols: Range<usize>) {
+        let (i0, i1) = (rows.start, rows.end);
         let (k, n) = (self.cols, other.cols);
         debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
-        debug_assert_eq!(i0 % 2, 0, "shard start must preserve 2-row tile pairing");
+        let b = |p: usize| &other.data[p * n + cols.start..p * n + cols.end];
         // Hoist the dispatched kernels: one indirect-call target lookup per
-        // GEMM range, not per tile.
+        // call, not per panel.
         let ks = crate::simd::active();
         let mut i = i0;
         // 2-row output tiles: both rows consume the same B panel.
         while i + 2 <= i1 {
-            let (out0, out1) = {
-                let pair = &mut out_rows[(i - i0) * n..(i + 2 - i0) * n];
-                pair.split_at_mut(n)
-            };
-            let a0 = &self.data[i * self.cols..(i + 1) * self.cols];
-            let a1 = &self.data[(i + 1) * self.cols..(i + 2) * self.cols];
-            let mut p = 0;
+            let (out0, out1) = out_rows[(i - i0) * n..(i + 2 - i0) * n].split_at_mut(n);
+            let (out0, out1) = (&mut out0[cols.clone()], &mut out1[cols.clone()]);
+            let a0 = &self.data[i * k..(i + 1) * k];
+            let a1 = &self.data[(i + 1) * k..(i + 2) * k];
+            let mut p = kr.start;
             // 4-wide k panels.
-            while p + 4 <= k {
+            while p + 4 <= kr.end {
                 let c = [a0[p], a0[p + 1], a0[p + 2], a0[p + 3], a1[p], a1[p + 1], a1[p + 2], a1[p + 3]];
                 // Zero-skip decisions stay outside the kernels so every
                 // backend (and every shard) takes identical fast paths.
-                if c == [0.0; 8] {
-                    p += 4;
-                    continue;
+                if c != [0.0; 8] {
+                    (ks.fused2x4)(&c, b(p), b(p + 1), b(p + 2), b(p + 3), out0, out1);
                 }
-                let b0 = &other.data[p * n..(p + 1) * n];
-                let b1 = &other.data[(p + 1) * n..(p + 2) * n];
-                let b2 = &other.data[(p + 2) * n..(p + 3) * n];
-                let b3 = &other.data[(p + 3) * n..(p + 4) * n];
-                (ks.fused2x4)(&c, b0, b1, b2, b3, out0, out1);
                 p += 4;
             }
             // k remainder: single B rows against the same output tile.
-            while p < k {
+            while p < kr.end {
                 let (c0, c1) = (a0[p], a1[p]);
                 if c0 != 0.0 || c1 != 0.0 {
-                    let b_row = &other.data[p * n..(p + 1) * n];
-                    (ks.fused2x1)(c0, c1, b_row, out0, out1);
+                    (ks.fused2x1)(c0, c1, b(p), out0, out1);
                 }
                 p += 1;
             }
@@ -365,31 +407,135 @@ impl Matrix {
         }
         // m remainder: one output row, still 4-wide over k.
         if i < i1 {
-            let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let mut p = 0;
-            while p + 4 <= k {
+            let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n][cols.clone()];
+            let a_row = &self.data[i * k..(i + 1) * k];
+            let mut p = kr.start;
+            while p + 4 <= kr.end {
                 let c = [a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]];
-                if c == [0.0; 4] {
-                    p += 4;
-                    continue;
+                if c != [0.0; 4] {
+                    (ks.fused1x4)(&c, b(p), b(p + 1), b(p + 2), b(p + 3), out_row);
                 }
-                let b0 = &other.data[p * n..(p + 1) * n];
-                let b1 = &other.data[(p + 1) * n..(p + 2) * n];
-                let b2 = &other.data[(p + 2) * n..(p + 3) * n];
-                let b3 = &other.data[(p + 3) * n..(p + 4) * n];
-                (ks.fused1x4)(&c, b0, b1, b2, b3, out_row);
                 p += 4;
             }
-            while p < k {
+            while p < kr.end {
                 let a = a_row[p];
                 if a != 0.0 {
-                    let b_row = &other.data[p * n..(p + 1) * n];
-                    (ks.axpy)(a, b_row, out_row);
+                    (ks.axpy)(a, b(p), out_row);
                 }
                 p += 1;
             }
         }
+    }
+
+    /// True when rows `i..i + TILE_M` of `gemm` take no zero skip over the
+    /// steps `kr`: its loops would call a kernel for every coefficient,
+    /// which is the chain the register tile computes. A skip is bit-neutral
+    /// only for finite `B` (`0 · ∞` is NaN), so a tile with any skip runs
+    /// the loops. A group of coefficients is all `±0.0` exactly when the OR
+    /// of their bits, shifted past the sign, is 0 (a NaN is not zero, as in
+    /// the loops' `== 0.0`).
+    fn skip_free(&self, gemm: Gemm, i: usize, kr: Range<usize>) -> bool {
+        let ld = self.cols;
+        let bits = |c: &f32| c.to_bits() << 1;
+        match gemm {
+            // Per pair of rows: a 4-step panel is skipped when its eight
+            // coefficients are zero, a remainder step when its two are.
+            Gemm::AB => (i..i + TILE_M).step_by(2).all(|r| {
+                let a0 = &self.data[r * ld + kr.start..r * ld + kr.end];
+                let a1 = &self.data[(r + 1) * ld + kr.start..(r + 1) * ld + kr.end];
+                let (p0, p1) = (a0.chunks_exact(4), a1.chunks_exact(4));
+                let tail = p0.remainder().iter().zip(p1.remainder());
+                p0.zip(p1).all(|(x, y)| x.iter().chain(y).fold(0, |m, c| m | bits(c)) != 0)
+                    && tail.fold(true, |live, (x, y)| live & (bits(x) | bits(y) != 0))
+            }),
+            // Per output row: a pair of batch rows is skipped when its two
+            // coefficients are zero, an odd last batch row when its one is.
+            Gemm::AtB => {
+                let a = |p: usize| &self.data[p * ld + i..p * ld + i + TILE_M];
+                let live = |x: &[f32], y: &[f32]| x.iter().zip(y).fold(true, |l, (x, y)| l & (bits(x) | bits(y) != 0));
+                let pairs = (kr.len() / 2) * 2;
+                (kr.start..kr.start + pairs).step_by(2).all(|p| live(a(p), a(p + 1)))
+                    && (kr.start + pairs..kr.end).all(|p| live(a(p), a(p)))
+            }
+        }
+    }
+
+    /// The loops `gemm` runs where the register tile does not; see
+    /// [`Matrix::matmul_pairs`] and [`Matrix::transa_pairs`].
+    fn loops(&self, gemm: Gemm, other: &Matrix, out_rows: &mut [f32], rows: Range<usize>, kr: Range<usize>, cols: Range<usize>) {
+        match gemm {
+            Gemm::AB => self.matmul_pairs(other, out_rows, rows, kr, cols),
+            Gemm::AtB => self.transa_pairs(other, out_rows, rows, kr, cols),
+        }
+    }
+
+    /// Output rows `i0..i1` of `gemm` through the register tile, as far as
+    /// whole tiles reach; returns the first row left to the caller.
+    ///
+    /// Tiles are [`TILE_M`] rows (three 2-row pairs) counted from `i0`, in
+    /// chunks of [`TILE_CHUNK`]; a range of fewer than [`TILE_MIN`] tiles
+    /// is left whole to the caller. For each k block of [`TILE_K`] steps,
+    /// a tile whose loops would take a zero skip runs them, over that
+    /// block and the full width. Every other tile of the chunk takes the
+    /// `fused6x16` kernel, one [`TILE_N`]-column strip at a time, against
+    /// that strip of `B` packed into a stack buffer; its last `n % 16`
+    /// columns, which the 8-lane bodies partly finish with a scalar
+    /// expression, run the loops on that column range. Each element thus
+    /// sees its k blocks in order, and in each block the chain its loops
+    /// would apply. No register path (`None`) or fewer than 16 columns
+    /// leaves every row to the caller.
+    fn tiled_range(&self, gemm: Gemm, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) -> usize {
+        let Some(tile) = crate::simd::active().fused6x16 else {
+            return i0;
+        };
+        let (k, n) = (other.rows, other.cols);
+        let (n16, tiles) = (n - n % TILE_N, (i1 - i0) / TILE_M);
+        if n16 == 0 || tiles < TILE_MIN {
+            return i0;
+        }
+        let t1 = i0 + tiles * TILE_M;
+        let mut pack = [0.0f32; TILE_K * TILE_N];
+        for c0 in (i0..t1).step_by(TILE_M * TILE_CHUNK) {
+            let chunk_tiles = (t1.min(c0 + TILE_M * TILE_CHUNK) - c0) / TILE_M;
+            let rows = |t: usize| (c0 + t * TILE_M - i0) * n..(c0 + (t + 1) * TILE_M - i0) * n;
+            for kc in (0..k).step_by(TILE_K) {
+                let kr = kc..(kc + TILE_K).min(k);
+                let mut live = 0u64;
+                for t in 0..chunk_tiles {
+                    let i = c0 + t * TILE_M;
+                    if self.skip_free(gemm, i, kr.clone()) {
+                        live |= 1 << t;
+                    } else {
+                        self.loops(gemm, other, &mut out_rows[rows(t)], i..i + TILE_M, kr.clone(), 0..n);
+                    }
+                }
+                if live == 0 {
+                    continue;
+                }
+                let live_tiles = || (0..chunk_tiles).filter(move |t| live >> t & 1 == 1);
+                let strip = &mut pack[..kr.len() * TILE_N];
+                for j in (0..n16).step_by(TILE_N) {
+                    for (p, dst) in kr.clone().zip(strip.chunks_exact_mut(TILE_N)) {
+                        dst.copy_from_slice(&other.data[p * n + j..p * n + j + TILE_N]);
+                    }
+                    for t in live_tiles() {
+                        let i = c0 + t * TILE_M;
+                        let (a, rs, cs) = match gemm {
+                            Gemm::AB => (&self.data[i * self.cols + kc..], self.cols, 1),
+                            Gemm::AtB => (&self.data[kc * self.cols + i..], 1, self.cols),
+                        };
+                        tile(a, rs, cs, strip, &mut out_rows[rows(t)][j..], n);
+                    }
+                }
+                if n16 < n {
+                    for t in live_tiles() {
+                        let i = c0 + t * TILE_M;
+                        self.loops(gemm, other, &mut out_rows[rows(t)], i..i + TILE_M, kr.clone(), n16..n);
+                    }
+                }
+            }
+        }
+        t1
     }
 
     /// `self · otherᵀ`, shape `(m×k)·(n×k)ᵀ → m×n`. Thin allocating wrapper
@@ -432,20 +578,29 @@ impl Matrix {
     }
 
     /// Output rows `i0..i1` of `self · otherᵀ` into the slice covering
-    /// exactly those rows. The blocking only orders the dot products; each
-    /// element is still written once, by one `dot` call.
+    /// exactly those rows. The blocking only orders the dot products, and
+    /// `dot3` only shares a `B` row's loads between three of them; each
+    /// element is still written once, with `dot`'s bits.
     fn matmul_transb_range(&self, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) {
         let n = other.rows;
         debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
-        let dot = crate::simd::active().dot;
+        let ks = crate::simd::active();
         for j0 in (0..n).step_by(TRANSB_PANEL) {
             let j1 = (j0 + TRANSB_PANEL).min(n);
             for g0 in (i0..i1).step_by(TRANSB_ROW_GROUP) {
                 let g1 = (g0 + TRANSB_ROW_GROUP).min(i1);
                 for j in j0..j1 {
                     let b_row = other.row(j);
-                    for i in g0..g1 {
-                        out_rows[(i - i0) * n + j] = dot(self.row(i), b_row);
+                    let mut i = g0;
+                    while i + 3 <= g1 {
+                        let d = (ks.dot3)(self.row(i), self.row(i + 1), self.row(i + 2), b_row);
+                        for (r, v) in d.into_iter().enumerate() {
+                            out_rows[(i + r - i0) * n + j] = v;
+                        }
+                        i += 3;
+                    }
+                    for i in i..g1 {
+                        out_rows[(i - i0) * n + j] = (ks.dot)(self.row(i), b_row);
                     }
                 }
             }
@@ -466,10 +621,13 @@ impl Matrix {
     /// accumulation: each output row receives one fused update per pair of
     /// batch rows, in batch order (a single `axpy` for an odd last row), and
     /// a zero coefficient skips its update, which matters for
-    /// post-ReLU/dropout activations. The output rows are walked in blocks
-    /// small enough to stay in L1 while every batch-row pair streams past
-    /// them, so the pairs' `other` rows are re-read from L2 once per block
-    /// rather than the whole output once per pair.
+    /// post-ReLU/dropout activations. Where the backend has a `fused6x16`
+    /// tile, 6 output rows run that chain in registers with the batch rows
+    /// as k, unless one of their pairs would skip. The loops walk the
+    /// output rows in blocks small enough to stay in L1 while every
+    /// batch-row pair streams past them, so the pairs' `other` rows are
+    /// re-read from L2 once per block rather than the whole output once
+    /// per pair.
     pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
         if self.rows * self.cols * other.cols >= PAR_MIN_FLOPS {
             return self.matmul_transa_into_with(other, out, fvae_pool::global());
@@ -488,48 +646,58 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "matmul_transa inner dimension mismatch");
         let (m, n) = (self.cols, other.cols);
         out.resize_zeroed(m, n);
-        pool.run_rows(&mut out.data, m, n, 1, |r, rows| {
+        pool.run_rows(&mut out.data, m, n, TILE_SHARD, |r, rows| {
             self.matmul_transa_range(other, rows, r.start, r.end);
         });
     }
 
     /// Output rows `i0..i1` of `selfᵀ · other` into the slice covering
-    /// exactly those rows. Blocking the output rows changes only *when* a
-    /// row is updated: each row still sees every pair's `fused1x2` (and the
-    /// tail's `axpy`) in batch order, with the same zero skips.
+    /// exactly those rows: register tiles where they reach, the rank-2 loops
+    /// for the rest.
     fn matmul_transa_range(&self, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) {
+        let t1 = self.tiled_range(Gemm::AtB, other, out_rows, i0, i1);
         let n = other.cols;
+        self.transa_pairs(other, &mut out_rows[(t1 - i0) * n..], t1..i1, 0..self.rows, 0..n);
+    }
+
+    /// The rank-2 loops of `selfᵀ · other` over output rows `i0..i1`
+    /// (`out_rows` covers exactly those rows at full width), restricted to
+    /// the batch rows `kr` (`kr.start` even) and the columns `cols`.
+    /// Blocking the output rows changes only *when* a row is updated: each
+    /// row still sees every pair's `fused1x2` (and the tail's `axpy`) in
+    /// batch order, with the same zero skips.
+    fn transa_pairs(&self, other: &Matrix, out_rows: &mut [f32], rows: Range<usize>, kr: Range<usize>, cols: Range<usize>) {
+        let (i0, i1) = (rows.start, rows.end);
+        let (m, n) = (self.cols, other.cols);
         debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
+        let a = |p: usize| &self.data[p * m..(p + 1) * m];
+        let b = |p: usize| &other.data[p * n + cols.start..p * n + cols.end];
         let ks = crate::simd::active();
         let block = (TRANSA_BLOCK_ELEMS / n.max(1)).max(1);
         for r0 in (i0..i1).step_by(block) {
             let r1 = (r0 + block).min(i1);
-            let mut p = 0;
-            while p + 2 <= self.rows {
-                let a0 = &self.data[p * self.cols..(p + 1) * self.cols];
-                let a1 = &self.data[(p + 1) * self.cols..(p + 2) * self.cols];
-                let b0 = &other.data[p * n..(p + 1) * n];
-                let b1 = &other.data[(p + 1) * n..(p + 2) * n];
+            let mut p = kr.start;
+            while p + 2 <= kr.end {
+                let (a0, a1, b0, b1) = (a(p), a(p + 1), b(p), b(p + 1));
                 for i in r0..r1 {
                     let (c0, c1) = (a0[i], a1[i]);
                     if c0 == 0.0 && c1 == 0.0 {
                         continue;
                     }
-                    let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
+                    let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n][cols.clone()];
                     (ks.fused1x2)(c0, c1, b0, b1, out_row);
                 }
                 p += 2;
             }
-            if p < self.rows {
-                let a_row = &self.data[p * self.cols..(p + 1) * self.cols];
-                let b_row = &other.data[p * n..(p + 1) * n];
+            if p < kr.end {
+                let (a_row, b_row) = (a(p), b(p));
                 for i in r0..r1 {
-                    let a = a_row[i];
-                    if a == 0.0 {
+                    let c = a_row[i];
+                    if c == 0.0 {
                         continue;
                     }
-                    let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n];
-                    (ks.axpy)(a, b_row, out_row);
+                    let out_row = &mut out_rows[(i - i0) * n..(i + 1 - i0) * n][cols.clone()];
+                    (ks.axpy)(c, b_row, out_row);
                 }
             }
         }

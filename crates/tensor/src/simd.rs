@@ -35,6 +35,22 @@
 //!   path produces bit-identical embeddings under scalar, AVX2, and NEON
 //!   alike.
 //!
+//! The two register tiles add speed, never a new chain of operations:
+//!
+//! * [`Kernels::dot3`] is, per element, one [`Kernels::dot`]: the same
+//!   lane tree, reduction and scalar tail, with the loads of the shared
+//!   right-hand side done once for three rows. Every backend has it.
+//! * [`Kernels::fused6x16`] gives every output element one fused
+//!   multiply-add per coefficient, in `p` order, starting from what `out`
+//!   holds. AVX2's `fused2x4`, `fused2x1`, `fused1x4`, `fused1x2` and
+//!   `axpy` bodies compute exactly that chain on their 8-lane columns, so
+//!   a GEMM that sends a skip-free tile through it keeps every bit
+//!   (`crates/tensor/tests/blocked_kernels.rs`). The scalar reference
+//!   groups each panel's products before one add (`o + (c0·b0 + … )`), so
+//!   a tile could not replay both GEMMs' groupings: it is `None` there.
+//!   NEON's bodies are one FMA per coefficient too, but its tile is not
+//!   written yet, so it is `None` and NEON keeps the 2-row loops.
+//!
 //! ## Dispatch
 //!
 //! [`active`] resolves the backend on first use (reading `FVAE_SIMD`) and
@@ -50,8 +66,18 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 pub type Fused2x4Fn = fn(&[f32; 8], &[f32], &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
 /// Signature of the [`Kernels::fused1x4`] GEMM m-remainder row.
 pub type Fused1x4Fn = fn(&[f32; 4], &[f32], &[f32], &[f32], &[f32], &mut [f32]);
+/// Signature of the [`Kernels::fused6x16`] GEMM register tile.
+pub type Fused6x16Fn = fn(&[f32], usize, usize, &[f32], &mut [f32], usize);
+/// Signature of the [`Kernels::dot3`] shared-RHS dot tile.
+pub type Dot3Fn = fn(&[f32], &[f32], &[f32], &[f32]) -> [f32; 3];
 /// Signature of the [`Kernels::dot_i8x4`] shared-RHS quantized tile.
 pub type DotI8x4Fn = fn(&[i16], &[i16], &[i16], &[i16], &[i8]) -> [i32; 4];
+
+/// Output rows of the [`Kernels::fused6x16`] tile: three 2-row pairs.
+pub const TILE_M: usize = 6;
+/// Output columns of the [`Kernels::fused6x16`] tile, and the row width of
+/// its packed `b` strip: two 8-lane registers.
+pub const TILE_N: usize = 16;
 
 /// The dispatched micro-kernel set. All slice arguments of one call must
 /// have equal lengths: every backend asserts it and panics alike on a
@@ -73,6 +99,20 @@ pub struct Kernels {
     pub fused1x4: Fused1x4Fn,
     /// Rank-2 row update: `out += c0·b0 + c1·b1` (the `matmul_transa` tile).
     pub fused1x2: fn(f32, f32, &[f32], &[f32], &mut [f32]),
+    /// GEMM [`TILE_M`]×[`TILE_N`] register tile `(a, rs, cs, b, out, ld)`
+    /// over `kb = b.len() / 16` steps: `b` is a packed `kb × 16` strip,
+    /// coefficient `(r, p)` is `a[r·rs + p·cs]`, and output row `r` is
+    /// `out[r·ld .. r·ld + 16]`. For every element, step by step in `p`
+    /// order, `o = fma(a(r, p), b[p·16 + j], o)`: one fused multiply-add
+    /// per coefficient and no zero skip, the chain `fused2x4`, `fused2x1`,
+    /// `fused1x4`, `fused1x2` and `axpy` apply to a column of their 8-lane
+    /// body. `None` on backends without that chain (see the module doc):
+    /// their callers keep the 2-row loops.
+    pub fused6x16: Option<Fused6x16Fn>,
+    /// Three dots against one shared right-hand side:
+    /// `[dot(a0, b), dot(a1, b), dot(a2, b)]`, each bit-equal to
+    /// [`Kernels::dot`] on the same backend (the `A·Bᵀ` tile).
+    pub dot3: Dot3Fn,
     /// Int8 dot with exact i32 accumulation: `Σ a[i]·b[i]` — the quantized
     /// serving kernel. Callers must keep `len · 127² < i32::MAX`
     /// (len < ~133k, far above any layer width here).
@@ -160,6 +200,28 @@ fn assert_same_len<const N: usize>(lens: [usize; N]) {
     assert!(lens.iter().all(|&l| l == lens[0]), "kernel slice lengths differ: {lens:?}");
 }
 
+/// The [`Kernels::fused6x16`] precondition: `b` is whole 16-wide rows, and
+/// the last coefficient and the last output element the tile touches lie
+/// inside `a` and `out`. Spans are computed with checked arithmetic, so a
+/// huge stride panics instead of wrapping past the check.
+#[inline(always)]
+fn assert_tile_fits(a: usize, rs: usize, cs: usize, b: usize, out: usize, ld: usize) {
+    let span = |rows: usize, stride: usize, steps: usize, step: usize, width: usize| {
+        (rows - 1)
+            .checked_mul(stride)
+            .zip((steps - 1).checked_mul(step))
+            .and_then(|(x, y)| x.checked_add(y))
+            .and_then(|x| x.checked_add(width))
+    };
+    let kb = b / TILE_N;
+    let a_fits = kb == 0 || span(TILE_M, rs, kb, cs, 1).is_some_and(|end| end <= a);
+    let out_fits = span(TILE_M, ld, 1, 0, TILE_N).is_some_and(|end| end <= out);
+    assert!(
+        b.is_multiple_of(TILE_N) && a_fits && out_fits,
+        "tile operands do not fit: a {a} (rs {rs}, cs {cs}), b {b}, out {out} (ld {ld})"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference backend
 // ---------------------------------------------------------------------------
@@ -173,6 +235,8 @@ pub static SCALAR: Kernels = Kernels {
     fused2x1: scalar_fused2x1,
     fused1x4: scalar_fused1x4,
     fused1x2: scalar_fused1x2,
+    fused6x16: None,
+    dot3: scalar_dot3,
     dot_i8: scalar_dot_i8,
     dot_i8x4: scalar_dot_i8x4,
 };
@@ -254,6 +318,11 @@ fn scalar_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
     }
 }
 
+fn scalar_dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
+    assert_same_len([a0.len(), a1.len(), a2.len(), b.len()]);
+    [scalar_dot(a0, b), scalar_dot(a1, b), scalar_dot(a2, b)]
+}
+
 /// i8×i8 dot with exact i32 accumulation (associative — every backend
 /// agrees bit-for-bit).
 pub fn scalar_dot_i8(a: &[i8], b: &[i8]) -> i32 {
@@ -297,6 +366,8 @@ static AVX2: Kernels = Kernels {
     fused2x1: avx2_fused2x1,
     fused1x4: avx2_fused1x4,
     fused1x2: avx2_fused1x2,
+    fused6x16: Some(avx2_fused6x16),
+    dot3: avx2_dot3,
     dot_i8: avx2_dot_i8,
     dot_i8x4: avx2_dot_i8x4,
 };
@@ -305,7 +376,8 @@ static AVX2: Kernels = Kernels {
 mod avx2 {
     //! `unsafe` inner bodies carrying `#[target_feature]`. Each has the same
     //! two-part contract: the CPU supports AVX2 and FMA, and every slice
-    //! argument has the same length (the loops index raw pointers by it).
+    //! argument has the same length (the loops index raw pointers by it) —
+    //! for `fused6x16`, the extents `assert_tile_fits` checks instead.
     //! The safe wrappers in the parent module discharge both: they are only
     //! reachable through the private `AVX2` table, which
     //! [`super::detected`] returns strictly after the runtime feature probe
@@ -506,6 +578,76 @@ mod avx2 {
         }
     }
 
+    /// The 6×16 register tile: twelve accumulators (two 8-lane halves per
+    /// row) stay in registers across the `kb` steps, each step loading one
+    /// packed 16-wide `b` row and broadcasting six coefficients, one FMA
+    /// per (row, half). Loading the accumulators from `out` and storing
+    /// them back is exact, so a caller may split `k` into blocks.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn fused6x16(a: &[f32], rs: usize, cs: usize, b: &[f32], out: &mut [f32], ld: usize) {
+        let kb = b.len() / super::TILE_N;
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut acc = [[_mm256_setzero_ps(); 2]; super::TILE_M];
+        for (r, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm256_loadu_ps(op.add(r * ld));
+            row[1] = _mm256_loadu_ps(op.add(r * ld + 8));
+        }
+        for p in 0..kb {
+            let vb0 = _mm256_loadu_ps(bp.add(p * super::TILE_N));
+            let vb1 = _mm256_loadu_ps(bp.add(p * super::TILE_N + 8));
+            let ak = ap.add(p * cs);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let va = _mm256_set1_ps(*ak.add(r * rs));
+                row[0] = _mm256_fmadd_ps(va, vb0, row[0]);
+                row[1] = _mm256_fmadd_ps(va, vb1, row[1]);
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            _mm256_storeu_ps(op.add(r * ld), row[0]);
+            _mm256_storeu_ps(op.add(r * ld + 8), row[1]);
+        }
+    }
+
+    /// Three [`dot`]s sharing each load of `b`: every row keeps `dot`'s own
+    /// four accumulators, its 8-lane remainder into the first, its
+    /// reduction tree and its scalar tail.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
+        let n = b.len();
+        let rows = [a0, a1, a2];
+        let ap = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr()];
+        let bp = b.as_ptr();
+        // `acc[q][r]`: row `r`'s accumulator `q`.
+        let mut acc = [[_mm256_setzero_ps(); 3]; 4];
+        let mut i = 0usize;
+        while i + 32 <= n {
+            for (q, accq) in acc.iter_mut().enumerate() {
+                let vb = _mm256_loadu_ps(bp.add(i + 8 * q));
+                for (o, p) in accq.iter_mut().zip(ap) {
+                    *o = _mm256_fmadd_ps(_mm256_loadu_ps(p.add(i + 8 * q)), vb, *o);
+                }
+            }
+            i += 32;
+        }
+        while i + 8 <= n {
+            let vb = _mm256_loadu_ps(bp.add(i));
+            for (o, p) in acc[0].iter_mut().zip(ap) {
+                *o = _mm256_fmadd_ps(_mm256_loadu_ps(p.add(i)), vb, *o);
+            }
+            i += 8;
+        }
+        let mut out = [0.0f32; 3];
+        for r in 0..3 {
+            let sum = _mm256_add_ps(_mm256_add_ps(acc[0][r], acc[1][r]), _mm256_add_ps(acc[2][r], acc[3][r]));
+            let mut total = hsum256(sum);
+            for t in i..n {
+                total += rows[r][t] * b[t];
+            }
+            out[r] = total;
+        }
+        out
+    }
+
     /// 16 i8 lanes per step: sign-extend to i16, `madd` to 8×i32, add into
     /// two independent i32 accumulators. Integer adds are associative, so
     /// the result is bit-identical to the scalar reference.
@@ -637,6 +779,21 @@ fn avx2_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
     unsafe { avx2::fused1x2(c0, c1, b0, b1, out) }
 }
 #[cfg(target_arch = "x86_64")]
+fn avx2_fused6x16(a: &[f32], rs: usize, cs: usize, b: &[f32], out: &mut [f32], ld: usize) {
+    assert_tile_fits(a.len(), rs, cs, b.len(), out.len(), ld);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // assert above bounds every coefficient, `b` row and output element
+    // the tile touches.
+    unsafe { avx2::fused6x16(a, rs, cs, b, out, ld) }
+}
+#[cfg(target_arch = "x86_64")]
+fn avx2_dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
+    assert_same_len([a0.len(), a1.len(), a2.len(), b.len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
+    unsafe { avx2::dot3(a0, a1, a2, b) }
+}
+#[cfg(target_arch = "x86_64")]
 fn avx2_dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_same_len([a.len(), b.len()]);
     // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
@@ -665,6 +822,8 @@ pub static NEON: Kernels = Kernels {
     fused2x1: neon_fused2x1,
     fused1x4: neon_fused1x4,
     fused1x2: neon_fused1x2,
+    fused6x16: None,
+    dot3: neon_dot3,
     dot_i8: neon_dot_i8,
     dot_i8x4: neon_dot_i8x4,
 };
@@ -936,6 +1095,11 @@ fn neon_fused1x4(c: &[f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], o
 #[cfg(target_arch = "aarch64")]
 fn neon_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
     neon::fused1x2(c0, c1, b0, b1, out)
+}
+#[cfg(target_arch = "aarch64")]
+fn neon_dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
+    assert_same_len([a0.len(), a1.len(), a2.len(), b.len()]);
+    [neon::dot(a0, b), neon::dot(a1, b), neon::dot(a2, b)]
 }
 #[cfg(target_arch = "aarch64")]
 fn neon_dot_i8(a: &[i8], b: &[i8]) -> i32 {

@@ -92,3 +92,32 @@ fn dot_i8x4_refuses_mismatched_lengths() {
         });
     }
 }
+
+#[test]
+fn dot3_refuses_mismatched_lengths() {
+    let (long, short) = (vec![1.0f32; 40], vec![1.0f32; 8]);
+    for k in backends() {
+        assert_refused("dot3", k, || {
+            (k.dot3)(&long, &long, &short, &long);
+        });
+        assert_refused("dot3", k, || {
+            (k.dot3)(&long, &long, &long, &short);
+        });
+    }
+}
+
+#[test]
+fn fused6x16_refuses_operands_it_would_overrun() {
+    // Three 16-wide steps: coefficients at rs 3, cs 1 span 5·3 + 2 + 1 = 18
+    // elements, and output rows at ld 16 span 5·16 + 16 = 96.
+    let (a, b) = (vec![1.0f32; 18], vec![1.0f32; 48]);
+    for k in backends() {
+        let Some(tile) = k.fused6x16 else { continue };
+        let mut out = vec![0.0f32; 96];
+        tile(&a, 3, 1, &b, &mut out, 16);
+        assert_refused("fused6x16 (short a)", k, || tile(&a[..17], 3, 1, &b, &mut out, 16));
+        assert_refused("fused6x16 (short out)", k, || tile(&a, 3, 1, &b, &mut out[..95], 16));
+        assert_refused("fused6x16 (ragged b)", k, || tile(&a, 3, 1, &b[..47], &mut out, 16));
+        assert_refused("fused6x16 (huge stride)", k, || tile(&a, usize::MAX / 4, 1, &b, &mut out, 16));
+    }
+}

@@ -11,7 +11,11 @@
 //! still pins indexing bugs hard.
 //!
 //! `dot_i8` and `dot_i8x4` accumulate in exact i32 arithmetic, which is
-//! associative, so their parity is plain equality on every backend.
+//! associative, so their parity is plain equality on every backend. The
+//! register tiles add no operation of their own, so they are held to
+//! `to_bits` equality with the kernels they replace on the same backend:
+//! `dot3` with three `dot` calls, `fused6x16` with one `axpy` per step
+//! and row.
 //!
 //! Shapes deliberately sweep the awkward cases: empty, shorter than one
 //! SIMD lane, straddling lane multiples, and slices starting at unaligned
@@ -228,6 +232,68 @@ proptest! {
                 (simd::scalar().dot_i8)(&x8, &w),
                 "tile row {} must equal the single-row dot (len {})", r, len
             );
+        }
+    }
+
+    #[test]
+    fn dot3_is_bit_exact_and_matches_three_single_dots(
+        sel in 0usize..18,
+        rnd in 0usize..200,
+        off in 0usize..4,
+        zbits in any::<u64>(),
+        mut a0_full in fvec(),
+        a1_full in fvec(),
+        a2_full in fvec(),
+        b_full in fvec(),
+    ) {
+        let len = pick_len(sel, rnd);
+        zero_sprinkle(&mut a0_full, zbits);
+        let rows = [&a0_full[off..off + len], &a1_full[off..off + len], &a2_full[off..off + len]];
+        let b = &b_full[off..off + len];
+        for k in [simd::scalar(), simd::detected()] {
+            let three = (k.dot3)(rows[0], rows[1], rows[2], b);
+            for (r, row) in rows.iter().enumerate() {
+                let one = (k.dot)(row, b);
+                prop_assert_eq!(
+                    three[r].to_bits(), one.to_bits(),
+                    "{} dot3 row {} is {}, dot {} (len {}, off {})", k.name, r, three[r], one, len, off
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused6x16_is_one_axpy_per_step_and_row(
+        kb in 0usize..40,
+        rs in 1usize..12,
+        cs in 1usize..12,
+        zbits in any::<u64>(),
+        mut a_full in proptest::collection::vec(-4.0f32..4.0, 600..601),
+        b_full in fvec(),
+        o_full in fvec(),
+    ) {
+        zero_sprinkle(&mut a_full, zbits);
+        // Coefficient `(r, p)` at `a[r·rs + p·cs]`, with `rs` and `cs`
+        // either way round (the `A·B` and `Aᵀ·B` layouts); output rows 19
+        // apart, so the tile writes no element it does not own.
+        let (rs, cs) = if zbits % 2 == 0 { (rs, cs) } else { (cs, rs) };
+        let b: Vec<f32> = (0..kb * 16).map(|i| b_full[i % BUF]).collect();
+        let a = &a_full[..5 * rs + kb.max(1) * cs];
+        let ld = 19;
+        for k in [simd::scalar(), simd::detected()] {
+            let Some(tile) = k.fused6x16 else { continue };
+            let mut got = o_full[..5 * ld + 16].to_vec();
+            let mut want = got.clone();
+            tile(a, rs, cs, &b, &mut got, ld);
+            for p in 0..kb {
+                for r in 0..6 {
+                    let row = &mut want[r * ld..r * ld + 16];
+                    (k.axpy)(a[r * rs + p * cs], &b[p * 16..(p + 1) * 16], row);
+                }
+            }
+            for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "{} tile element {} is {}, axpy chain {} (kb {})", k.name, e, g, w, kb);
+            }
         }
     }
 }
