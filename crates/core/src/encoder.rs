@@ -202,17 +202,18 @@ impl Encoder {
     }
 
     /// The frozen sparse front: every field's bag (unknown IDs skipped)
-    /// summed into `x0`, then the first-layer bias and `act` in one
-    /// [`Matrix::bias_then`] epilogue — `tanh` for the f32 forward,
-    /// `fast_tanh` for the int8 one. Generic, so neither pays an indirect
-    /// call per element. A serve batch (at most 32 × 128 elements) stays
-    /// under the epilogue's pool threshold and runs it serially.
+    /// summed into `x0`, then `epilogue(x0, bias)`, the first layer's bias
+    /// and activation: [`Matrix::bias_tanh`] for the f32 forward,
+    /// `fast_tanh` through [`Matrix::bias_then`] for the int8 one. Generic,
+    /// so neither pays an indirect call. A serve batch (at most 32 × 128
+    /// elements) stays under the epilogue's pool threshold and runs it
+    /// serially.
     pub(crate) fn front_into(
         &self,
         input: &InputRows,
         field_out: &mut Matrix,
         x0: &mut Matrix,
-        act: impl Fn(f32) -> f32 + Sync,
+        epilogue: impl FnOnce(&mut Matrix, &[f32]),
     ) {
         assert_eq!(input.n_fields, self.n_fields(), "field count mismatch");
         x0.resize_zeroed(input.rows, self.bias.len());
@@ -221,14 +222,14 @@ impl Encoder {
             bag.forward_batch_frozen_into(ids, vals, field_out);
             x0.add_assign(field_out);
         }
-        x0.bias_then(&self.bias, act);
+        epilogue(x0, &self.bias);
     }
 
-    /// The training front: like [`Encoder::front_into`] with `tanh`, but
-    /// inserting unseen IDs (drawing their initial rows from `rng`) and
-    /// recording each field's per-row slot lists for the backward pass.
-    /// Every bag accumulates directly into `x0`, so no per-field output
-    /// temporary exists.
+    /// The training front: like [`Encoder::front_into`] with
+    /// [`Matrix::bias_tanh`], but inserting unseen IDs (drawing their
+    /// initial rows from `rng`) and recording each field's per-row slot
+    /// lists for the backward pass. Every bag accumulates directly into
+    /// `x0`, so no per-field output temporary exists.
     pub(crate) fn front_train_into(
         &mut self,
         input: &InputRows,
@@ -246,7 +247,7 @@ impl Encoder {
             let (ids, vals) = input.field(k);
             bag.accumulate_batch_sharded(ids, vals, rng, x0, &mut slots[k], pool);
         }
-        x0.bias_then(&self.bias, f32::tanh);
+        x0.bias_tanh(&self.bias);
     }
 
     /// The dense rest of the forward: the extra MLP (its activations land in
@@ -274,7 +275,7 @@ impl Encoder {
         mu: &mut Matrix,
         logvar: &mut Matrix,
     ) {
-        self.front_into(input, &mut scratch.field_out, &mut scratch.x0, f32::tanh);
+        self.front_into(input, &mut scratch.field_out, &mut scratch.x0, Matrix::bias_tanh);
         self.stats_into(&scratch.x0, &mut scratch.acts, &mut scratch.stats);
         split_stats_into(&scratch.stats, mu, logvar);
     }

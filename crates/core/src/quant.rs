@@ -76,7 +76,9 @@ impl QuantizedEncoder {
         scratch: &mut QuantizedEncoderScratch,
         mu: &mut Matrix,
     ) {
-        self.front.front_into(input, &mut scratch.field_out, &mut scratch.x0, fast_tanh);
+        self.front.front_into(input, &mut scratch.field_out, &mut scratch.x0, |x0, b| {
+            x0.bias_then(b, fast_tanh)
+        });
         scratch.acts.resize_with(self.extra.len(), Matrix::default);
         for (i, layer) in self.extra.iter().enumerate() {
             let (done, rest) = scratch.acts.split_at_mut(i);

@@ -3,8 +3,8 @@
 
 use fvae_data::{split::shuffled_batches, MultiFieldDataset};
 use fvae_nn::{
-    Adam, AdamState, DenseGrads, GradClip, MlpGrads, RowGrads, SampledSoftmaxOutput, SoftmaxBatch,
-    Workspace,
+    Activation, Adam, AdamState, DenseGrads, GradClip, MlpGrads, RowGrads, SampledSoftmaxOutput,
+    SoftmaxBatch, Workspace,
 };
 use fvae_tensor::Matrix;
 
@@ -650,10 +650,7 @@ impl Fvae {
                 std::mem::swap(&mut sc.dx0, &mut sc.dh_enc);
             }
         }
-        // tanh derivative of layer 0.
-        for (dv, &y) in sc.dx0.as_mut_slice().iter_mut().zip(sc.x0.as_slice()) {
-            *dv *= 1.0 - y * y;
-        }
+        Activation::Tanh.chain(&sc.x0, &mut sc.dx0);
         sc.dx0.col_sums_into(&mut sc.bias_grad);
         sc.bag_grads.resize_with(n_fields, RowGrads::default);
         for k in 0..n_fields {

@@ -25,11 +25,13 @@ impl Activation {
     /// row of `m`, then applies the activation, through
     /// [`Matrix::bias_then`] (pooled from `fvae_tensor::PAR_MIN_FLOPS`
     /// elements, with the serial bits). Each arm hands the epilogue its own
-    /// scalar function, so no element pays an indirect call.
+    /// scalar function, so no element pays an indirect call; `tanh` runs
+    /// [`Matrix::bias_tanh`], one dispatched call per row of the shared
+    /// fdlibm port (`fvae_tensor::simd::tanh`).
     pub fn apply(&self, m: &mut Matrix, bias: &[f32]) {
         match self {
             Activation::Identity => m.bias_then(bias, |x| x),
-            Activation::Tanh => m.bias_then(bias, f32::tanh),
+            Activation::Tanh => m.bias_tanh(bias),
             Activation::Relu => m.bias_then(bias, |x| x.max(0.0)),
             Activation::Sigmoid => m.bias_then(bias, fvae_tensor::ops::sigmoid),
         }

@@ -21,7 +21,7 @@ use crate::simd::{TILE_M, TILE_N};
 pub const PAR_MIN_FLOPS: usize = 32 * 1024;
 
 /// Batch rows of `A` that share each `B` row in the `A · Bᵀ` kernel while
-/// that row sits in L1: two `dot3` calls.
+/// that row sits in L1: two `dot3x4` (or `dot3`) calls.
 const TRANSB_ROW_GROUP: usize = 6;
 
 /// `B` rows per column panel of the `A · Bᵀ` kernel: the panel stays in L2
@@ -579,8 +579,10 @@ impl Matrix {
 
     /// Output rows `i0..i1` of `self · otherᵀ` into the slice covering
     /// exactly those rows. The blocking only orders the dot products, and
-    /// `dot3` only shares a `B` row's loads between three of them; each
-    /// element is still written once, with `dot`'s bits.
+    /// the tiles only share loads: `dot3x4` those of three `A` rows and
+    /// four `B` rows, where the backend has it, and `dot3` those of a `B`
+    /// row between three `A` rows for the rest. Each element is still
+    /// written once, with `dot`'s bits.
     fn matmul_transb_range(&self, other: &Matrix, out_rows: &mut [f32], i0: usize, i1: usize) {
         let n = other.rows;
         debug_assert_eq!(out_rows.len(), (i1 - i0) * n);
@@ -589,7 +591,27 @@ impl Matrix {
             let j1 = (j0 + TRANSB_PANEL).min(n);
             for g0 in (i0..i1).step_by(TRANSB_ROW_GROUP) {
                 let g1 = (g0 + TRANSB_ROW_GROUP).min(i1);
-                for j in j0..j1 {
+                let mut j = j0;
+                if let Some(tile) = ks.dot3x4 {
+                    while j + 4 <= j1 {
+                        let b_rows = [other.row(j), other.row(j + 1), other.row(j + 2), other.row(j + 3)];
+                        let mut i = g0;
+                        while i + 3 <= g1 {
+                            let d = tile([self.row(i), self.row(i + 1), self.row(i + 2)], b_rows);
+                            for (r, v) in d.into_iter().enumerate() {
+                                out_rows[(i + r - i0) * n + j..][..4].copy_from_slice(&v);
+                            }
+                            i += 3;
+                        }
+                        for i in i..g1 {
+                            for (c, b_row) in b_rows.into_iter().enumerate() {
+                                out_rows[(i - i0) * n + j + c] = (ks.dot)(self.row(i), b_row);
+                            }
+                        }
+                        j += 4;
+                    }
+                }
+                for j in j..j1 {
                     let b_row = other.row(j);
                     let mut i = g0;
                     while i + 3 <= g1 {
@@ -710,18 +732,33 @@ impl Matrix {
     /// the global pool (output-disjoint, so the bits are the serial ones).
     /// Panics unless `bias.len() == cols`.
     pub fn bias_then(&mut self, bias: &[f32], act: impl Fn(f32) -> f32 + Sync) {
+        self.row_epilogue(bias, |row| {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v = act(*v + b);
+            }
+        });
+    }
+
+    /// The `tanh` epilogue: every element `v` of column `j` becomes
+    /// `tanh(v + bias[j])` with [`crate::simd::tanh`]'s bits, one
+    /// dispatched [`crate::simd::Kernels::bias_tanh`] call per row, pooled
+    /// like [`Matrix::bias_then`]. Each element is computed alone, so the
+    /// bits depend on neither the backend nor the shards. Panics unless
+    /// `bias.len() == cols`.
+    pub fn bias_tanh(&mut self, bias: &[f32]) {
+        let row_tanh = crate::simd::active().bias_tanh;
+        self.row_epilogue(bias, |row| row_tanh(row, bias));
+    }
+
+    /// Runs `per_row` over every row, sharded over the global pool from
+    /// [`PAR_MIN_FLOPS`] elements up. Panics unless `bias.len() == cols`.
+    fn row_epilogue(&mut self, bias: &[f32], per_row: impl Fn(&mut [f32]) + Sync) {
         assert_eq!(bias.len(), self.cols, "bias length must equal cols");
         let (rows, cols) = self.shape();
         if rows * cols == 0 {
             return;
         }
-        let epilogue = |chunk: &mut [f32]| {
-            for row in chunk.chunks_exact_mut(cols) {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v = act(*v + b);
-                }
-            }
-        };
+        let epilogue = |chunk: &mut [f32]| chunk.chunks_exact_mut(cols).for_each(&per_row);
         if rows * cols >= PAR_MIN_FLOPS {
             fvae_pool::global().run_rows(&mut self.data, rows, cols, 1, |_, chunk| epilogue(chunk));
         } else {

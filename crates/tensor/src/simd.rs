@@ -1,8 +1,8 @@
 //! Arch-gated SIMD micro-kernels behind a runtime-dispatched vtable.
 //!
 //! Every dense hot-path primitive in the workspace — `dot`, `axpy`, the
-//! GEMM register tiles, and the int8 serving dot — funnels through a
-//! [`Kernels`] vtable selected **once per process**:
+//! GEMM register tiles, the `tanh` epilogue, and the int8 serving dot —
+//! funnels through a [`Kernels`] vtable selected **once per process**:
 //!
 //! * x86_64 with AVX2+FMA detected at runtime → `AVX2` (8-lane fused
 //!   multiply-add, 32-lane accumulator tree for reductions),
@@ -34,12 +34,21 @@
 //!   every backend**: i32 addition is associative, so the quantized serving
 //!   path produces bit-identical embeddings under scalar, AVX2, and NEON
 //!   alike.
+//! * [`Kernels::bias_tanh`] is **bit-exact on every backend** too: every
+//!   element is the bias add, then [`tanh`], a port of fdlibm's `tanhf`
+//!   written in plain f32 operations (no FMA, which Rust never contracts
+//!   on its own). Scalar and NEON run the port per element; AVX2 runs the
+//!   same operations on 8 lanes, every branch evaluated and blended, with
+//!   the `avx2` feature only. No reduction, so no order to keep.
 //!
-//! The two register tiles add speed, never a new chain of operations:
+//! The register tiles add speed, never a new chain of operations:
 //!
 //! * [`Kernels::dot3`] is, per element, one [`Kernels::dot`]: the same
 //!   lane tree, reduction and scalar tail, with the loads of the shared
 //!   right-hand side done once for three rows. Every backend has it.
+//! * [`Kernels::dot3x4`] is twelve [`Kernels::dot`]s, three rows against
+//!   four, with the lane tree run one accumulator at a time. AVX2 only;
+//!   `None` elsewhere, where `dot3` serves.
 //! * [`Kernels::fused6x16`] gives every output element one fused
 //!   multiply-add per coefficient, in `p` order, starting from what `out`
 //!   holds. AVX2's `fused2x4`, `fused2x1`, `fused1x4`, `fused1x2` and
@@ -70,6 +79,8 @@ pub type Fused1x4Fn = fn(&[f32; 4], &[f32], &[f32], &[f32], &[f32], &mut [f32]);
 pub type Fused6x16Fn = fn(&[f32], usize, usize, &[f32], &mut [f32], usize);
 /// Signature of the [`Kernels::dot3`] shared-RHS dot tile.
 pub type Dot3Fn = fn(&[f32], &[f32], &[f32], &[f32]) -> [f32; 3];
+/// Signature of the [`Kernels::dot3x4`] dot tile.
+pub type Dot3x4Fn = fn([&[f32]; 3], [&[f32]; 4]) -> [[f32; 4]; 3];
 /// Signature of the [`Kernels::dot_i8x4`] shared-RHS quantized tile.
 pub type DotI8x4Fn = fn(&[i16], &[i16], &[i16], &[i16], &[i8]) -> [i32; 4];
 
@@ -113,6 +124,16 @@ pub struct Kernels {
     /// `[dot(a0, b), dot(a1, b), dot(a2, b)]`, each bit-equal to
     /// [`Kernels::dot`] on the same backend (the `A·Bᵀ` tile).
     pub dot3: Dot3Fn,
+    /// Twelve dots, three `a` rows against four `b` rows:
+    /// `out[r][c] = dot(a[r], b[c])`, each bit-equal to [`Kernels::dot`]
+    /// on the same backend (the wider `A·Bᵀ` tile). `None` where the
+    /// backend has no such tile: its callers keep [`Kernels::dot3`].
+    pub dot3x4: Option<Dot3x4Fn>,
+    /// Row epilogue `v[j] = tanh(v[j] + b[j])` with [`tanh`]'s bits: the
+    /// bias add, then the fdlibm port, on every backend. Each element is
+    /// computed alone, so the bits do not depend on the backend, the row
+    /// split or the lane an element falls in.
+    pub bias_tanh: fn(&mut [f32], &[f32]),
     /// Int8 dot with exact i32 accumulation: `Σ a[i]·b[i]` — the quantized
     /// serving kernel. Callers must keep `len · 127² < i32::MAX`
     /// (len < ~133k, far above any layer width here).
@@ -237,6 +258,8 @@ pub static SCALAR: Kernels = Kernels {
     fused1x2: scalar_fused1x2,
     fused6x16: None,
     dot3: scalar_dot3,
+    dot3x4: None,
+    bias_tanh: scalar_bias_tanh,
     dot_i8: scalar_dot_i8,
     dot_i8x4: scalar_dot_i8x4,
 };
@@ -323,6 +346,109 @@ fn scalar_dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
     [scalar_dot(a0, b), scalar_dot(a1, b), scalar_dot(a2, b)]
 }
 
+// fdlibm's `tanhf` / `__expm1f` constants (glibc `sysdeps/ieee754/flt-32`),
+// spelled by their bits.
+const TANH_TINY: f32 = 1.0e-30;
+const EXPM1_HUGE: f32 = 1.0e30;
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+
+/// Hyperbolic tangent: a port of fdlibm's `tanhf` (the code glibc runs
+/// for `tanhf`), with plain f32 operations, no fused multiply-add and
+/// IEEE division, so it gives the same bits on every target. On x86_64
+/// with glibc 2.36 it equals `f32::tanh` on every input.
+///
+/// `|x| < 2⁻⁵⁵` gives `x·(1 + x)`; `1 ≤ |x| < 22` gives `1 − 2/(t + 2)`
+/// with `t = expm1(2|x|)`; smaller `|x|` gives `−t/(t + 2)` with
+/// `t = expm1(−2|x|)`; `|x| ≥ 22` (±∞ too) gives `±(1 − 10⁻³⁰) = ±1`;
+/// NaN gives `x + x`.
+pub fn tanh(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    if ix > 0x7f80_0000 {
+        return x + x;
+    }
+    if ix < 0x2400_0000 {
+        return x * (1.0 + x);
+    }
+    let z = if ix >= 0x41b0_0000 {
+        1.0 - TANH_TINY
+    } else if ix >= 0x3f80_0000 {
+        let t = expm1(2.0 * x.abs());
+        1.0 - 2.0 / (t + 2.0)
+    } else {
+        let t = expm1(-2.0 * x.abs());
+        -t / (t + 2.0)
+    };
+    if x.is_sign_negative() {
+        -z
+    } else {
+        z
+    }
+}
+
+/// fdlibm's `__expm1f` on the arguments [`tanh`] passes it: `2|x|` in
+/// `[2, 44)` or `−2|x|` in `(−2, −2⁻⁵⁴]`. fdlibm's filters for huge and
+/// non-finite arguments and its `k = 1` case (`0.35 < x < 1.04`) never
+/// run there and are left out. `k` is `invln2·x ± 0.5` truncated toward
+/// zero, and `2ᵏ` scales by adding `k` to the exponent bits.
+fn expm1(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let (x, c, k) = if hx > 0x3eb1_7218 {
+        // |x| > ln2 / 2: reduce to x − k·ln2, carrying the rounding in `c`.
+        let (hi, lo, k) = if hx < 0x3f85_1592 {
+            // Only −1.5 ln2 < x < −ln2 / 2 arrives here.
+            (x + LN2_HI, -LN2_LO, -1)
+        } else {
+            let half = if x.is_sign_negative() { -0.5 } else { 0.5 };
+            let k = (INV_LN2 * x + half) as i32;
+            let t = k as f32;
+            (x - t * LN2_HI, t * LN2_LO, k)
+        };
+        let r = hi - lo;
+        (r, (hi - r) - lo, k)
+    } else if hx < 0x3300_0000 {
+        // |x| < 2⁻²⁵: expm1(x) rounds to x.
+        let t = EXPM1_HUGE + x;
+        return x - (t - EXPM1_HUGE);
+    } else {
+        (x, 0.0, 0)
+    };
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = (x * (e - c) - c) - hxs;
+    if k == -1 {
+        return 0.5 * (x - e) - 0.5;
+    }
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    if k <= -2 || k > 56 {
+        scale(1.0 - (e - x)) - 1.0
+    } else if k < 23 {
+        scale(f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k)) - (e - x))
+    } else {
+        scale((x - (e + f32::from_bits(((0x7f - k) << 23) as u32))) + 1.0)
+    }
+}
+
+/// The per-element `tanh` epilogue: the bias add, then [`tanh`].
+fn scalar_bias_tanh(v: &mut [f32], b: &[f32]) {
+    assert_same_len([v.len(), b.len()]);
+    for (x, &bj) in v.iter_mut().zip(b) {
+        *x = tanh(*x + bj);
+    }
+}
+
 /// i8×i8 dot with exact i32 accumulation (associative — every backend
 /// agrees bit-for-bit).
 pub fn scalar_dot_i8(a: &[i8], b: &[i8]) -> i32 {
@@ -368,6 +494,8 @@ static AVX2: Kernels = Kernels {
     fused1x2: avx2_fused1x2,
     fused6x16: Some(avx2_fused6x16),
     dot3: avx2_dot3,
+    dot3x4: Some(avx2_dot3x4),
+    bias_tanh: avx2_bias_tanh,
     dot_i8: avx2_dot_i8,
     dot_i8x4: avx2_dot_i8x4,
 };
@@ -648,6 +776,158 @@ mod avx2 {
         out
     }
 
+    /// Twelve [`dot`]s, three `a` rows by four `b` rows. `dot`'s four
+    /// accumulators become four passes over the rows, one accumulator
+    /// index per pass, so a pass keeps its twelve accumulators in
+    /// registers and loads 7 chunks per 12 FMAs. Pass 0 also takes the
+    /// trailing 8-blocks after its 32-blocks, as `dot`'s first
+    /// accumulator does; then every dot gets `dot`'s reduction tree and
+    /// scalar tail.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn dot3x4(a: [&[f32]; 3], b: [&[f32]; 4]) -> [[f32; 4]; 3] {
+        let n = b[0].len();
+        let n32 = n - n % 32;
+        let n8 = n - n % 8;
+        let ap = a.map(<[f32]>::as_ptr);
+        let bp = b.map(<[f32]>::as_ptr);
+        // `acc[q][r][c]`: accumulator `q` of the dot of `a[r]` with `b[c]`.
+        let mut acc = [[[_mm256_setzero_ps(); 4]; 3]; 4];
+        for (q, accq) in acc.iter_mut().enumerate() {
+            let mut pass = [[_mm256_setzero_ps(); 4]; 3];
+            let mut step = |i: usize| {
+                let va = ap.map(|p| _mm256_loadu_ps(p.add(i)));
+                for (c, p) in bp.iter().enumerate() {
+                    let vb = _mm256_loadu_ps(p.add(i));
+                    for (o, &x) in pass.iter_mut().zip(&va) {
+                        o[c] = _mm256_fmadd_ps(x, vb, o[c]);
+                    }
+                }
+            };
+            (8 * q..n32).step_by(32).for_each(&mut step);
+            if q == 0 {
+                (n32..n8).step_by(8).for_each(&mut step);
+            }
+            *accq = pass;
+        }
+        let mut out = [[0.0f32; 4]; 3];
+        for (r, row) in out.iter_mut().enumerate() {
+            for (c, o) in row.iter_mut().enumerate() {
+                let sum = _mm256_add_ps(
+                    _mm256_add_ps(acc[0][r][c], acc[1][r][c]),
+                    _mm256_add_ps(acc[2][r][c], acc[3][r][c]),
+                );
+                let mut total = hsum256(sum);
+                for t in n8..n {
+                    total += a[r][t] * b[c][t];
+                }
+                *o = total;
+            }
+        }
+        out
+    }
+
+    /// [`super::tanh`] on 8 lanes: every branch of the port (and of its
+    /// `expm1`) runs on every lane with the same operations in the same
+    /// order, and one blend per branch keeps the result the scalar port
+    /// returns. `k` is truncated by `cvttps`, the `2⁻ᵏ` constants are
+    /// built by integer shifts and the `2ᵏ` scale by an integer add to the
+    /// exponent bits. Lanes a branch does not own compute garbage that no
+    /// blend keeps. No FMA: the `fma` feature is deliberately not enabled.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        use super::{EXPM1_HUGE, INV_LN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5, TANH_TINY};
+        let ps = |v: f32| _mm256_set1_ps(v);
+        let pi = |v: i32| _mm256_set1_epi32(v);
+        let blend =
+            |a: __m256, b: __m256, m: __m256i| _mm256_blendv_ps(a, b, _mm256_castsi256_ps(m));
+        let (add, sub, mul) = (
+            |a, b| _mm256_add_ps(a, b),
+            |a, b| _mm256_sub_ps(a, b),
+            |a, b| _mm256_mul_ps(a, b),
+        );
+
+        let bits = _mm256_castps_si256(x);
+        let ix = _mm256_and_si256(bits, pi(0x7fff_ffff));
+        // expm1's argument: 2|x| where |x| ≥ 1, else −2|x|.
+        let big = _mm256_cmpgt_epi32(ix, pi(0x3f7f_ffff));
+        let u = mul(blend(ps(-2.0), ps(2.0), big), _mm256_castsi256_ps(ix));
+
+        // ---- expm1(u) ----
+        let hx = _mm256_and_si256(_mm256_castps_si256(u), pi(0x7fff_ffff));
+        // Reduction by −ln2 (−1.5 ln2 < u < −ln2 / 2) or by k·ln2.
+        let k_many = _mm256_cvttps_epi32(add(mul(ps(INV_LN2), u), blend(ps(-0.5), ps(0.5), big)));
+        let t = _mm256_cvtepi32_ps(k_many);
+        let hi_many = sub(u, mul(t, ps(LN2_HI)));
+        let lo_many = mul(t, ps(LN2_LO));
+        let one_ln2 = _mm256_cmpgt_epi32(pi(0x3f85_1592), hx);
+        let hi = blend(hi_many, add(u, ps(LN2_HI)), one_ln2);
+        let lo = blend(lo_many, ps(-LN2_LO), one_ln2);
+        let reduced = sub(hi, lo);
+        let c = sub(sub(hi, reduced), lo);
+        let reduce = _mm256_cmpgt_epi32(hx, pi(0x3eb1_7218));
+        let k = _mm256_and_si256(_mm256_blendv_epi8(k_many, pi(-1), one_ln2), reduce);
+        let xr = blend(u, reduced, reduce);
+        let c = _mm256_and_ps(c, _mm256_castsi256_ps(reduce));
+
+        let hfx = mul(ps(0.5), xr);
+        let hxs = mul(xr, hfx);
+        let poly = add(ps(Q4), mul(hxs, ps(Q5)));
+        let poly = add(ps(Q3), mul(hxs, poly));
+        let poly = add(ps(Q2), mul(hxs, poly));
+        let poly = add(ps(Q1), mul(hxs, poly));
+        let r1 = add(ps(1.0), mul(hxs, poly));
+        let t = sub(ps(3.0), mul(r1, hfx));
+        let e = mul(hxs, _mm256_div_ps(sub(r1, t), sub(ps(6.0), mul(xr, t))));
+        let k_zero = sub(xr, sub(mul(xr, e), hxs));
+        let e = sub(sub(mul(xr, sub(e, c)), c), hxs);
+        let k_minus_one = sub(mul(ps(0.5), sub(xr, e)), ps(0.5));
+        let scale = |y: __m256| {
+            _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), _mm256_slli_epi32(k, 23)))
+        };
+        let e_x = sub(e, xr);
+        let k_far = sub(scale(sub(ps(1.0), e_x)), ps(1.0));
+        let one_minus = _mm256_sub_epi32(pi(0x3f80_0000), _mm256_srlv_epi32(pi(0x0100_0000), k));
+        let k_below_23 = scale(sub(_mm256_castsi256_ps(one_minus), e_x));
+        let two_minus_k = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_sub_epi32(pi(0x7f), k), 23));
+        let k_rest = scale(add(sub(xr, add(e, two_minus_k)), ps(1.0)));
+        let tiny = sub(u, sub(add(ps(EXPM1_HUGE), u), ps(EXPM1_HUGE)));
+
+        let far = _mm256_or_si256(_mm256_cmpgt_epi32(pi(-1), k), _mm256_cmpgt_epi32(k, pi(56)));
+        let em = blend(k_rest, k_below_23, _mm256_cmpgt_epi32(pi(23), k));
+        let em = blend(em, k_far, far);
+        let em = blend(em, k_minus_one, _mm256_cmpeq_epi32(k, pi(-1)));
+        let em = blend(em, k_zero, _mm256_cmpeq_epi32(k, _mm256_setzero_si256()));
+        let em = blend(em, tiny, _mm256_cmpgt_epi32(pi(0x3300_0000), hx));
+
+        // ---- tanh from t = expm1(u): one division serves both branches ----
+        let neg_em = _mm256_xor_ps(em, ps(-0.0));
+        let q = _mm256_div_ps(blend(neg_em, ps(2.0), big), add(em, ps(2.0)));
+        let z = blend(q, sub(ps(1.0), q), big);
+        let z = blend(z, ps(1.0 - TANH_TINY), _mm256_cmpgt_epi32(ix, pi(0x41af_ffff)));
+        let r = _mm256_xor_ps(z, _mm256_castsi256_ps(_mm256_and_si256(bits, pi(i32::MIN))));
+        let r = blend(r, mul(x, add(ps(1.0), x)), _mm256_cmpgt_epi32(pi(0x2400_0000), ix));
+        blend(r, add(x, x), _mm256_cmpgt_epi32(ix, pi(0x7f80_0000)))
+    }
+
+    /// `v[j] = tanh(v[j] + b[j])`: [`tanh8`] over 8-lane chunks, then the
+    /// scalar port on the tail.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn bias_tanh(v: &mut [f32], b: &[f32]) {
+        let n = v.len();
+        let (vp, bp) = (v.as_mut_ptr(), b.as_ptr());
+        let mut i = 0usize;
+        while i + 8 <= n {
+            let x = _mm256_add_ps(_mm256_loadu_ps(vp.add(i)), _mm256_loadu_ps(bp.add(i)));
+            _mm256_storeu_ps(vp.add(i), tanh8(x));
+            i += 8;
+        }
+        while i < n {
+            v[i] = super::tanh(v[i] + b[i]);
+            i += 1;
+        }
+    }
+
     /// 16 i8 lanes per step: sign-extend to i16, `madd` to 8×i32, add into
     /// two independent i32 accumulators. Integer adds are associative, so
     /// the result is bit-identical to the scalar reference.
@@ -794,6 +1074,20 @@ fn avx2_dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
     unsafe { avx2::dot3(a0, a1, a2, b) }
 }
 #[cfg(target_arch = "x86_64")]
+fn avx2_dot3x4(a: [&[f32]; 3], b: [&[f32]; 4]) -> [[f32; 4]; 3] {
+    assert_same_len([a[0].len(), a[1].len(), a[2].len(), b[0].len(), b[1].len(), b[2].len(), b[3].len()]);
+    // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
+    // slice lengths were asserted equal just above.
+    unsafe { avx2::dot3x4(a, b) }
+}
+#[cfg(target_arch = "x86_64")]
+fn avx2_bias_tanh(v: &mut [f32], b: &[f32]) {
+    assert_same_len([v.len(), b.len()]);
+    // SAFETY: avx2 was probed before `AVX2` was handed out, and the slice
+    // lengths were asserted equal just above.
+    unsafe { avx2::bias_tanh(v, b) }
+}
+#[cfg(target_arch = "x86_64")]
 fn avx2_dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_same_len([a.len(), b.len()]);
     // SAFETY: avx2+fma were probed before `AVX2` was handed out, and the
@@ -824,6 +1118,8 @@ pub static NEON: Kernels = Kernels {
     fused1x2: neon_fused1x2,
     fused6x16: None,
     dot3: neon_dot3,
+    dot3x4: None,
+    bias_tanh: scalar_bias_tanh,
     dot_i8: neon_dot_i8,
     dot_i8x4: neon_dot_i8x4,
 };

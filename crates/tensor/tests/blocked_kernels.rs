@@ -10,14 +10,15 @@
 //! * `Aᵀ · B`: every output row gets one `fused1x2` per pair of batch rows,
 //!   in batch order, and an `axpy` for an odd last row, skipping a pair (or
 //!   the last row) whose coefficients are all zero;
-//! * the epilogue: a serial bias loop, then a serial activation loop.
+//! * the epilogue: a serial bias loop, then a serial activation loop (for
+//!   `bias_tanh`, a serial map of the scalar port `simd::tanh`).
 //!
 //! The shapes straddle the kernels' row groups, column panels and row
 //! blocks, include odd batches and widths off the 8-lane SIMD width, and
 //! one layer of the dense benchmark's size (256 × 1024 × 512).
 //!
-//! The register tiles (`fused6x16` for `A · B` and `Aᵀ · B`, `dot3` for
-//! `A · Bᵀ`) are held to the same references on shapes cut at their edges:
+//! The register tiles (`fused6x16` for `A · B` and `Aᵀ · B`, `dot3x4` and
+//! `dot3` for `A · Bᵀ`) are held to the same references on shapes cut at their edges:
 //! `A · B` to its 2-row loops (`fused2x4` over 4-step panels, `fused2x1`
 //! for the k remainder, `fused1x4` / `axpy` for an odd last row, with the
 //! same zero skips), on pools whose shards start inside a run of tiles.
@@ -194,6 +195,26 @@ fn epilogue_is_the_serial_bias_loop_then_the_activation() {
                 &format!("{name} epilogue at {rows}×{cols}"),
             );
         }
+    }
+}
+
+#[test]
+fn tanh_epilogue_is_the_serial_bias_loop_then_the_port() {
+    // The same two shapes: 151 × 217 serial, 128 × 256 on the pool.
+    for (s, (rows, cols)) in [(151, 217), (128, 256)].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(300 + s as u64);
+        let pre = Matrix::from_fn(rows, cols, |_, _| 12.0 * value(&mut rng));
+        let bias: Vec<f32> = (0..cols).map(|_| value(&mut rng)).collect();
+        let mut want = pre.clone();
+        for r in 0..rows {
+            for (v, &b) in want.row_mut(r).iter_mut().zip(&bias) {
+                *v += b;
+            }
+        }
+        want.map_inplace(simd::tanh);
+        let mut got = pre.clone();
+        got.bias_tanh(&bias);
+        assert_bits(&got, want.as_slice(), &format!("tanh epilogue at {rows}×{cols}"));
     }
 }
 

@@ -107,6 +107,32 @@ fn dot3_refuses_mismatched_lengths() {
 }
 
 #[test]
+fn dot3x4_refuses_mismatched_lengths() {
+    let (long, short) = (vec![1.0f32; 40], vec![1.0f32; 8]);
+    for k in backends() {
+        let Some(tile) = k.dot3x4 else { continue };
+        tile([&long; 3], [&long; 4]);
+        assert_refused("dot3x4 (short a)", k, || {
+            tile([&long, &short, &long], [&long; 4]);
+        });
+        assert_refused("dot3x4 (short b)", k, || {
+            tile([&long; 3], [&long, &long, &long, &short]);
+        });
+    }
+}
+
+#[test]
+fn bias_tanh_refuses_mismatched_lengths() {
+    let (long, short) = (vec![1.0f32; 19], vec![1.0f32; 8]);
+    for k in backends() {
+        let mut v = long.clone();
+        assert_refused("bias_tanh (short bias)", k, || (k.bias_tanh)(&mut v, &short));
+        let mut v = short.clone();
+        assert_refused("bias_tanh (long bias)", k, || (k.bias_tanh)(&mut v, &long));
+    }
+}
+
+#[test]
 fn fused6x16_refuses_operands_it_would_overrun() {
     // Three 16-wide steps: coefficients at rs 3, cs 1 span 5·3 + 2 + 1 = 18
     // elements, and output rows at ld 16 span 5·16 + 16 = 96.

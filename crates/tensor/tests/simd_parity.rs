@@ -14,8 +14,8 @@
 //! associative, so their parity is plain equality on every backend. The
 //! register tiles add no operation of their own, so they are held to
 //! `to_bits` equality with the kernels they replace on the same backend:
-//! `dot3` with three `dot` calls, `fused6x16` with one `axpy` per step
-//! and row.
+//! `dot3` with three `dot` calls, `dot3x4` with twelve, `fused6x16` with
+//! one `axpy` per step and row.
 //!
 //! Shapes deliberately sweep the awkward cases: empty, shorter than one
 //! SIMD lane, straddling lane multiples, and slices starting at unaligned
@@ -258,6 +258,41 @@ proptest! {
                     three[r].to_bits(), one.to_bits(),
                     "{} dot3 row {} is {}, dot {} (len {}, off {})", k.name, r, three[r], one, len, off
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn dot3x4_is_twelve_single_dots(
+        sel in 0usize..18,
+        rnd in 0usize..200,
+        off in 0usize..4,
+        zbits in any::<u64>(),
+        mut a0_full in fvec(),
+        a1_full in fvec(),
+        a2_full in fvec(),
+        b0_full in fvec(),
+        b1_full in fvec(),
+    ) {
+        let len = pick_len(sel, rnd);
+        zero_sprinkle(&mut a0_full, zbits);
+        let s = |v: &[f32]| v[off..off + len].to_vec();
+        let a = [s(&a0_full), s(&a1_full), s(&a2_full)];
+        // The third and fourth `b` rows are the first two reversed, so all
+        // four differ without two more 204-float draws.
+        let rev = |v: &[f32]| v.iter().rev().copied().collect::<Vec<f32>>();
+        let b = [s(&b0_full), s(&b1_full), s(&rev(&b0_full)), s(&rev(&b1_full))];
+        for k in [simd::scalar(), simd::detected()] {
+            let Some(tile) = k.dot3x4 else { continue };
+            let twelve = tile([&a[0], &a[1], &a[2]], [&b[0], &b[1], &b[2], &b[3]]);
+            for (r, ar) in a.iter().enumerate() {
+                for (c, bc) in b.iter().enumerate() {
+                    let one = (k.dot)(ar, bc);
+                    prop_assert_eq!(
+                        twelve[r][c].to_bits(), one.to_bits(),
+                        "{} dot3x4 ({}, {}) is {}, dot {} (len {}, off {})", k.name, r, c, twelve[r][c], one, len, off
+                    );
+                }
             }
         }
     }
