@@ -1,4 +1,4 @@
-//! Mult-DAE, Mult-VAE (Liang et al. [8]) and RecVAE (Shenbin et al. [23]):
+//! Mult-DAE, Mult-VAE (Liang et al. \[8\]) and RecVAE (Shenbin et al. \[23\]):
 //! autoencoders with a *single* multinomial likelihood over the
 //! concatenated feature space — the direct ancestors FVAE extends with
 //! field awareness. The three differ only in the prior term, so one

@@ -1,4 +1,4 @@
-//! Job2Vec-style multi-view representation learning (Zhang et al. [57]).
+//! Job2Vec-style multi-view representation learning (Zhang et al. \[57\]).
 //!
 //! The original Job2Vec benchmarks job titles by fusing several *views*
 //! (title text, graph context, …). The FVAE paper uses it "for reference

@@ -7,7 +7,7 @@
 //!   features; a user is the average of its feature vectors,
 //! * [`DenseVae`] — autoencoders with a single multinomial likelihood over
 //!   the concatenated feature space: Mult-DAE / Mult-VAE (denoising, and a
-//!   Gaussian prior; Liang et al. [8]) and RecVAE (Mult-VAE with a composite
+//!   Gaussian prior; Liang et al. \[8\]) and RecVAE (Mult-VAE with a composite
 //!   prior and user-specific β). The three differ only in the prior term,
 //!   so one type with one train step serves them all,
 //! * [`Job2Vec`] — a multi-view representation model with per-field views

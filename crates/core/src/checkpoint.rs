@@ -557,7 +557,7 @@ fn whole<T>(
 }
 
 /// Decodes a snapshot, verifying framing and checksum (in
-/// [`section_table`]'s order) before any section payload is read.
+/// `section_table`'s order) before any section payload is read.
 pub fn decode_snapshot(data: &[u8]) -> Result<TrainSnapshot, SnapshotError> {
     let sections = section_table(data)?;
     let find = |tag: u8| sections.iter().find(|(t, _)| *t == tag).map(|(_, r)| &data[r.clone()]);

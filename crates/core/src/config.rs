@@ -16,7 +16,7 @@ pub struct SamplingConfig {
     pub sampled_fields: Vec<bool>,
     /// Fraction of the candidate count added as uniform-random vocabulary
     /// features per step (0 disables). The paper frames the batched softmax
-    /// as "a special case in sampled softmax" [54]; this pad is the classic
+    /// as "a special case in sampled softmax" \[54\]; this pad is the classic
     /// sampled-softmax uniform-negative component — it calibrates features
     /// that rarely enter a batch, which matters at scaled-down user counts.
     pub negative_pad: f64,
@@ -62,7 +62,7 @@ pub struct FvaeConfig {
     pub alpha: Vec<f32>,
     /// Annealing cap for the KL weight `β`.
     pub beta_cap: f32,
-    /// User-specific KL scaling borrowed from RecVAE [23]: when positive,
+    /// User-specific KL scaling borrowed from RecVAE \[23\]: when positive,
     /// user `i`'s KL weight becomes `β(step) · γ · N_i` with `N_i` the
     /// user's total feature count — heavier profiles get stronger
     /// regularization. 0 disables (the paper's plain annealed β).
@@ -139,7 +139,7 @@ impl FvaeConfig {
     }
 
     /// The KL weight at a training step (linear annealing capped at
-    /// `beta_cap`, following [8]'s annealing recipe).
+    /// `beta_cap`, following \[8\]'s annealing recipe).
     pub fn beta_at(&self, step: u64) -> f32 {
         fvae_nn::linear_anneal(self.beta_cap, self.anneal_steps, step)
     }

@@ -20,7 +20,7 @@ pub enum SamplingStrategy {
     Frequency,
     /// Features ranked by decreasing batch frequency and kept with
     /// approximately Zipfian rank probabilities (the log-uniform sampler of
-    /// [16]).
+    /// \[16\]).
     Zipfian,
 }
 
@@ -48,7 +48,7 @@ impl SamplingStrategy {
 /// Uniform draws exactly `⌈rate·n⌉` distinct features (the paper's
 /// proposal). Frequency/Zipfian make `⌈rate·n⌉` draws *with replacement*
 /// from their weighted distributions and deduplicate, as the samplers of
-/// [16] do — so their distinct output can be smaller when the weights are
+/// \[16\] do — so their distinct output can be smaller when the weights are
 /// skewed.
 ///
 /// Thin allocating wrapper over [`sample_candidates_into`].

@@ -126,7 +126,7 @@ impl Adam {
     /// Dense update of a flat buffer.
     ///
     /// From [`PAR_MIN_FLOPS`] scalars up, the buffer is cut into
-    /// [`DENSE_CHUNKS`] equal contiguous chunks that fan out across the
+    /// `DENSE_CHUNKS` equal contiguous chunks that fan out across the
     /// global pool, and the last `len % DENSE_CHUNKS` scalars run on the
     /// caller. Every scalar's update reads only its own gradient and
     /// moments, so the bits are the serial ones at any thread count.

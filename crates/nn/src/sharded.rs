@@ -5,7 +5,7 @@
 //! `n × dim` matrix whose row `i` is the gradient of slot `slots[i]`.
 //! [`RowGrads`] is that panel, and it is the only sparse-gradient
 //! representation of the train step: the embedding-bag backward fills it by
-//! transposed index ([`RowGrads::scatter_add`]), the softmax head writes its
+//! transposed index (`RowGrads::scatter_add`), the softmax head writes its
 //! `∂logitsᵀ · H` GEMM straight into it, and [`Adam::step_rows`] consumes it.
 //!
 //! Thread-count invariance comes from output-disjoint sharding alone: every

@@ -153,7 +153,7 @@ impl SampledSoftmaxOutput {
     /// Candidate insertion stays serial (it consumes the RNG, so its order is
     /// part of the determinism contract). The candidates' weight rows are then
     /// gathered into one contiguous panel kept in `out`, the logits are a
-    /// single `H · Wcᵀ` GEMM (see [`TILED_MIN_CANDIDATES`]), and bias +
+    /// single `H · Wcᵀ` GEMM (see `TILED_MIN_CANDIDATES`), and bias +
     /// softmax fan out across the global pool one output row per shard —
     /// bit-identical at every thread count.
     pub fn forward_into(
@@ -200,7 +200,7 @@ impl SampledSoftmaxOutput {
     /// `targets[r]` lists `(candidate_column, value)` pairs for row `r`; the
     /// value is the multi-hot weight `F_{i,j}^k`. Returns the *summed* loss
     /// `Σ_i −Σ_j v_ij log π_ij` and `∂L/∂logits` (also summed — callers scale
-    /// by `1/B` and the field weight `α_k` before [`Self::backward`]).
+    /// by `1/B` and the field weight `α_k` before [`Self::backward_sharded_into`]).
     pub fn multinomial_loss(
         batch: &SoftmaxBatch,
         targets: &[Vec<(u32, f32)>],

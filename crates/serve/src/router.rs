@@ -8,7 +8,7 @@
 //! process. It speaks the same length-prefixed protocol on both sides:
 //! downstream it looks exactly like a single `fvae-serve` server (so
 //! `Client`, `fvae embed-client`, and `fvae loadgen` work unchanged) —
-//! it is a second [`Handler`] on the same connection core ([`crate::net`]);
+//! it is a second `Handler` on the same connection core (`crate::net`);
 //! upstream it holds a persistent connection pool per shard and forwards
 //! each embed request to the shard that owns the request's row hash on a
 //! consistent hash ring.

@@ -2,10 +2,10 @@
 //!
 //! ## Architecture
 //!
-//! The connection core ([`crate::net`]) runs one **accept thread** and one
+//! The connection core (`crate::net`) runs one **accept thread** and one
 //! blocking **connection thread** per client; this module is the shard's
-//! [`Handler`] on it. Embed requests that miss the
-//! LRU cache become [`Pending`] cells on a **bounded queue**; a single
+//! `Handler` on it. Embed requests that miss the
+//! LRU cache become `Pending` cells on a **bounded queue**; a single
 //! **batch thread** sleeps only while that queue is empty: the moment the
 //! encoder is free it takes whatever is queued (at most `batch_size`), runs
 //! one batched encoder forward on the shared [`fvae_pool`] workers, and

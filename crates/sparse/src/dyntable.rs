@@ -5,7 +5,7 @@
 //! encountered". Mapping IDs to dense `0..len` slots lets the embedding and
 //! output-weight matrices be plain contiguous buffers that grow by appending
 //! rows, and — unlike *feature hashing* (the modulo trick) — is collision-free
-//! by construction, which the paper calls out as the advantage over [15].
+//! by construction, which the paper calls out as the advantage over \[15\].
 
 use crate::hasher::FastHashMap;
 

@@ -8,10 +8,10 @@
 //!   (`A·B`, `A·Bᵀ`, `Aᵀ·B`),
 //! * [`ops`] — vector kernels (dot, axpy, softmax, log-softmax, …),
 //! * [`simd`] — the runtime-dispatched micro-kernel vtable behind [`ops`]
-//!   and the GEMM tiles: scalar reference, AVX2 (x86_64, runtime-detected),
-//!   NEON (aarch64), plus the int8 serving dot and the shared `tanh` (a
-//!   port of fdlibm's `tanhf`, bit-exact on every backend); `FVAE_SIMD=0`
-//!   pins scalar,
+//!   and the GEMM tiles: AVX2+FMA on x86_64 (runtime-detected) and the
+//!   portable scalar reference everywhere else, aarch64 included, plus the
+//!   int8 serving dot and the shared `tanh` (a port of fdlibm's `tanhf`,
+//!   bit-exact on every backend); `FVAE_SIMD=0` pins scalar,
 //! * [`dist`] — random distributions implemented from scratch on top of the
 //!   `rand` core (Gaussian via Box–Muller, Gamma via Marsaglia–Tsang,
 //!   Dirichlet, Zipf) plus an alias table for O(1) discrete sampling.

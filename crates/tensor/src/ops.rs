@@ -7,8 +7,8 @@
 ///
 /// Routed through the [`crate::simd`] dispatch: the scalar reference runs
 /// `chunks_exact(8)` with eight independent partial sums (breaking the
-/// loop-carried add dependency), the AVX2/NEON backends use wider FMA
-/// accumulator trees. Callers that dot many rows against the same vector
+/// loop-carried add dependency), the AVX2 backend uses a wider FMA
+/// accumulator tree. Callers that dot many rows against the same vector
 /// should hoist `(crate::simd::active().dot)` out of the loop.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -20,7 +20,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// There is no loop-carried dependency (each `y[i]` is independent), so the
 /// scalar reference is a plain loop the compiler already vectorizes; the
-/// SIMD backends mainly buy explicit FMA contraction.
+/// AVX2 backend mainly buys explicit FMA contraction.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());

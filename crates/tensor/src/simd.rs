@@ -6,17 +6,16 @@
 //!
 //! * x86_64 with AVX2+FMA detected at runtime → `AVX2` (8-lane fused
 //!   multiply-add, 32-lane accumulator tree for reductions),
-//! * aarch64 → [`struct@NEON`] (4-lane FMA; NEON is baseline on aarch64, no
-//!   runtime probe needed),
-//! * everything else, or `FVAE_SIMD=0` in the environment → [`struct@SCALAR`].
+//! * everything else (aarch64 included), or `FVAE_SIMD=0` in the
+//!   environment → [`SCALAR`], the portable reference.
 //!
 //! ## Numeric contract
 //!
-//! [`struct@SCALAR`] is the *reference implementation*: its bodies are the exact
+//! [`SCALAR`] is the *reference implementation*: its bodies are the exact
 //! loops the workspace shipped with before SIMD dispatch existed, so
 //! `FVAE_SIMD=0` reproduces historical checkpoints and golden fixtures
-//! bit-for-bit. The SIMD backends keep IEEE semantics per operation but
-//! **reassociate reductions** (wider accumulator trees, fused multiply-add),
+//! bit-for-bit. The AVX2 backend keeps IEEE semantics per operation but
+//! **reassociates reductions** (wider accumulator trees, fused multiply-add),
 //! so f32 results may differ from scalar by a few ULP. What is guaranteed:
 //!
 //! * **Within one backend, results are fully deterministic** — the PR-4
@@ -25,21 +24,20 @@
 //!   call whose internal reduction order is fixed. Training at 1 or 64
 //!   threads on the same machine yields bit-identical checkpoints.
 //! * The backend (and with it the effective lane width: 32 for AVX2 dot,
-//!   8 for the scalar reference, 4/8 for NEON) is therefore **part of the
-//!   numeric configuration**, exactly like the thread count was before the
+//!   8 for the scalar reference) is therefore **part of the numeric
+//!   configuration**, exactly like the thread count was before the
 //!   PR-4 fix: bit-compare checkpoints only across runs that used the same
 //!   backend. `FVAE_SIMD=0` pins the scalar reference when cross-machine
 //!   bit-reproducibility matters more than speed.
 //! * [`Kernels::dot_i8`] and [`Kernels::dot_i8x4`] are **integer-exact on
 //!   every backend**: i32 addition is associative, so the quantized serving
-//!   path produces bit-identical embeddings under scalar, AVX2, and NEON
-//!   alike.
+//!   path produces bit-identical embeddings under scalar and AVX2 alike.
 //! * [`Kernels::bias_tanh`] is **bit-exact on every backend** too: every
 //!   element is the bias add, then [`tanh`], a port of fdlibm's `tanhf`
 //!   written in plain f32 operations (no FMA, which Rust never contracts
-//!   on its own). Scalar and NEON run the port per element; AVX2 runs the
-//!   same operations on 8 lanes, every branch evaluated and blended, with
-//!   the `avx2` feature only. No reduction, so no order to keep.
+//!   on its own). Scalar runs the port per element; AVX2 runs the same
+//!   operations on 8 lanes, every branch evaluated and blended, with the
+//!   `avx2` feature only. No reduction, so no order to keep.
 //!
 //! The register tiles add speed, never a new chain of operations:
 //!
@@ -57,8 +55,6 @@
 //!   (`crates/tensor/tests/blocked_kernels.rs`). The scalar reference
 //!   groups each panel's products before one add (`o + (c0·b0 + … )`), so
 //!   a tile could not replay both GEMMs' groupings: it is `None` there.
-//!   NEON's bodies are one FMA per coefficient too, but its tile is not
-//!   written yet, so it is `None` and NEON keeps the 2-row loops.
 //!
 //! ## Dispatch
 //!
@@ -95,7 +91,7 @@ pub const TILE_N: usize = 16;
 /// mismatch (the SIMD bodies index raw pointers by that length).
 /// Zero-length calls are valid no-ops (dot products return 0).
 pub struct Kernels {
-    /// Backend name: `"scalar"`, `"avx2"`, or `"neon"`.
+    /// Backend name: `"scalar"` or `"avx2"`.
     pub name: &'static str,
     /// Dot product `Σ a[i]·b[i]`.
     pub dot: fn(&[f32], &[f32]) -> f32,
@@ -194,11 +190,6 @@ pub fn detected() -> &'static Kernels {
             return &AVX2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return &NEON;
-    }
-    #[allow(unreachable_code)]
     &SCALAR
 }
 
@@ -397,6 +388,15 @@ pub fn tanh(x: f32) -> f32 {
 /// non-finite arguments and its `k = 1` case (`0.35 < x < 1.04`) never
 /// run there and are left out. `k` is `invln2·x ± 0.5` truncated toward
 /// zero, and `2ᵏ` scales by adding `k` to the exponent bits.
+///
+/// One case is merged: fdlibm rebuilds `23 ≤ k ≤ 56` as
+/// `2ᵏ·((x − (e + 2⁻ᵏ)) + 1)`, and here those `k` take its `k < 23`
+/// formula `2ᵏ·((1 − 2⁻ᵏ) − (e − x))`. The two may differ by ulps of the
+/// result, but `tanh` only reaches them for `|x| ≥ 7.8`, where it uses
+/// them as `t` in `1 − 2/(t + 2)` with `2/(t + 2) < 2⁻²¹`, and no output
+/// bit moves. The proof is exhaustive: `crates/tensor/tests/tanh.rs`
+/// holds this port to libm's `tanhf` and the AVX2 row body to this port
+/// on all 2³² inputs.
 fn expm1(x: f32) -> f32 {
     let hx = x.to_bits() & 0x7fff_ffff;
     let (x, c, k) = if hx > 0x3eb1_7218 {
@@ -434,10 +434,11 @@ fn expm1(x: f32) -> f32 {
     let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
     if k <= -2 || k > 56 {
         scale(1.0 - (e - x)) - 1.0
-    } else if k < 23 {
-        scale(f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k)) - (e - x))
     } else {
-        scale((x - (e + f32::from_bits(((0x7f - k) << 23) as u32))) + 1.0)
+        // `1 − 2⁻ᵏ` by its bits; the shifted term is 0 from k = 25 on, and
+        // from k = 32 on the shift is out of range (AVX2's `srlv` gives 0).
+        let ulps = 0x0100_0000u32.checked_shr(k as u32).unwrap_or(0);
+        scale(f32::from_bits(0x3f80_0000 - ulps) - (e - x))
     }
 }
 
@@ -829,9 +830,9 @@ mod avx2 {
     /// [`super::tanh`] on 8 lanes: every branch of the port (and of its
     /// `expm1`) runs on every lane with the same operations in the same
     /// order, and one blend per branch keeps the result the scalar port
-    /// returns. `k` is truncated by `cvttps`, the `2⁻ᵏ` constants are
-    /// built by integer shifts and the `2ᵏ` scale by an integer add to the
-    /// exponent bits. Lanes a branch does not own compute garbage that no
+    /// returns. `k` is truncated by `cvttps`, the `1 − 2⁻ᵏ` constant is
+    /// built by an integer shift and the `2ᵏ` scale by an integer add to
+    /// the exponent bits. Lanes a branch does not own compute garbage that no
     /// blend keeps. No FMA: the `fma` feature is deliberately not enabled.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -888,14 +889,11 @@ mod avx2 {
         let e_x = sub(e, xr);
         let k_far = sub(scale(sub(ps(1.0), e_x)), ps(1.0));
         let one_minus = _mm256_sub_epi32(pi(0x3f80_0000), _mm256_srlv_epi32(pi(0x0100_0000), k));
-        let k_below_23 = scale(sub(_mm256_castsi256_ps(one_minus), e_x));
-        let two_minus_k = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_sub_epi32(pi(0x7f), k), 23));
-        let k_rest = scale(add(sub(xr, add(e, two_minus_k)), ps(1.0)));
+        let k_near = scale(sub(_mm256_castsi256_ps(one_minus), e_x));
         let tiny = sub(u, sub(add(ps(EXPM1_HUGE), u), ps(EXPM1_HUGE)));
 
         let far = _mm256_or_si256(_mm256_cmpgt_epi32(pi(-1), k), _mm256_cmpgt_epi32(k, pi(56)));
-        let em = blend(k_rest, k_below_23, _mm256_cmpgt_epi32(pi(23), k));
-        let em = blend(em, k_far, far);
+        let em = blend(k_near, k_far, far);
         let em = blend(em, k_minus_one, _mm256_cmpeq_epi32(k, pi(-1)));
         let em = blend(em, k_zero, _mm256_cmpeq_epi32(k, _mm256_setzero_si256()));
         let em = blend(em, tiny, _mm256_cmpgt_epi32(pi(0x3300_0000), hx));
@@ -1102,310 +1100,6 @@ fn avx2_dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i
     unsafe { avx2::dot_i8x4(x0, x1, x2, x3, w) }
 }
 
-// ---------------------------------------------------------------------------
-// NEON backend (aarch64; baseline feature, no runtime probe)
-// ---------------------------------------------------------------------------
-
-/// NEON kernels: 4-lane FMA, two independent accumulator chains for `dot`.
-#[cfg(target_arch = "aarch64")]
-pub static NEON: Kernels = Kernels {
-    name: "neon",
-    dot: neon_dot,
-    axpy: neon_axpy,
-    fused2x4: neon_fused2x4,
-    fused2x1: neon_fused2x1,
-    fused1x4: neon_fused1x4,
-    fused1x2: neon_fused1x2,
-    fused6x16: None,
-    dot3: neon_dot3,
-    dot3x4: None,
-    bias_tanh: scalar_bias_tanh,
-    dot_i8: neon_dot_i8,
-    dot_i8x4: neon_dot_i8x4,
-};
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON is part of the aarch64 baseline, so these need no runtime
-    //! probe; each function asserts the length precondition, after which
-    //! its `unsafe` block only reads and writes below the shared length.
-    use core::arch::aarch64::*;
-
-    pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        super::assert_same_len([a.len(), b.len()]);
-        let n = a.len();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut acc0 = vdupq_n_f32(0.0);
-            let mut acc1 = vdupq_n_f32(0.0);
-            let mut i = 0usize;
-            while i + 8 <= n {
-                acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-                acc1 = vfmaq_f32(acc1, vld1q_f32(ap.add(i + 4)), vld1q_f32(bp.add(i + 4)));
-                i += 8;
-            }
-            if i + 4 <= n {
-                acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-                i += 4;
-            }
-            let mut total = vaddvq_f32(vaddq_f32(acc0, acc1));
-            while i < n {
-                total += a[i] * b[i];
-                i += 1;
-            }
-            total
-        }
-    }
-
-    pub(super) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        super::assert_same_len([x.len(), y.len()]);
-        let n = y.len();
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let va = vdupq_n_f32(alpha);
-            let mut i = 0usize;
-            while i + 4 <= n {
-                let v = vfmaq_f32(vld1q_f32(yp.add(i)), va, vld1q_f32(xp.add(i)));
-                vst1q_f32(yp.add(i), v);
-                i += 4;
-            }
-            while i < n {
-                y[i] += alpha * x[i];
-                i += 1;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn fused2x4(
-        c: &[f32; 8],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        out0: &mut [f32],
-        out1: &mut [f32],
-    ) {
-        let n = out0.len();
-        super::assert_same_len([out0.len(), out1.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let (q0, q1) = (out0.as_mut_ptr(), out1.as_mut_ptr());
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let vb0 = vld1q_f32(p0.add(j));
-                let vb1 = vld1q_f32(p1.add(j));
-                let vb2 = vld1q_f32(p2.add(j));
-                let vb3 = vld1q_f32(p3.add(j));
-                let mut o0 = vld1q_f32(q0.add(j));
-                let mut o1 = vld1q_f32(q1.add(j));
-                o0 = vfmaq_n_f32(o0, vb0, c[0]);
-                o1 = vfmaq_n_f32(o1, vb0, c[4]);
-                o0 = vfmaq_n_f32(o0, vb1, c[1]);
-                o1 = vfmaq_n_f32(o1, vb1, c[5]);
-                o0 = vfmaq_n_f32(o0, vb2, c[2]);
-                o1 = vfmaq_n_f32(o1, vb2, c[6]);
-                o0 = vfmaq_n_f32(o0, vb3, c[3]);
-                o1 = vfmaq_n_f32(o1, vb3, c[7]);
-                vst1q_f32(q0.add(j), o0);
-                vst1q_f32(q1.add(j), o1);
-                j += 4;
-            }
-            while j < n {
-                out0[j] += c[0] * b0[j] + c[1] * b1[j] + c[2] * b2[j] + c[3] * b3[j];
-                out1[j] += c[4] * b0[j] + c[5] * b1[j] + c[6] * b2[j] + c[7] * b3[j];
-                j += 1;
-            }
-        }
-    }
-
-    pub(super) fn fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f32]) {
-        let n = out0.len();
-        super::assert_same_len([out0.len(), out1.len(), b.len()]);
-        let bp = b.as_ptr();
-        let (q0, q1) = (out0.as_mut_ptr(), out1.as_mut_ptr());
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let vb = vld1q_f32(bp.add(j));
-                vst1q_f32(q0.add(j), vfmaq_n_f32(vld1q_f32(q0.add(j)), vb, c0));
-                vst1q_f32(q1.add(j), vfmaq_n_f32(vld1q_f32(q1.add(j)), vb, c1));
-                j += 4;
-            }
-            while j < n {
-                out0[j] += c0 * b[j];
-                out1[j] += c1 * b[j];
-                j += 1;
-            }
-        }
-    }
-
-    pub(super) fn fused1x4(
-        c: &[f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        super::assert_same_len([out.len(), b0.len(), b1.len(), b2.len(), b3.len()]);
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let q = out.as_mut_ptr();
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let mut o = vld1q_f32(q.add(j));
-                o = vfmaq_n_f32(o, vld1q_f32(p0.add(j)), c[0]);
-                o = vfmaq_n_f32(o, vld1q_f32(p1.add(j)), c[1]);
-                o = vfmaq_n_f32(o, vld1q_f32(p2.add(j)), c[2]);
-                o = vfmaq_n_f32(o, vld1q_f32(p3.add(j)), c[3]);
-                vst1q_f32(q.add(j), o);
-                j += 4;
-            }
-            while j < n {
-                out[j] += c[0] * b0[j] + c[1] * b1[j] + c[2] * b2[j] + c[3] * b3[j];
-                j += 1;
-            }
-        }
-    }
-
-    pub(super) fn fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        super::assert_same_len([out.len(), b0.len(), b1.len()]);
-        let (p0, p1) = (b0.as_ptr(), b1.as_ptr());
-        let q = out.as_mut_ptr();
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let mut o = vld1q_f32(q.add(j));
-                o = vfmaq_n_f32(o, vld1q_f32(p0.add(j)), c0);
-                o = vfmaq_n_f32(o, vld1q_f32(p1.add(j)), c1);
-                vst1q_f32(q.add(j), o);
-                j += 4;
-            }
-            while j < n {
-                out[j] += c0 * b0[j] + c1 * b1[j];
-                j += 1;
-            }
-        }
-    }
-
-    pub(super) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        super::assert_same_len([a.len(), b.len()]);
-        let n = a.len();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut acc = vdupq_n_s32(0);
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let prod = vmull_s8(vld1_s8(ap.add(i)), vld1_s8(bp.add(i)));
-                acc = vpadalq_s16(acc, prod);
-                i += 8;
-            }
-            let mut total = vaddvq_s32(acc);
-            while i < n {
-                total += i32::from(a[i]) * i32::from(b[i]);
-                i += 1;
-            }
-            total
-        }
-    }
-
-    /// Shared-RHS 4-row int8 dot with pre-widened (i16) x rows: one `w`
-    /// load + widen feeds all four multiply-accumulates per chunk. Exact
-    /// i32 accumulation.
-    pub(super) fn dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i32; 4] {
-        let n = w.len();
-        super::assert_same_len([w.len(), x0.len(), x1.len(), x2.len(), x3.len()]);
-        let (p0, p1, p2, p3, pw) = (x0.as_ptr(), x1.as_ptr(), x2.as_ptr(), x3.as_ptr(), w.as_ptr());
-        // SAFETY: NEON is baseline on aarch64, and every lane access
-        // stays below `n`, the length all slices share (asserted above).
-        unsafe {
-            let mut acc = [vdupq_n_s32(0); 4];
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let vw = vmovl_s8(vld1_s8(pw.add(i)));
-                for (r, p) in [p0, p1, p2, p3].into_iter().enumerate() {
-                    let vx = vld1q_s16(p.add(i));
-                    acc[r] = vmlal_s16(acc[r], vget_low_s16(vx), vget_low_s16(vw));
-                    acc[r] = vmlal_high_s16(acc[r], vx, vw);
-                }
-                i += 8;
-            }
-            let mut out = [vaddvq_s32(acc[0]), vaddvq_s32(acc[1]), vaddvq_s32(acc[2]), vaddvq_s32(acc[3])];
-            let rows = [x0, x1, x2, x3];
-            while i < n {
-                for r in 0..4 {
-                    out[r] += i32::from(rows[r][i]) * i32::from(w[i]);
-                }
-                i += 1;
-            }
-            out
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn neon_dot(a: &[f32], b: &[f32]) -> f32 {
-    neon::dot(a, b)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    neon::axpy(alpha, x, y)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_fused2x4(
-    c: &[f32; 8],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-    out0: &mut [f32],
-    out1: &mut [f32],
-) {
-    neon::fused2x4(c, b0, b1, b2, b3, out0, out1)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_fused2x1(c0: f32, c1: f32, b: &[f32], out0: &mut [f32], out1: &mut [f32]) {
-    neon::fused2x1(c0, c1, b, out0, out1)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_fused1x4(c: &[f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], out: &mut [f32]) {
-    neon::fused1x4(c, b0, b1, b2, b3, out)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_fused1x2(c0: f32, c1: f32, b0: &[f32], b1: &[f32], out: &mut [f32]) {
-    neon::fused1x2(c0, c1, b0, b1, out)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_dot3(a0: &[f32], a1: &[f32], a2: &[f32], b: &[f32]) -> [f32; 3] {
-    assert_same_len([a0.len(), a1.len(), a2.len(), b.len()]);
-    [neon::dot(a0, b), neon::dot(a1, b), neon::dot(a2, b)]
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    neon::dot_i8(a, b)
-}
-#[cfg(target_arch = "aarch64")]
-fn neon_dot_i8x4(x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16], w: &[i8]) -> [i32; 4] {
-    neon::dot_i8x4(x0, x1, x2, x3, w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1413,8 +1107,21 @@ mod tests {
     #[test]
     fn active_backend_is_resolvable_and_stable() {
         let first = active().name;
-        assert!(["scalar", "avx2", "neon"].contains(&first));
+        assert!(["scalar", "avx2"].contains(&first));
         assert_eq!(active().name, first, "dispatch must be stable across calls");
+    }
+
+    #[test]
+    fn detection_picks_avx2_exactly_when_avx2_and_fma_are_present() {
+        #[cfg(target_arch = "x86_64")]
+        let simd = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let simd = false;
+        if simd {
+            assert_eq!(detected().name, "avx2");
+        } else {
+            assert!(std::ptr::eq(detected(), scalar()), "got {}", detected().name);
+        }
     }
 
     #[test]
